@@ -11,7 +11,9 @@ Wire protocol (version 1, newline-delimited UTF-8 on stdin/stdout):
 
 Requests are strictly serialized: one in flight per child, responses map
 to requests by order. The bridge is therefore not concurrency-safe and
-the engine funnels all grid evaluation through a single writer.
+the engine funnels all grid evaluation through a single writer. After a
+timeout or a protocol error the pairing of lines to requests is lost, so
+the child is killed and every later request fails with BridgeError.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import time
 import numpy as np
 
 from .data import Dataset
-from .errors import BridgeTimeoutError, ContractError, ProtocolError, SpawnError
+from .errors import BridgeError, BridgeTimeoutError, ContractError, ProtocolError, SpawnError
 from .models import PredictionModel
 
 PROTOCOL_VERSION = 1
@@ -92,6 +94,7 @@ class ExternalModel(PredictionModel):
         self._reader = reader
         self._stderr = stderr_tail
         self._lock = threading.Lock()
+        self._failure: str | None = None
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -109,7 +112,16 @@ class ExternalModel(PredictionModel):
 
     def _predict_checked(self, batch: Dataset) -> np.ndarray:
         with self._lock:
-            return self._round_trip(batch)
+            if self._failure is not None:
+                raise BridgeError(f"the child was stopped after an earlier failure: "
+                                  f"{self._failure}")
+            try:
+                return self._round_trip(batch)
+            except (BridgeTimeoutError, ProtocolError) as exc:
+                self._failure = str(exc)
+                self._process.kill()
+                self._process.wait()
+                raise
 
     def _round_trip(self, batch: Dataset) -> np.ndarray:
         n = batch.n_rows

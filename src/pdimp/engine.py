@@ -6,6 +6,12 @@ model scores the modified copy, and the predictions are aggregated. Means
 use fixed left-to-right summation in row order so results are identical
 whether grid points run serially or on worker threads, and identical to a
 naive nested-loop evaluation.
+
+``predictions_at_points`` is the one place predictions at grid points come
+from. A model with a ``predict_grid`` method (bagged trees) scores all
+points in one call; the external bridge gets points stacked into chunked
+requests; any other model is called once per point, on worker threads.
+All three return the same predictions as a per-point ``predict``.
 """
 
 from __future__ import annotations
@@ -111,6 +117,13 @@ class Grid:
     @property
     def size(self) -> int:
         return int(np.prod(self.shape))
+
+    def points(self) -> list[tuple]:
+        """Grid points as value tuples, row-major for a pair."""
+        if len(self.axes) == 1:
+            return [(v,) for v in self.axes[0].values.tolist()]
+        a, b = self.axes
+        return [(u, v) for u in a.values.tolist() for v in b.values.tolist()]
 
 
 def build_grid(dataset: Dataset, features: Sequence[str], strategy: GridStrategy) -> Grid:
@@ -263,11 +276,15 @@ def _dump_json(doc: dict, target) -> None:
 
 
 def ordered_mean(values: np.ndarray) -> float:
-    """Mean by fixed left-to-right summation; bit-reproducible by construction."""
-    total = 0.0
-    for v in values.tolist():
-        total += v
-    return total / len(values)
+    """Mean by fixed left-to-right summation; bit-reproducible by construction.
+
+    ``np.add.accumulate`` adds strictly in order, like a Python loop
+    starting from 0.0; the ``+ 0.0`` gives that loop's +0.0 when every
+    value is -0.0. Overflow to inf stays as silent as in that loop.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.accumulate(values)[-1]
+    return (float(total) + 0.0) / len(values)
 
 
 def aggregate(values: np.ndarray, aggregator: str) -> float:
@@ -311,6 +328,16 @@ def _point_label(features, dataset, point) -> str:
     return ", ".join(parts)
 
 
+def _check_finite(block: np.ndarray, dataset, features, points) -> None:
+    """Raise NonFiniteError at the first point whose row of ``block`` is not finite."""
+    bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+    if bad.size:
+        raise NonFiniteError(
+            f"model produced a non-finite prediction at grid point "
+            f"({_point_label(features, dataset, points[bad[0]])})"
+        )
+
+
 def _predictions_at_point(model, dataset, features, point) -> np.ndarray:
     perturbed = dataset
     for name, value in zip(features, point):
@@ -319,11 +346,7 @@ def _predictions_at_point(model, dataset, features, point) -> np.ndarray:
             name, _constant_column(feat, value, dataset.n_rows)
         )
     preds = model.predict(perturbed)
-    if not np.all(np.isfinite(preds)):
-        raise NonFiniteError(
-            f"model produced a non-finite prediction at grid point "
-            f"({_point_label(features, dataset, point)})"
-        )
+    _check_finite(preds[None, :], dataset, features, [point])
     return preds
 
 
@@ -332,7 +355,6 @@ def _predictions_batched(model, dataset, features, points) -> list[np.ndarray]:
     n = dataset.n_rows
     chunk = max(1, _EXTERNAL_CHUNK_ROWS // max(n, 1))
     out = []
-    schema = [dataset.schema_for(name) for name in features]
     for start in range(0, len(points), chunk):
         block = points[start: start + chunk]
         columns = {}
@@ -345,15 +367,9 @@ def _predictions_batched(model, dataset, features, points) -> list[np.ndarray]:
             else:
                 columns[feat.name] = np.tile(dataset.column(feat.name), len(block))
         stacked = Dataset._unchecked(dataset.schema, columns)
-        preds = model.predict(stacked)
-        for k, point in enumerate(block):
-            part = preds[k * n: (k + 1) * n]
-            if not np.all(np.isfinite(part)):
-                raise NonFiniteError(
-                    f"model produced a non-finite prediction at grid point "
-                    f"({_point_label(features, dataset, point)})"
-                )
-            out.append(part)
+        preds = model.predict(stacked).reshape(len(block), n)
+        _check_finite(preds, dataset, features, block)
+        out.extend(preds)
     return out
 
 
@@ -362,12 +378,21 @@ def predictions_at_points(model: PredictionModel, dataset: Dataset,
                           workers: int = 1) -> list[np.ndarray]:
     """Training-set predictions with the interest features pinned to each point.
 
-    Grid points are the unit of parallelism; the rows within one point are
-    always scored and summed as a block, so the outcome is invariant to
-    ``workers``. Models that are not concurrency-safe (the external bridge)
-    are served serially with points batched into chunked requests.
+    A model with ``predict_grid`` scores every point in one serial call.
+    Otherwise grid points are the unit of parallelism; the rows within one
+    point are always scored and summed as a block, so the outcome is
+    invariant to ``workers``. Models that are not concurrency-safe (the
+    external bridge) are served serially with points batched into chunked
+    requests.
     """
     features = list(features)
+    for name in features:
+        dataset.schema_for(name)
+    predict_grid = getattr(model, "predict_grid", None)
+    if predict_grid is not None:
+        block = predict_grid(dataset, features, points)
+        _check_finite(block, dataset, features, points)
+        return list(block)
     if not model.concurrency_safe:
         return _predictions_batched(model, dataset, features, points)
     if workers <= 1 or len(points) <= 1:
@@ -388,13 +413,6 @@ def pd_values_at(model: PredictionModel, dataset: Dataset, features: Sequence[st
     return np.array([aggregate(p, aggregator) for p in preds])
 
 
-def _grid_points(grid: Grid) -> list[tuple]:
-    if len(grid.axes) == 1:
-        return [(v,) for v in grid.axes[0].values.tolist()]
-    a, b = grid.axes
-    return [(u, v) for u in a.values.tolist() for v in b.values.tolist()]
-
-
 def _baseline(model, dataset, aggregator) -> float:
     preds = model.predict(dataset)
     if not np.all(np.isfinite(preds)):
@@ -413,7 +431,7 @@ def partial_dependence(model: PredictionModel, dataset: Dataset, grid: Grid,
     if len(grid.axes) != 1:
         raise ParameterError("partial_dependence takes a single-feature grid; "
                              "use joint_partial_dependence for pairs")
-    values = pd_values_at(model, dataset, grid.features, _grid_points(grid), workers, aggregator)
+    values = pd_values_at(model, dataset, grid.features, grid.points(), workers, aggregator)
     return PDResult(grid, values, dataset.n_rows, _baseline(model, dataset, aggregator), aggregator)
 
 
@@ -422,7 +440,7 @@ def joint_partial_dependence(model: PredictionModel, dataset: Dataset, grid: Gri
     """Partial dependence on a feature pair; values are row-major over the grid."""
     if len(grid.axes) != 2:
         raise ParameterError("joint_partial_dependence takes a two-feature grid")
-    values = pd_values_at(model, dataset, grid.features, _grid_points(grid), workers, aggregator)
+    values = pd_values_at(model, dataset, grid.features, grid.points(), workers, aggregator)
     return PDResult(grid, values, dataset.n_rows, _baseline(model, dataset, aggregator), aggregator)
 
 
@@ -435,7 +453,7 @@ def ice_curves(model: PredictionModel, dataset: Dataset, grid: Grid,
     """
     if len(grid.axes) != 1:
         raise ParameterError("ICE curves are defined for a single feature")
-    preds = predictions_at_points(model, dataset, grid.features, _grid_points(grid), workers)
+    preds = predictions_at_points(model, dataset, grid.features, grid.points(), workers)
     curves = np.column_stack(preds)
     pd_values = np.array([ordered_mean(col) for col in preds])
     return ICEResult(grid, curves, _baseline(model, dataset, "mean"), pd_values)

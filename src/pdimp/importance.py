@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset
-from .engine import GridStrategy, PDResult, build_grid, partial_dependence
+from .engine import GridStrategy, PDResult, build_grid, pd_values_at
 from .errors import DegenerateGridError, ParameterError
 from .models import PredictionModel
 
@@ -152,6 +152,8 @@ def importance_all(model: PredictionModel, dataset: Dataset,
     """
     if dataset.n_rows < 2:
         raise ParameterError("importance needs at least 2 training rows")
+    if measure not in MEASURES:
+        raise ParameterError(f"unknown flatness measure {measure!r}; pick one of {MEASURES}")
     if grid_strategy is None:
         grid_strategy = GridStrategy.unique()
     entries = []
@@ -162,8 +164,8 @@ def importance_all(model: PredictionModel, dataset: Dataset,
         if grid.size < 2:
             entries.append(ImportanceEntry(feat.name, 0.0, used, grid.size, degenerate=True))
             continue
-        pd = partial_dependence(model, dataset, grid, workers=workers, aggregator=aggregator)
-        entries.append(ImportanceEntry(feat.name, importance_from_pd(pd, measure), used, grid.size))
+        values = pd_values_at(model, dataset, grid.features, grid.points(), workers, aggregator)
+        entries.append(ImportanceEntry(feat.name, spread(values, used), used, grid.size))
     ranked = sorted(entries, key=lambda e: -e.score)
     return ImportanceReport(tuple(ranked), str(grid_strategy), aggregator)
 

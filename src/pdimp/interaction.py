@@ -6,7 +6,10 @@ the other is held: slices only shift vertically. The statistic here is
 the spread of those conditional importances, averaged over both
 directions. Friedman's H-statistic is provided alongside for comparison;
 it contrasts the joint PD with the sum of the marginal PDs at the
-training points.
+training points. Each training row snaps to its nearest grid point (its
+own level for a categorical feature), so H reads the joint PD from the
+pair's joint table: ``interaction_matrix`` computes that table once and
+uses it for both statistics.
 """
 
 from __future__ import annotations
@@ -23,14 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset
-from .engine import (
-    Grid,
-    GridStrategy,
-    build_grid,
-    joint_partial_dependence,
-    ordered_mean,
-    pd_values_at,
-)
+from .engine import Grid, GridAxis, GridStrategy, build_grid, ordered_mean, pd_values_at
 from .errors import DegenerateGridError, ParameterError
 from .importance import RANGE_OVER_4, SAMPLE_SD, sample_sd, spread
 from .models import PredictionModel
@@ -136,32 +132,41 @@ def pd_interaction(model: PredictionModel, dataset: Dataset, pair: Sequence[str]
     conditional on every grid value of the other, takes the sd of those
     conditional importances per direction, and averages the two.
     """
-    stat = _pair_statistics(model, dataset, tuple(pair), grid_strategy, workers)
-    return stat.stat_pd
-
-
-def _pair_statistics(model, dataset, pair, grid_strategy, workers) -> PairStatistics:
     if grid_strategy is None:
         grid_strategy = GridStrategy.quantile(10)
+    grid = _pair_grid(dataset, tuple(pair), grid_strategy)
+    return _pair_statistics(grid, _joint_table(model, dataset, grid, workers)).stat_pd
+
+
+def _axis(dataset: Dataset, name: str, strategy: GridStrategy) -> GridAxis:
+    """Grid axis of one feature; a categorical axis is always its level table."""
+    if not dataset.schema_for(name).is_continuous:
+        strategy = GridStrategy.unique()
+    return build_grid(dataset, [name], strategy).axes[0]
+
+
+def _pair_grid(dataset: Dataset, pair: tuple[str, str], strategy: GridStrategy) -> Grid:
     a, b = pair
     if a == b:
         raise ParameterError("interaction needs two distinct features")
+    return Grid((_axis(dataset, a, strategy), _axis(dataset, b, strategy)), strategy)
 
-    def strategy_for(name):
-        return grid_strategy if dataset.schema_for(name).is_continuous else GridStrategy.unique()
 
-    axis_a = build_grid(dataset, [a], strategy_for(a)).axes[0]
-    axis_b = build_grid(dataset, [b], strategy_for(b)).axes[0]
-    grid = Grid((axis_a, axis_b), grid_strategy)
-    joint = joint_partial_dependence(model, dataset, grid, workers=workers)
-    s_ab, s_ba = _directional_spreads(
-        joint.value_matrix(), (axis_a.kind, axis_b.kind)
-    )
-    return PairStatistics((a, b), (s_ab + s_ba) / 2.0, s_ab, s_ba)
+def _joint_table(model, dataset, grid: Grid, workers: int) -> np.ndarray:
+    """Joint PD over the whole pair grid, shaped k_a x k_b."""
+    values = pd_values_at(model, dataset, grid.features, grid.points(), workers)
+    return values.reshape(grid.shape)
+
+
+def _pair_statistics(grid: Grid, table: np.ndarray) -> PairStatistics:
+    s_ab, s_ba = _directional_spreads(table, tuple(axis.kind for axis in grid.axes))
+    return PairStatistics(grid.features, (s_ab + s_ba) / 2.0, s_ab, s_ba)
 
 
 def _snap_codes(column: np.ndarray, grid_values: np.ndarray) -> np.ndarray:
     """Index of the nearest grid value for each training value (ties go low)."""
+    if len(grid_values) == 1:
+        return np.zeros(len(column), dtype=np.intp)
     pos = np.searchsorted(grid_values, column)
     pos = np.clip(pos, 1, len(grid_values) - 1)
     left = grid_values[pos - 1]
@@ -169,46 +174,23 @@ def _snap_codes(column: np.ndarray, grid_values: np.ndarray) -> np.ndarray:
     return np.where(column - left <= right - column, pos - 1, pos)
 
 
-def _pd_by_row(model, dataset, feature, strategy, workers) -> np.ndarray:
-    """Marginal PD evaluated at each training row's own value of ``feature``."""
-    feat = dataset.schema_for(feature)
-    if feat.is_continuous:
-        axis = build_grid(dataset, [feature], strategy).axes[0]
-        codes = _snap_codes(dataset.column(feature), axis.values)
-        points = [(v,) for v in axis.values.tolist()]
-    else:
-        codes = dataset.column(feature)
-        points = [(int(v),) for v in range(len(feat.levels))]
-    values = pd_values_at(model, dataset, [feature], points, workers=workers)
-    return values[codes]
+def _row_codes(dataset: Dataset, axis: GridAxis) -> np.ndarray:
+    """Grid index of each training row's own value: snapped, or its level code."""
+    column = dataset.column(axis.feature)
+    return column if axis.kind == "categorical" else _snap_codes(column, axis.values)
 
 
-def _joint_pd_by_row(model, dataset, pair, strategy, workers) -> np.ndarray:
-    """Joint PD at each training row's own (xi, xj) pair, deduplicated."""
-    per_feature_codes = []
-    per_feature_values = []
-    for name in pair:
-        feat = dataset.schema_for(name)
-        if feat.is_continuous:
-            axis = build_grid(dataset, [name], strategy).axes[0]
-            per_feature_codes.append(_snap_codes(dataset.column(name), axis.values))
-            per_feature_values.append(axis.values)
-        else:
-            per_feature_codes.append(dataset.column(name))
-            per_feature_values.append(np.arange(len(feat.levels)))
-    paired = np.column_stack(per_feature_codes)
-    distinct, inverse = np.unique(paired, axis=0, return_inverse=True)
-    points = [
-        (per_feature_values[0][i], per_feature_values[1][j])
-        for i, j in distinct.tolist()
-    ]
-    values = pd_values_at(model, dataset, list(pair), points, workers=workers)
-    return values[inverse]
+def _pd_by_row(model, dataset, axis: GridAxis, workers) -> np.ndarray:
+    """Marginal PD evaluated at each training row's own (snapped) value."""
+    points = [(v,) for v in axis.values.tolist()]
+    values = pd_values_at(model, dataset, [axis.feature], points, workers=workers)
+    return values[_row_codes(dataset, axis)]
 
 
 def h_statistic(model: PredictionModel, dataset: Dataset, pair: Sequence[str],
                 grid_strategy: GridStrategy | None = None, workers: int = 1,
-                _marginal_cache: dict | None = None) -> float:
+                _marginal_cache: dict | None = None,
+                _joint: np.ndarray | None = None) -> float:
     """Friedman's H for one pair, evaluated at the training points.
 
     All three partial dependence functions (joint and both marginals) are
@@ -218,19 +200,30 @@ def h_statistic(model: PredictionModel, dataset: Dataset, pair: Sequence[str],
         H^2 = sum((joint - marg_i - marg_j)^2) / sum(joint^2)
 
     With a quantile or equidistant strategy, training values snap to the
-    nearest grid point first (a cost cap); ``unique`` is exact. Returns
-    NaN when the denominator is zero (joint PD centered identically 0).
+    nearest grid point first (a cost cap); ``unique`` is exact. The joint
+    term is the pair's joint PD table indexed by the rows' grid codes;
+    without a precomputed table only the cells some row falls in are
+    evaluated (at most n points, where the full ``unique`` table has up
+    to n^2). Returns NaN when the denominator is zero (joint PD centered
+    identically 0).
     """
-    a, b = pair
-    if a == b:
-        raise ParameterError("interaction needs two distinct features")
     if grid_strategy is None:
         grid_strategy = GridStrategy.unique()
+    grid = _pair_grid(dataset, tuple(pair), grid_strategy)
+    a, b = grid.features
     cache = _marginal_cache if _marginal_cache is not None else {}
-    for name in (a, b):
-        if name not in cache:
-            cache[name] = _pd_by_row(model, dataset, name, grid_strategy, workers)
-    joint = _joint_pd_by_row(model, dataset, (a, b), grid_strategy, workers)
+    for axis in grid.axes:
+        if axis.feature not in cache:
+            cache[axis.feature] = _pd_by_row(model, dataset, axis, workers)
+    cell = _row_codes(dataset, grid.axes[0]) * grid.shape[1] + _row_codes(dataset, grid.axes[1])
+    if _joint is None:
+        needed, where = np.unique(cell, return_inverse=True)
+        points = grid.points()
+        values = pd_values_at(model, dataset, grid.features,
+                              [points[c] for c in needed.tolist()], workers=workers)
+        joint = values[where]
+    else:
+        joint = _joint.reshape(-1)[cell]
     f_joint = joint - ordered_mean(joint)
     f_a = cache[a] - ordered_mean(cache[a])
     f_b = cache[b] - ordered_mean(cache[b])
@@ -247,8 +240,8 @@ def interaction_matrix(model: PredictionModel, dataset: Dataset,
                        include_h: bool = False, workers: int = 1) -> InteractionReport:
     """Pair statistics for every requested (default: all) unordered pair.
 
-    Pairs fan out over worker threads; each pair's joint PD is computed
-    once and reused for both conditional directions.
+    Pairs fan out over worker threads; each pair's joint PD table is
+    computed once and serves both conditional directions and H.
     """
     if grid_strategy is None:
         grid_strategy = GridStrategy.quantile(10)
@@ -264,12 +257,15 @@ def interaction_matrix(model: PredictionModel, dataset: Dataset,
     if include_h:
         # fill serially so pair workers only read
         for name in sorted({f for p in pairs for f in p}):
-            marginal_cache[name] = _pd_by_row(model, dataset, name, grid_strategy, 1)
+            marginal_cache[name] = _pd_by_row(model, dataset,
+                                              _axis(dataset, name, grid_strategy), 1)
 
     def compute(pair):
-        stat = _pair_statistics(model, dataset, pair, grid_strategy, 1)
+        grid = _pair_grid(dataset, pair, grid_strategy)
+        table = _joint_table(model, dataset, grid, 1)
+        stat = _pair_statistics(grid, table)
         if include_h:
-            h = h_statistic(model, dataset, pair, grid_strategy, 1, marginal_cache)
+            h = h_statistic(model, dataset, pair, grid_strategy, 1, marginal_cache, table)
             stat = PairStatistics(
                 stat.features, stat.stat_pd,
                 stat.spread_first_given_second, stat.spread_second_given_first, h,

@@ -2,7 +2,8 @@
 
 Every document carries ``format`` (currently 1) and a ``kind`` tag; an
 expression model serializes as its source text plus the schema it was
-bound to.
+bound to. Loading validates the whole document against its schema, so a
+malformed file fails with ParameterError instead of later, mid-analysis.
 """
 
 from __future__ import annotations
@@ -25,8 +26,38 @@ def _schema_to_json(schema) -> list[dict]:
     return [f.to_json() for f in schema]
 
 
-def _schema_from_json(docs) -> tuple[FeatureSchema, ...]:
-    return tuple(FeatureSchema.from_json(d) for d in docs)
+def _field(doc, key: str, types, where: str):
+    """``doc[key]``, required to be an instance of ``types`` (never a bool)."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ParameterError(f"{where} is missing {key!r}")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ParameterError(f"{where} has a malformed {key!r}: {value!r}")
+    return value
+
+
+def _array(doc, key: str, ndim: int, where: str) -> np.ndarray:
+    try:
+        value = np.asarray(_field(doc, key, list, where), dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{where} field {key!r} is not a numeric array") from None
+    if value.ndim != ndim:
+        raise ParameterError(f"{where} field {key!r} must be {ndim}-dimensional")
+    return value
+
+
+def _schema_from_json(docs: list) -> tuple[FeatureSchema, ...]:
+    schema = []
+    for doc in docs:
+        name = _field(doc, "name", str, "schema entry")
+        kind = _field(doc, "kind", str, "schema entry")
+        levels = doc.get("levels")
+        if levels is not None and not (
+            isinstance(levels, list) and all(isinstance(v, str) for v in levels)
+        ):
+            raise ParameterError(f"schema entry {name!r} has malformed levels")
+        schema.append(FeatureSchema(name, kind, None if levels is None else tuple(levels)))
+    return tuple(schema)
 
 
 def _node_to_json(node: _Node) -> dict:
@@ -46,18 +77,41 @@ def _node_to_json(node: _Node) -> dict:
     return doc
 
 
-def _node_from_json(doc: dict) -> _Node:
+def _node_from_json(doc, schema) -> _Node:
+    """Tree node, checked against ``schema``: a threshold splits a continuous
+    feature, a level mask over the full level table splits a categorical one."""
+    where = "tree node"
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{where} must be a JSON object, got {doc!r}")
     if "feature" not in doc:
-        return _Node(value=doc["value"])
-    node = _Node(feature=doc["feature"], value=doc.get("value", 0.0))
-    if "threshold" in doc:
-        node.threshold = doc["threshold"]
+        return _Node(value=_field(doc, "value", (int, float), where))
+    j = _field(doc, "feature", int, where)
+    if not 0 <= j < len(schema):
+        raise ParameterError(f"tree node splits on feature {j}; the schema has {len(schema)}")
+    feat = schema[j]
+    value = _field(doc, "value", (int, float), where) if "value" in doc else 0.0
+    node = _Node(feature=j, value=value)
+    if feat.is_continuous:
+        if "left_levels" in doc:
+            raise ParameterError(f"continuous feature {feat.name!r} cannot split on a level mask")
+        node.threshold = _field(doc, "threshold", (int, float), where)
     else:
-        mask = np.zeros(doc["n_levels"], dtype=bool)
-        mask[doc["left_levels"]] = True
-        node.left_levels = mask
-    node.left = _node_from_json(doc["left"])
-    node.right = _node_from_json(doc["right"])
+        if "threshold" in doc:
+            raise ParameterError(f"categorical feature {feat.name!r} cannot split on a threshold")
+        n_levels = _field(doc, "n_levels", int, where)
+        if n_levels != len(feat.levels):
+            raise ParameterError(
+                f"tree node mask covers {n_levels} levels; feature {feat.name!r} "
+                f"has {len(feat.levels)}"
+            )
+        left = _field(doc, "left_levels", list, where)
+        if not all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < n_levels
+                   for i in left):
+            raise ParameterError(f"tree node has malformed left_levels: {left!r}")
+        node.left_levels = np.zeros(n_levels, dtype=bool)
+        node.left_levels[left] = True
+    node.left = _node_from_json(_field(doc, "left", dict, where), schema)
+    node.right = _node_from_json(_field(doc, "right", dict, where), schema)
     return node
 
 
@@ -102,26 +156,42 @@ def model_to_json(model: PredictionModel) -> dict:
 
 
 def model_from_json(doc: dict) -> PredictionModel:
+    """Rebuild a model; a malformed document raises ParameterError."""
+    if not isinstance(doc, dict):
+        raise ParameterError("a model document must be a JSON object")
     if doc.get("format") != FORMAT:
         raise ParameterError(f"unsupported model document format {doc.get('format')!r}")
     kind = doc.get("kind")
-    schema = _schema_from_json(doc["schema"])
+    where = "model document"
+    schema = _schema_from_json(_field(doc, "schema", list, where))
     if kind == "linear":
-        return LinearModel(doc["intercept"], doc["coefficients"], schema)
+        coefficients = _field(doc, "coefficients", dict, where)
+        for key in coefficients:
+            _field(coefficients, key, (int, float), "coefficients")
+        return LinearModel(_field(doc, "intercept", (int, float), where), coefficients, schema)
     if kind == "knn":
-        return KnnModel(
-            doc["k"], schema,
-            np.asarray(doc["train"], dtype=np.float64),
-            np.asarray(doc["targets"], dtype=np.float64),
-            np.asarray(doc["scales"], dtype=np.float64),
-        )
+        train = _array(doc, "train", 2, where)
+        targets = _array(doc, "targets", 1, where)
+        scales = _array(doc, "scales", 1, where)
+        if train.shape != (targets.size, len(schema)) or scales.size != len(schema):
+            raise ParameterError(
+                f"k-NN arrays do not match: train {train.shape}, targets {targets.shape}, "
+                f"scales {scales.shape} for {len(schema)} features"
+            )
+        return KnnModel(_field(doc, "k", int, where), schema, train, targets, scales)
     if kind == "bagged_trees":
-        roots = [_node_from_json(t) for t in doc["trees"]]
-        return BaggedTreesModel(
-            schema, roots, doc["n_trees"], doc["max_depth"], doc["min_leaf"], doc["seed"]
+        trees = _field(doc, "trees", list, where)
+        n_trees, max_depth, min_leaf, seed = (
+            _field(doc, key, int, where) for key in ("n_trees", "max_depth", "min_leaf", "seed")
         )
+        if not trees:
+            raise ParameterError("bagged_trees document holds no trees")
+        if n_trees != len(trees):
+            raise ParameterError(f"n_trees is {n_trees} but the document holds {len(trees)} trees")
+        roots = [_node_from_json(tree, schema) for tree in trees]
+        return BaggedTreesModel(schema, roots, n_trees, max_depth, min_leaf, seed)
     if kind == "expression":
-        return parse_expression(doc["source"], schema)
+        return parse_expression(_field(doc, "source", str, where), schema)
     raise ParameterError(f"unknown model kind {kind!r}")
 
 
@@ -133,4 +203,8 @@ def save_model(model: PredictionModel, path) -> None:
 
 def load_model(path) -> PredictionModel:
     with open(Path(path), "r", encoding="utf-8") as fh:
-        return model_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ParameterError(f"{path} is not a JSON model document: {exc}") from None
+    return model_from_json(doc)

@@ -6,6 +6,15 @@ subset of levels left, found by ordering levels by mean response (optimal
 for squared error). Everything is deterministic given the seed: each tree
 draws its bootstrap from a Philox stream keyed by (seed, tree index), so
 results do not depend on fitting order or worker scheduling.
+
+Prediction descends every tree with all rows at once and averages the
+leaf values tree by tree in a fixed order. ``predict_grid`` scores the
+rows with one or two features pinned to each of many grid points: within
+one tree, grid points that take the same branch at every split on the
+pinned features (one "split cell") reach the same leaves, so each cell is
+descended once instead of each point (the exact form of Friedman's 2001
+weighted traversal). The result equals ``predict`` point by point, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -18,6 +27,11 @@ import numpy as np
 from .data import Dataset, FeatureSchema
 from .errors import ParameterError
 from .models import PredictionModel
+
+# elements in each temporary of ``predict_grid`` (a block of cells x rows
+# being descended, the per-tree cell index, one chunk of the output); a
+# memory cap only, results do not depend on it
+_GRID_CHUNK_ELEMENTS = 8192
 
 
 @dataclass
@@ -127,7 +141,10 @@ class _FlatForest:
     """
 
     def __init__(self, roots: Sequence[_Node], n_levels_max: int):
-        total = sum(_count(r) for r in roots)
+        sizes = [_count(r) for r in roots]
+        total = sum(sizes)
+        self.tree = np.repeat(np.arange(len(roots)), sizes)
+        self.depth = np.array([_depth_of(r) for r in roots])
         self.feature = np.zeros(total, dtype=np.int32)
         self.threshold = np.full(total, np.inf)
         self.child = np.zeros(total, dtype=np.int32)
@@ -163,6 +180,19 @@ class _FlatForest:
             np.vstack(cat_masks) if cat_masks else np.zeros((1, max(n_levels_max, 1)), dtype=bool)
         )
         self.has_categorical = bool(cat_masks)
+        self.internal = self.child != np.arange(total)
+
+    def step(self, node: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """Children of ``node`` for the compared feature values ``vals``."""
+        go_right = vals > self.threshold[node]
+        if self.has_categorical:
+            crow = self.cat_row[node]
+            is_cat = crow >= 0
+            if is_cat.any():
+                codes = np.clip(vals.astype(np.int64), 0, self.cat_masks.shape[1] - 1)
+                cat_left = self.cat_masks[np.maximum(crow, 0), codes]
+                go_right = np.where(is_cat, ~cat_left, go_right)
+        return self.child[node] + go_right
 
 
 def _count(node: _Node) -> int:
@@ -189,33 +219,118 @@ class BaggedTreesModel(PredictionModel):
             (len(f.levels) for f in self._feature_schema if not f.is_continuous), default=1
         )
         self._flat = _FlatForest(self._roots, n_levels_max)
-        self._depth = max(_depth_of(r) for r in self._roots)
 
-    def _predict_checked(self, batch: Dataset) -> np.ndarray:
-        matrix = np.ascontiguousarray(
+    def _matrix(self, batch: Dataset) -> np.ndarray:
+        return np.ascontiguousarray(
             np.vstack([batch.column(f.name).astype(np.float64) for f in self._feature_schema])
         )
-        return self._predict_matrix(matrix)
 
-    def _predict_matrix(self, matrix: np.ndarray) -> np.ndarray:
+    def _predict_checked(self, batch: Dataset) -> np.ndarray:
+        out = np.empty((1, batch.n_rows))
+        self._fold_cells(self._matrix(batch), [], np.empty((1, 0)), out)
+        return out[0]
+
+    def predict_grid(self, batch: Dataset, features: Sequence[str],
+                     points: Sequence[tuple]) -> np.ndarray:
+        """Predictions with ``features`` pinned to each point: one row per point.
+
+        Row ``g`` equals, bit for bit, ``predict`` on ``batch`` with each
+        named column overwritten by the constant ``points[g]`` value.
+        Points are processed in chunks so that no temporary holds more
+        than ``max(_GRID_CHUNK_ELEMENTS, rows, trees)`` elements.
+        """
+        self._validate_batch(batch)
+        cols = [self.feature_names.index(batch.schema_for(name).name) for name in features]
+        pinned = np.empty((len(points), len(cols)))
+        for s, j in enumerate(cols):
+            cast = float if self._feature_schema[j].is_continuous else int
+            pinned[:, s] = [cast(p[s]) for p in points]
+        matrix = self._matrix(batch)
+        out = np.empty((len(points), batch.n_rows))
+        chunk = max(1, _GRID_CHUNK_ELEMENTS // max(batch.n_rows, len(self._roots)))
+        for start in range(0, len(points), chunk):
+            self._fold_cells(matrix, cols, pinned[start: start + chunk],
+                             out[start: start + chunk])
+        return out
+
+    def _split_sides(self, col: int, values: np.ndarray) -> np.ndarray:
+        """Per (tree, value): a label equal for two values iff every split of
+        that tree on feature ``col`` sends them the same way."""
         flat = self._flat
+        n_trees = len(flat.root)
+        on = np.flatnonzero(flat.internal & (flat.feature == col))
+        if not self._feature_schema[col].is_continuous:
+            # a level-subset split: label by the (clipped) level code itself
+            codes = np.clip(values.astype(np.int64), 0, flat.cat_masks.shape[1] - 1)
+            splits = np.zeros(n_trees, dtype=bool)
+            splits[flat.tree[on]] = True
+            return np.where(splits[:, None], codes[None, :], 0)
+        # label: how many of the tree's thresholds lie below the value (NaN
+        # goes left everywhere, like -inf); ranks compare floats exactly
+        values = np.where(np.isnan(values), -np.inf, values)
+        thresholds = flat.threshold[on]
+        _, rank = np.unique(np.concatenate([thresholds, values]), return_inverse=True)
+        span = rank.size
+        keys = np.sort(flat.tree[on] * span + rank[: on.size])
+        base = np.arange(n_trees)[:, None] * span
+        return (np.searchsorted(keys, base + rank[on.size:])
+                - np.searchsorted(keys, base))
+
+    def _fold_cells(self, matrix: np.ndarray, cols: list[int], pinned: np.ndarray,
+                    out: np.ndarray) -> None:
+        """Write into ``out`` the mean over trees for each row of ``pinned``.
+
+        Per tree, the points of one split cell share a descent of all rows,
+        taken with the cell's first point pinned. Leaf values are summed
+        tree by tree from +0.0, then divided by the tree count: the order
+        of ``np.mean(values, axis=0)`` over a (trees x rows) block.
+        """
+        flat = self._flat
+        n_trees = len(flat.root)
+        n_points = len(pinned)
         n = matrix.shape[1]
-        node = np.repeat(flat.root[:, None], n, axis=1)
-        cols = np.arange(n, dtype=np.int64)
-        cells = matrix.ravel()
-        for _ in range(self._depth):
-            feat = flat.feature[node]
-            vals = cells[feat.astype(np.int64) * n + cols]
-            go_right = vals > flat.threshold[node]
-            if flat.has_categorical:
-                crow = flat.cat_row[node]
-                is_cat = crow >= 0
-                if is_cat.any():
-                    codes = np.clip(vals.astype(np.int64), 0, flat.cat_masks.shape[1] - 1)
-                    cat_left = flat.cat_masks[np.maximum(crow, 0), codes]
-                    go_right = np.where(is_cat, ~cat_left, go_right)
-            node = flat.child[node] + go_right
-        return np.mean(flat.value[node], axis=0)
+        code = np.zeros((n_trees, n_points), dtype=np.int64)
+        for s, col in enumerate(cols):
+            side = self._split_sides(col, pinned[:, s])
+            code = code * (side.max() + 1) + side
+        radix = code.max() + 1
+        key = np.arange(n_trees)[:, None] * radix + code
+        cells, first, cell_of = np.unique(key.ravel(), return_index=True, return_inverse=True)
+        cell_of = cell_of.reshape(n_trees, n_points)
+        cell_tree = cells // radix
+        cell_pins = pinned[first % n_points]
+        ends = np.cumsum(np.bincount(cell_tree, minlength=n_trees))
+
+        cells_flat = matrix.ravel()
+        offset = flat.feature.astype(np.int64) * n
+        rows = np.arange(n)
+        cap = max(1, _GRID_CHUNK_ELEMENTS // max(n, 1))
+        t0 = 0
+        while t0 < n_trees:
+            lo = ends[t0 - 1] if t0 else 0
+            t1 = t0 + 1  # whole trees per descent, as many as fit in ``cap`` cells
+            while t1 < n_trees and ends[t1] - lo <= cap:
+                t1 += 1
+            hi = ends[t1 - 1]
+            node = np.repeat(flat.root[cell_tree[lo:hi]][:, None], n, axis=1)
+            pins = cell_pins[lo:hi]
+            for _ in range(int(flat.depth[t0:t1].max())):
+                vals = cells_flat[offset[node] + rows]
+                if cols:
+                    feat = flat.feature[node]
+                    for s, col in enumerate(cols):
+                        vals = np.where(feat == col, pins[:, s: s + 1], vals)
+                node = flat.step(node, vals)
+            leaf = flat.value[node]
+            for t in range(t0, t1):
+                part = leaf[cell_of[t] - lo]
+                if t:
+                    out += part
+                else:
+                    np.add(part, 0.0, out=out)
+            t0 = t1
+        out /= n_trees
+
 
 def _depth_of(node: _Node) -> int:
     return 0 if node.is_leaf else 1 + max(_depth_of(node.left), _depth_of(node.right))

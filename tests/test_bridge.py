@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pdimp import (
+    BridgeError,
     BridgeTimeoutError,
     Dataset,
     FeatureSchema,
@@ -189,3 +190,39 @@ time.sleep(60)
             values = np.array([0.1, 1.0 / 3.0, np.pi, 1e-300, 1.7976931348623157e308])
             batch = Dataset.from_dict({"x1": values, "x2": np.zeros(5)})
             assert np.array_equal(model.predict(batch), values)
+
+
+STALLS_ON_FIRST_REQUEST = """\
+import json, sys, time
+print(json.dumps({"protocol": 1, "features": ["x1"]}), flush=True)
+request = 0
+for line in sys.stdin:
+    n = json.loads(line)["n"]
+    rows = [float(sys.stdin.readline()) for _ in range(n)]
+    request += 1
+    if request == 1:
+        time.sleep(1.0)  # answers, but only after the parent gave up
+    for x in rows:
+        print(repr(10.0 * request + x))
+    sys.stdout.flush()
+"""
+
+
+class TestFailedChild:
+    def test_no_stale_answers_after_a_timeout(self, tmp_path):
+        with spawn_external(_stub(tmp_path, STALLS_ON_FIRST_REQUEST), timeout=0.3) as model:
+            batch = Dataset.from_dict({"x1": [1.0, 2.0]})
+            with pytest.raises(BridgeTimeoutError):
+                model.predict(batch)
+            # the late answers to request 1 must never be read as request 2's
+            with pytest.raises(BridgeError, match="earlier failure"):
+                model.predict(batch)
+            assert model._process.poll() is not None
+
+    def test_protocol_error_stops_the_child(self, tmp_path):
+        with spawn_external(_stub(tmp_path, SHORT_RESPONSE)) as model:
+            batch = Dataset.from_dict({"x1": [1.0, 2.0, 3.0]})
+            with pytest.raises(ProtocolError):
+                model.predict(batch)
+            with pytest.raises(BridgeError, match="earlier failure"):
+                model.predict(batch)

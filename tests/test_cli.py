@@ -200,6 +200,36 @@ class TestExitCodes:
                     "--expr", "a", "--out-dir", tmp_path) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("max_depth"),
+        lambda d: d["trees"][0].update(feature=42, left={"value": 0.0},
+                                       right={"value": 1.0}, threshold=0.5),
+        lambda d: d["trees"][0].update(feature=0, left={"value": 0.0},
+                                       right={"value": 1.0}, left_levels=[0], n_levels=2),
+        lambda d: d.update(trees="none"),
+    ])
+    def test_malformed_model_file_exits_2_without_a_traceback(self, friedman_csv, tmp_path,
+                                                              capsys, edit):
+        assert _run("fit", "--data", friedman_csv, "--target", "y",
+                    "--model", "bagged:n_trees=2,max_depth=2,min_leaf=5,seed=1",
+                    "--out-dir", tmp_path) == 0
+        path = tmp_path / "model.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert _run("importance", "--data", friedman_csv, "--target", "y",
+                    "--model-file", path, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_model_file_that_is_not_json_exits_2(self, friedman_csv, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe not json")
+        assert _run("importance", "--data", friedman_csv, "--target", "y",
+                    "--model-file", path, "--out-dir", tmp_path) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_bridge_errors_exit_3(self, friedman_csv, tmp_path, capsys):
         assert _run("importance", "--data", friedman_csv, "--target", "y",
                     "--external", "/no/such/child-zzz", "--out-dir", tmp_path) == 3

@@ -1,7 +1,12 @@
 """Grid construction and the partial dependence estimator."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pdimp import (
     Dataset,
@@ -343,3 +348,20 @@ class TestSerialization:
         lines = (tmp_path / "ice.csv").read_text().splitlines()
         assert lines[0] == "row_id,grid_value,prediction"
         assert len(lines) == 1 + 2 * 2
+
+
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+            2.2250738585072014e-308, 1.7976931348623157e308]
+
+
+@given(st.lists(st.one_of(st.floats(), st.sampled_from(_SPECIAL)), min_size=1, max_size=60))
+def test_ordered_mean_equals_the_left_to_right_loop_bit_for_bit(values):
+    total = 0.0
+    for v in values:
+        total += v
+    want = total / len(values)
+    got = ordered_mean(np.array(values, dtype=np.float64))
+    if math.isnan(want):
+        assert math.isnan(got)  # NaN payloads are not part of the contract
+    else:
+        assert struct.pack("<d", got) == struct.pack("<d", want)

@@ -10,6 +10,8 @@ from pdimp import (
     DegenerateGridError,
     GridStrategy,
     ParameterError,
+    build_grid,
+    fit_bagged_trees,
     fit_linear,
     h_statistic,
     interaction_matrix,
@@ -239,3 +241,88 @@ class TestHStatistic:
         exact = h_statistic(model, ds, ("a", "b"), GridStrategy.unique())
         snapped = h_statistic(model, ds, ("a", "b"), GridStrategy.quantile(10))
         assert snapped == pytest.approx(exact, abs=0.05)
+
+
+# --- H read from the joint PD table --------------------------------------
+
+def _tree_dataset(seed=17, n=24):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(size=n)
+    g = rng.integers(0, 3, size=n)
+    b = rng.uniform(size=n)
+    return Dataset.from_dict({
+        "a": a, "b": b, "g": [("u", "v", "w")[i] for i in g],
+        "y": 4 * a * b + np.where(g == 1, 2 * a, 0.0) + rng.normal(size=n) * 0.1,
+    })
+
+
+def _nested_loop_h(model, ds, pair, strategy):
+    """H by plain loops: each row snaps to its nearest grid value (ties low;
+    its own level for a categorical feature) and every PD value is a loop
+    over single-row predictions."""
+    def snapped(name):
+        col = ds.column(name)
+        if not ds.schema_for(name).is_continuous:
+            return col.tolist()
+        grid = build_grid(ds, [name], strategy).axes[0].values.tolist()
+        return [min(grid, key=lambda g: (abs(v - g), g)) for v in col.tolist()]
+
+    memo = {}
+
+    def pd(names, point):
+        if (names, point) not in memo:
+            total = 0.0
+            for i in range(ds.n_rows):
+                row = {f.name: ds.column(f.name)[i: i + 1] for f in ds.schema}
+                for name, value in zip(names, point):
+                    row[name] = np.array([value])
+                total += model.predict(Dataset(ds.schema, row))[0]
+            memo[names, point] = total / ds.n_rows
+        return memo[names, point]
+
+    def centered(values):
+        total = 0.0
+        for v in values:
+            total += v
+        return np.array(values) - total / len(values)
+
+    a, b = pair
+    sa, sb = snapped(a), snapped(b)
+    joint = centered([pd((a, b), (u, v)) for u, v in zip(sa, sb)])
+    marg_a = centered([pd((a,), (u,)) for u in sa])
+    marg_b = centered([pd((b,), (v,)) for v in sb])
+    return math.sqrt(np.sum((joint - marg_a - marg_b) ** 2) / np.sum(joint**2))
+
+
+class TestHFromJointTable:
+    @pytest.mark.parametrize("strategy", [GridStrategy.quantile(4), GridStrategy.unique()])
+    def test_h_equals_a_nested_loop_at_the_snapped_training_points(self, strategy):
+        ds = _tree_dataset()
+        model = fit_bagged_trees(ds, "y", n_trees=9, max_depth=3, min_leaf=2, seed=5)
+        features = ds.drop("y")
+        report = interaction_matrix(model, features, [("a", "b"), ("a", "g")], strategy,
+                                    include_h=True)
+        for pair in (("a", "b"), ("a", "g")):
+            want = _nested_loop_h(model, features, pair, strategy)
+            assert report.stat_for(*pair).stat_h == want
+            assert h_statistic(model, features, pair, strategy) == want
+
+    def test_constant_feature_adds_nothing_to_h(self):
+        rng = np.random.default_rng(19)
+        ds = Dataset.from_dict({"a": rng.uniform(size=20), "c": np.full(20, 0.5)})
+        model = _expr("a*a + c*a", ds)
+        for strategy in (GridStrategy.unique(), GridStrategy.quantile(4)):
+            for pair in (("a", "c"), ("c", "a")):
+                assert h_statistic(model, ds, pair, strategy) <= 1e-12
+
+    def test_reports_with_h_do_not_depend_on_workers(self, tmp_path):
+        ds = _tree_dataset(seed=18, n=40)
+        model = fit_bagged_trees(ds, "y", n_trees=12, max_depth=4, min_leaf=2, seed=6)
+        features = ds.drop("y")
+        texts = []
+        for workers in (1, 2):
+            report = interaction_matrix(model, features, None, GridStrategy.quantile(5),
+                                        include_h=True, workers=workers)
+            report.to_json(tmp_path / f"w{workers}.json")
+            texts.append((tmp_path / f"w{workers}.json").read_bytes())
+        assert texts[0] == texts[1]

@@ -87,3 +87,101 @@ class TestDocumentValidation:
                 model_to_json(model)
         finally:
             model.close()
+
+
+def _tree_doc():
+    ds = _dataset(n=40)
+    return model_to_json(fit_bagged_trees(ds, "y", n_trees=3, max_depth=3, min_leaf=2, seed=8))
+
+
+def _first_split(doc, categorical):
+    """First node (depth first) splitting on a categorical / continuous feature."""
+    stack = list(doc["trees"])
+    while stack:
+        node = stack.pop()
+        if "feature" in node:
+            if ("left_levels" in node) == categorical:
+                return node
+            stack += [node["left"], node["right"]]
+    raise AssertionError("no such split in the fixture forest")
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("key", ["schema", "trees", "n_trees", "max_depth",
+                                     "min_leaf", "seed"])
+    def test_missing_tree_model_keys(self, key):
+        doc = _tree_doc()
+        del doc[key]
+        with pytest.raises(ParameterError, match=key):
+            model_from_json(doc)
+
+    @pytest.mark.parametrize("kind,key", [("linear", "intercept"), ("linear", "coefficients"),
+                                          ("knn", "k"), ("knn", "train"), ("knn", "scales")])
+    def test_missing_keys_of_other_kinds(self, kind, key):
+        ds = _continuous_only()
+        model = fit_linear(ds, "y") if kind == "linear" else fit_knn(ds, "y", k=2)
+        doc = model_to_json(model)
+        del doc[key]
+        with pytest.raises(ParameterError, match=key):
+            model_from_json(doc)
+
+    def test_missing_node_keys(self):
+        doc = _tree_doc()
+        split = _first_split(doc, categorical=False)
+        del split["left"]
+        with pytest.raises(ParameterError, match="left"):
+            model_from_json(doc)
+
+    @pytest.mark.parametrize("feature", [42, -1])
+    def test_split_feature_outside_the_schema(self, feature):
+        doc = _tree_doc()
+        _first_split(doc, categorical=False)["feature"] = feature
+        with pytest.raises(ParameterError, match="schema"):
+            model_from_json(doc)
+
+    def test_level_count_must_match_the_feature(self):
+        doc = _tree_doc()
+        _first_split(doc, categorical=True)["n_levels"] = 5
+        with pytest.raises(ParameterError, match="levels"):
+            model_from_json(doc)
+
+    def test_threshold_on_a_categorical_feature(self):
+        doc = _tree_doc()
+        split = _first_split(doc, categorical=True)
+        del split["left_levels"], split["n_levels"]
+        split["threshold"] = 0.5
+        with pytest.raises(ParameterError, match="threshold"):
+            model_from_json(doc)
+
+    def test_level_mask_on_a_continuous_feature(self):
+        doc = _tree_doc()
+        split = _first_split(doc, categorical=False)
+        del split["threshold"]
+        split["left_levels"], split["n_levels"] = [0], 3
+        with pytest.raises(ParameterError, match="mask"):
+            model_from_json(doc)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(n_trees=7),
+        lambda d: d.update(trees=[]),
+        lambda d: d.update(max_depth="6"),
+        lambda d: d["trees"].__setitem__(0, [1, 2]),
+        lambda d: d["schema"][0].pop("kind"),
+    ])
+    def test_other_malformed_tree_documents(self, edit):
+        doc = _tree_doc()
+        edit(doc)
+        with pytest.raises(ParameterError):
+            model_from_json(doc)
+
+    def test_knn_arrays_must_agree_with_the_schema(self):
+        doc = model_to_json(fit_knn(_continuous_only(), "y", k=2))
+        doc["scales"] = doc["scales"][:1]
+        with pytest.raises(ParameterError, match="k-NN arrays"):
+            model_from_json(doc)
+
+    def test_not_json_at_all(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("{not json")
+        with pytest.raises(ParameterError, match="not a JSON model"):
+            load_model(path)

@@ -2,8 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pdimp import Dataset, ParameterError, fit_bagged_trees
+import pdimp.trees as trees_module
+from pdimp import (
+    Dataset,
+    FeatureSchema,
+    GridStrategy,
+    ParameterError,
+    build_grid,
+    fit_bagged_trees,
+)
 
 
 # --- independent oracle: exhaustive split enumeration ------------------
@@ -169,3 +179,98 @@ class TestPrediction:
         whole = model.predict(Dataset.from_dict({"a": qs}))
         singles = [model.predict(Dataset.from_dict({"a": [v]}))[0] for v in qs]
         assert np.array_equal(whole, np.array(singles))
+
+
+# --- the split-cell grid kernel -----------------------------------------
+
+
+def _walk_mean(model, batch):
+    """Reference predict: walk each tree row by row, add leaf values in tree
+    order starting from 0.0, divide by the tree count."""
+    names = [f.name for f in model._feature_schema]
+    out = []
+    for i in range(batch.n_rows):
+        row = [batch.column(name)[i] for name in names]
+        total = 0.0
+        for root in model._roots:
+            node = root
+            while not node.is_leaf:
+                v = row[node.feature]
+                if node.left_levels is None:
+                    go_left = not v > node.threshold  # NaN goes left
+                else:
+                    go_left = node.left_levels[int(v)]
+                node = node.left if go_left else node.right
+            total += node.value
+        out.append(total / len(model._roots))
+    return np.array(out)
+
+
+def _pinned(batch, features, point):
+    for name, value in zip(features, point):
+        kind = batch.schema_for(name)
+        column = (np.full(batch.n_rows, float(value)) if kind.is_continuous
+                  else np.full(batch.n_rows, int(value), dtype=np.int64))
+        batch = batch.replace_column(name, column)
+    return batch
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")  # NaN points
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_grid_block_equals_per_point_predict_bit_for_bit(data):
+    n = data.draw(st.integers(2, 12), label="rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    ds = Dataset(
+        (FeatureSchema("a", "continuous"), FeatureSchema("b", "continuous"),
+         FeatureSchema("c", "continuous"), FeatureSchema("g", "categorical", ("u", "v", "w")),
+         FeatureSchema("y", "continuous")),
+        {
+            "a": rng.uniform(-1, 1, size=n),
+            "b": rng.integers(0, 3, size=n) * 0.5,  # ties on the grid
+            "c": np.full(n, 2.0),  # never split: a pinned feature no tree uses
+            "g": rng.integers(0, 3, size=n),
+            "y": rng.normal(size=n),
+        },
+    )
+    model = fit_bagged_trees(
+        ds, "y", n_trees=data.draw(st.integers(1, 12), label="trees"),
+        max_depth=data.draw(st.integers(0, 4), label="depth"), min_leaf=1,
+        seed=data.draw(st.integers(0, 1000), label="fit seed"),
+    )
+    features = ds.drop("y")
+    batch = features.take([0]) if data.draw(st.booleans(), label="one row") else features
+    pinned = data.draw(st.lists(st.sampled_from("abcg"), min_size=1, max_size=2, unique=True),
+                       label="pinned")
+    if data.draw(st.booleans(), label="unique grid"):
+        points = build_grid(features, pinned, GridStrategy.unique()).points()
+    else:
+        draw_value = {"a": st.floats(-1.5, 1.5) | st.just(np.nan),
+                      "b": st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                      "c": st.floats(0, 3), "g": st.integers(0, 2)}
+        points = data.draw(st.lists(st.tuples(*(draw_value[f] for f in pinned)),
+                                    min_size=1, max_size=20), label="points")
+
+    saved = trees_module._GRID_CHUNK_ELEMENTS
+    trees_module._GRID_CHUNK_ELEMENTS = data.draw(st.sampled_from([1, 7, 64, saved]),
+                                                  label="chunk elements")
+    try:
+        block = model.predict_grid(batch, pinned, points)
+    finally:
+        trees_module._GRID_CHUNK_ELEMENTS = saved
+    for row, point in zip(block, points):
+        perturbed = _pinned(batch, pinned, point)
+        assert np.array_equal(row, model.predict(perturbed))
+        assert np.array_equal(row, _walk_mean(model, perturbed))
+
+
+def test_predict_is_batch_invariant_with_many_trees():
+    # a 1-row batch used to sum trees pairwise; every batch now sums in tree order
+    rng = np.random.default_rng(31)
+    ds = Dataset.from_dict({"a": rng.uniform(size=60), "y": rng.normal(size=60) * 1e3})
+    model = fit_bagged_trees(ds, "y", n_trees=64, max_depth=5, min_leaf=1, seed=4)
+    q = Dataset.from_dict({"a": rng.uniform(size=25)})
+    whole = model.predict(q)
+    singles = [model.predict(q.take([i]))[0] for i in range(q.n_rows)]
+    assert np.array_equal(whole, np.array(singles))
+    assert np.array_equal(whole, _walk_mean(model, q))
