@@ -378,7 +378,8 @@ def predictions_at_points(model: PredictionModel, dataset: Dataset,
                           workers: int = 1) -> list[np.ndarray]:
     """Training-set predictions with the interest features pinned to each point.
 
-    A model with ``predict_grid`` scores every point in one serial call.
+    A model with ``predict_grid`` scores every point in one serial call,
+    which shares work between points and ignores ``workers``.
     Otherwise grid points are the unit of parallelism; the rows within one
     point are always scored and summed as a block, so the outcome is
     invariant to ``workers``. Models that are not concurrency-safe (the

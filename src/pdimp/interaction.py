@@ -218,9 +218,10 @@ def h_statistic(model: PredictionModel, dataset: Dataset, pair: Sequence[str],
     cell = _row_codes(dataset, grid.axes[0]) * grid.shape[1] + _row_codes(dataset, grid.axes[1])
     if _joint is None:
         needed, where = np.unique(cell, return_inverse=True)
-        points = grid.points()
-        values = pd_values_at(model, dataset, grid.features,
-                              [points[c] for c in needed.tolist()], workers=workers)
+        k_b = grid.shape[1]
+        va, vb = (axis.values.tolist() for axis in grid.axes)
+        points = [(va[c // k_b], vb[c % k_b]) for c in needed.tolist()]
+        values = pd_values_at(model, dataset, grid.features, points, workers=workers)
         joint = values[where]
     else:
         joint = _joint.reshape(-1)[cell]

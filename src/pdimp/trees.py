@@ -11,10 +11,10 @@ Prediction descends every tree with all rows at once and averages the
 leaf values tree by tree in a fixed order. ``predict_grid`` scores the
 rows with one or two features pinned to each of many grid points: within
 one tree, grid points that take the same branch at every split on the
-pinned features (one "split cell") reach the same leaves, so each cell is
-descended once instead of each point (the exact form of Friedman's 2001
-weighted traversal). The result equals ``predict`` point by point, bit
-for bit.
+pinned features (one "split cell") reach the same leaves, so each cell of
+the whole grid is descended once instead of each point (the exact form
+of Friedman's 2001 weighted traversal). The result equals ``predict``
+point by point, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .errors import ParameterError
 from .models import PredictionModel
 
 # elements in each temporary of ``predict_grid`` (a block of cells x rows
-# being descended, the per-tree cell index, one chunk of the output); a
-# memory cap only, results do not depend on it
+# being descended, a slab of one tree's leaf values being added to the
+# output); a memory cap only, results do not depend on it
 _GRID_CHUNK_ELEMENTS = 8192
 
 
@@ -189,7 +189,9 @@ class _FlatForest:
             crow = self.cat_row[node]
             is_cat = crow >= 0
             if is_cat.any():
-                codes = np.clip(vals.astype(np.int64), 0, self.cat_masks.shape[1] - 1)
+                # only categorical splits read a code; others may compare NaN
+                codes = np.where(is_cat, vals, 0.0).astype(np.int64)
+                codes = np.clip(codes, 0, self.cat_masks.shape[1] - 1)
                 cat_left = self.cat_masks[np.maximum(crow, 0), codes]
                 go_right = np.where(is_cat, ~cat_left, go_right)
         return self.child[node] + go_right
@@ -236,8 +238,9 @@ class BaggedTreesModel(PredictionModel):
 
         Row ``g`` equals, bit for bit, ``predict`` on ``batch`` with each
         named column overwritten by the constant ``points[g]`` value.
-        Points are processed in chunks so that no temporary holds more
-        than ``max(_GRID_CHUNK_ELEMENTS, rows, trees)`` elements.
+        Split cells are shared across the whole grid; besides the returned
+        block and per-tree labels of the points, no temporary holds more
+        than ``max(_GRID_CHUNK_ELEMENTS, rows)`` elements.
         """
         self._validate_batch(batch)
         cols = [self.feature_names.index(batch.schema_for(name).name) for name in features]
@@ -245,91 +248,113 @@ class BaggedTreesModel(PredictionModel):
         for s, j in enumerate(cols):
             cast = float if self._feature_schema[j].is_continuous else int
             pinned[:, s] = [cast(p[s]) for p in points]
-        matrix = self._matrix(batch)
         out = np.empty((len(points), batch.n_rows))
-        chunk = max(1, _GRID_CHUNK_ELEMENTS // max(batch.n_rows, len(self._roots)))
-        for start in range(0, len(points), chunk):
-            self._fold_cells(matrix, cols, pinned[start: start + chunk],
-                             out[start: start + chunk])
+        self._fold_cells(self._matrix(batch), cols, pinned, out)
         return out
 
-    def _split_sides(self, col: int, values: np.ndarray) -> np.ndarray:
-        """Per (tree, value): a label equal for two values iff every split of
-        that tree on feature ``col`` sends them the same way."""
+    def _tree_cells(self, cols: list[int], pinned: np.ndarray):
+        """Per tree, in order: (cell of each point, one point of each cell).
+
+        Two points share a cell when every split of the tree on a pinned
+        feature sends them the same way: for a threshold feature, when the
+        same number of the tree's thresholds lie below both values (NaN
+        goes left everywhere, like -inf); for a categorical feature split
+        by the tree, when their level codes are equal.
+        """
         flat = self._flat
-        n_trees = len(flat.root)
-        on = np.flatnonzero(flat.internal & (flat.feature == col))
-        if not self._feature_schema[col].is_continuous:
-            # a level-subset split: label by the (clipped) level code itself
-            codes = np.clip(values.astype(np.int64), 0, flat.cat_masks.shape[1] - 1)
-            splits = np.zeros(n_trees, dtype=bool)
-            splits[flat.tree[on]] = True
-            return np.where(splits[:, None], codes[None, :], 0)
-        # label: how many of the tree's thresholds lie below the value (NaN
-        # goes left everywhere, like -inf); ranks compare floats exactly
-        values = np.where(np.isnan(values), -np.inf, values)
-        thresholds = flat.threshold[on]
-        _, rank = np.unique(np.concatenate([thresholds, values]), return_inverse=True)
-        span = rank.size
-        keys = np.sort(flat.tree[on] * span + rank[: on.size])
-        base = np.arange(n_trees)[:, None] * span
-        return (np.searchsorted(keys, base + rank[on.size:])
-                - np.searchsorted(keys, base))
+        n_points = len(pinned)
+        per_col = []
+        for s, col in enumerate(cols):
+            on = np.flatnonzero(flat.internal & (flat.feature == col))
+            bounds = np.searchsorted(flat.tree[on], np.arange(len(flat.root) + 1))
+            if self._feature_schema[col].is_continuous:
+                values = np.where(np.isnan(pinned[:, s]), -np.inf, pinned[:, s])
+            else:
+                values = np.clip(pinned[:, s].astype(np.int64), 0, flat.cat_masks.shape[1] - 1)
+            per_col.append((self._feature_schema[col].is_continuous,
+                            flat.threshold[on], bounds, values))
+        every = np.arange(n_points)
+        for t in range(len(flat.root)):
+            code = np.zeros(n_points, dtype=np.int64)
+            radix = 1
+            for continuous, thresholds, bounds, values in per_col:
+                lo, hi = bounds[t], bounds[t + 1]
+                if lo == hi:
+                    continue
+                if continuous:
+                    side = np.searchsorted(np.sort(thresholds[lo:hi]), values)
+                    width = hi - lo + 1
+                else:
+                    side, width = values, flat.cat_masks.shape[1]
+                code = code * width + side
+                radix *= width
+            present = np.bincount(code, minlength=radix) > 0
+            cell = np.cumsum(present) - 1
+            member = np.empty(radix, dtype=np.intp)
+            member[code] = every  # any member will do: a cell's points share every leaf
+            yield cell[code], member[present]
 
     def _fold_cells(self, matrix: np.ndarray, cols: list[int], pinned: np.ndarray,
                     out: np.ndarray) -> None:
         """Write into ``out`` the mean over trees for each row of ``pinned``.
 
-        Per tree, the points of one split cell share a descent of all rows,
-        taken with the cell's first point pinned. Leaf values are summed
-        tree by tree from +0.0, then divided by the tree count: the order
-        of ``np.mean(values, axis=0)`` over a (trees x rows) block.
+        Cells of consecutive trees are queued until they fill a descent
+        block; each cell is descended once over all rows, pinned to one of
+        its points. Leaf values are summed tree by tree from +0.0, then
+        divided by the tree count: the order of ``np.mean(values, axis=0)``
+        over a (trees x rows) block.
         """
-        flat = self._flat
-        n_trees = len(flat.root)
-        n_points = len(pinned)
-        n = matrix.shape[1]
-        code = np.zeros((n_trees, n_points), dtype=np.int64)
-        for s, col in enumerate(cols):
-            side = self._split_sides(col, pinned[:, s])
-            code = code * (side.max() + 1) + side
-        radix = code.max() + 1
-        key = np.arange(n_trees)[:, None] * radix + code
-        cells, first, cell_of = np.unique(key.ravel(), return_index=True, return_inverse=True)
-        cell_of = cell_of.reshape(n_trees, n_points)
-        cell_tree = cells // radix
-        cell_pins = pinned[first % n_points]
-        ends = np.cumsum(np.bincount(cell_tree, minlength=n_trees))
+        n_trees = len(self._flat.root)
+        cap = max(1, _GRID_CHUNK_ELEMENTS // matrix.shape[1])
+        queued, n_cells = [], 0
+        for t, (cell, member) in enumerate(self._tree_cells(cols, pinned)):
+            queued.append((t, cell, member))
+            n_cells += len(member)
+            if n_cells >= cap or t == n_trees - 1:
+                self._descend_queued(matrix, cols, pinned, queued, out)
+                queued, n_cells = [], 0
+        out /= n_trees
 
-        cells_flat = matrix.ravel()
+    def _descend_queued(self, matrix, cols, pinned, queued, out) -> None:
+        """Descend the queued trees' cells, a block at a time, and fold
+        each block's leaf values into ``out``."""
+        flat = self._flat
+        n = matrix.shape[1]
+        sizes = [len(member) for _, _, member in queued]
+        starts = np.cumsum([0] + sizes)
+        roots = np.repeat(flat.root[[t for t, _, _ in queued]], sizes)
+        depths = np.repeat(flat.depth[[t for t, _, _ in queued]], sizes)
+        pins = pinned[np.concatenate([member for _, _, member in queued])]
+        values = matrix.ravel()
         offset = flat.feature.astype(np.int64) * n
         rows = np.arange(n)
-        cap = max(1, _GRID_CHUNK_ELEMENTS // max(n, 1))
-        t0 = 0
-        while t0 < n_trees:
-            lo = ends[t0 - 1] if t0 else 0
-            t1 = t0 + 1  # whole trees per descent, as many as fit in ``cap`` cells
-            while t1 < n_trees and ends[t1] - lo <= cap:
-                t1 += 1
-            hi = ends[t1 - 1]
-            node = np.repeat(flat.root[cell_tree[lo:hi]][:, None], n, axis=1)
-            pins = cell_pins[lo:hi]
-            for _ in range(int(flat.depth[t0:t1].max())):
-                vals = cells_flat[offset[node] + rows]
+        cap = max(1, _GRID_CHUNK_ELEMENTS // n)
+        for lo in range(0, len(roots), cap):
+            hi = min(lo + cap, len(roots))
+            node = np.repeat(roots[lo:hi, None], n, axis=1)
+            for _ in range(int(depths[lo:hi].max())):
+                vals = values[offset[node] + rows]
                 if cols:
                     feat = flat.feature[node]
                     for s, col in enumerate(cols):
-                        vals = np.where(feat == col, pins[:, s: s + 1], vals)
+                        vals = np.where(feat == col, pins[lo:hi, s: s + 1], vals)
                 node = flat.step(node, vals)
             leaf = flat.value[node]
-            for t in range(t0, t1):
-                part = leaf[cell_of[t] - lo]
-                if t:
-                    out += part
-                else:
-                    np.add(part, 0.0, out=out)
-            t0 = t1
-        out /= n_trees
+            for (t, cell, _), start, end in zip(queued, starts, starts[1:]):
+                if end <= lo or start >= hi:
+                    continue
+                cell = cell + (start - lo)
+                points = None
+                if start < lo or end > hi:  # the tree's cells span blocks
+                    points = np.flatnonzero((cell >= 0) & (cell < hi - lo))
+                    cell = cell[points]
+                for a in range(0, len(cell), cap):
+                    target = slice(a, a + cap) if points is None else points[a: a + cap]
+                    part = leaf[cell[a: a + cap]]
+                    if t:
+                        out[target] += part
+                    else:
+                        out[target] = part + 0.0
 
 
 def _depth_of(node: _Node) -> int:

@@ -18,7 +18,7 @@ from pdimp import (
     parse_expression,
     pd_interaction,
 )
-from pdimp.engine import ordered_mean
+from pdimp.engine import Grid, ordered_mean
 
 
 def _expr(text, ds):
@@ -326,3 +326,16 @@ class TestHFromJointTable:
             report.to_json(tmp_path / f"w{workers}.json")
             texts.append((tmp_path / f"w{workers}.json").read_bytes())
         assert texts[0] == texts[1]
+
+    def test_h_statistic_evaluates_only_the_rows_cells(self, monkeypatch):
+        # a `unique` pair grid has ~n^2 points; h_statistic must not list them
+        ds = _tree_dataset(seed=21, n=60)
+        model = fit_bagged_trees(ds, "y", n_trees=6, max_depth=3, min_leaf=2, seed=8)
+        features = ds.drop("y")
+        want = _nested_loop_h(model, features, ("a", "b"), GridStrategy.unique())
+
+        def refuse(self):
+            raise AssertionError("the full pair grid was built")
+
+        monkeypatch.setattr(Grid, "points", refuse)
+        assert h_statistic(model, features, ("a", "b"), GridStrategy.unique()) == want

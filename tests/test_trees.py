@@ -215,7 +215,6 @@ def _pinned(batch, features, point):
     return batch
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast")  # NaN points
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_grid_block_equals_per_point_predict_bit_for_bit(data):
@@ -274,3 +273,36 @@ def test_predict_is_batch_invariant_with_many_trees():
     singles = [model.predict(q.take([i]))[0] for i in range(q.n_rows)]
     assert np.array_equal(whole, np.array(singles))
     assert np.array_equal(whole, _walk_mean(model, q))
+
+
+def _cell_signature(root, col, value):
+    """Branch taken at every split on feature ``col``, in node order."""
+    sides, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            continue
+        if node.feature == col:
+            sides.append(bool(value > node.threshold))
+        stack += [node.left, node.right]
+    return tuple(sides)
+
+
+@pytest.mark.parametrize("rows", [3, 400])
+def test_each_split_cell_is_descended_once_over_the_whole_grid(rows):
+    rng = np.random.default_rng(37)
+    ds = Dataset.from_dict({"a": rng.uniform(size=80), "b": rng.uniform(size=80),
+                            "y": rng.normal(size=80)})
+    model = fit_bagged_trees(ds, "y", n_trees=5, max_depth=4, min_leaf=2, seed=3)
+    points = [(v,) for v in np.linspace(-0.1, 1.1, 3000)]
+    pinned = np.array(points)
+    cells = list(model._tree_cells([0], pinned))
+    for root, (cell, member) in zip(model._roots, cells):
+        signatures = [_cell_signature(root, 0, p[0]) for p in points]
+        assert len(member) == len(set(signatures))  # one descent per distinct cell
+        for g, sig in enumerate(signatures):
+            assert sig == signatures[member[cell[g]]]
+    batch = Dataset.from_dict({"a": rng.uniform(size=rows), "b": rng.uniform(size=rows)})
+    block = model.predict_grid(batch, ["a"], points[::50])
+    for row, point in zip(block, points[::50]):
+        assert np.array_equal(row, _walk_mean(model, _pinned(batch, ["a"], point)))
