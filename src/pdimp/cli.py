@@ -10,7 +10,6 @@ plotting tool.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -18,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .bridge import spawn_external
-from .data import Dataset, load_csv
+from .data import Dataset, load_csv, write_json
 from .engine import GridStrategy, ICEResult, PDResult, build_grid, ice_curves, \
     joint_partial_dependence, partial_dependence
 from .errors import BridgeError, ParameterError, PdimpError, UsageError
@@ -225,9 +224,7 @@ def emit_plot_data(result, out_dir, basename: str, formats=("csv", "json")) -> l
             raise ParameterError(f"unsupported output format {fmt!r}")
         paths.append(path)
     sidecar = out_dir / f"{basename}.schema.json"
-    with open(sidecar, "w", encoding="utf-8") as fh:
-        json.dump(_sidecar_schema(result), fh, indent=2)
-        fh.write("\n")
+    write_json(sidecar, _sidecar_schema(result))
     paths.append(sidecar)
     return paths
 
@@ -285,9 +282,7 @@ def _write_manifest(out_dir, config: RunConfig) -> None:
            "config": {k: v for k, v in asdict(config).items() if v is not None}}
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json", doc)
 
 
 def _close_if_external(model) -> None:
@@ -421,9 +416,7 @@ def _cmd_simulate(args) -> int:
            "config": {"subcommand": "simulate", "kind": args.kind, "n": args.n,
                       "sigma": args.sigma, "seed": args.seed,
                       "betas": [args.beta0, args.beta1, args.beta2], "out": str(out)}}
-    with open(manifest, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(manifest, doc)
     print(f"wrote {dataset.n_rows} rows x {len(dataset.feature_names)} columns to {out}")
     return 0
 

@@ -1,4 +1,5 @@
-"""Columnar datasets: schema inference, CSV ingestion, and column summaries.
+"""Columnar datasets: schema inference, CSV ingestion, column summaries, and
+the CSV and JSON writers every result uses.
 
 A :class:`Dataset` is an immutable column store. Continuous columns hold
 float64 values, categorical columns hold int64 indices into a per-feature
@@ -9,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -206,12 +209,6 @@ class Dataset:
 
     def to_csv(self, target) -> None:
         """Write RFC-4180 CSV with header; floats use shortest round-trip form."""
-        if isinstance(target, (str, Path)):
-            with open(target, "w", encoding="utf-8", newline="") as fh:
-                self.to_csv(fh)
-            return
-        writer = csv.writer(target, lineterminator="\n")
-        writer.writerow(self.feature_names)
         decoded = []
         for feat in self._schema:
             col = self._columns[feat.name]
@@ -219,8 +216,7 @@ class Dataset:
                 decoded.append([repr(float(v)) for v in col])
             else:
                 decoded.append([feat.levels[i] for i in col])
-        for row in zip(*decoded) if decoded else ():
-            writer.writerow(row)
+        write_csv(target, self.feature_names, zip(*decoded) if decoded else ())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -232,6 +228,31 @@ class Dataset:
     def __repr__(self) -> str:
         kinds = ", ".join(f"{f.name}:{f.kind[:4]}" for f in self._schema)
         return f"Dataset({self._n_rows} rows; {kinds})"
+
+
+@contextmanager
+def _text_sink(target, newline: str | None):
+    """A path opened for UTF-8 text writing, or an already open text file as is."""
+    if isinstance(target, (str, Path)):
+        with open(target, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    else:
+        yield target
+
+
+def write_csv(target, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write a header and rows as CSV with LF line ends to a path or text file."""
+    with _text_sink(target, newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(target, doc: dict) -> None:
+    """Write ``doc`` as 2-space indented JSON and a newline to a path or text file."""
+    with _text_sink(target, newline=None) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -249,12 +270,13 @@ class ColumnSummary:
         return np.quantile(self._sorted, q)
 
 
-def _parses_as_finite_real(text: str) -> bool:
+def _finite_floats(cells: Sequence[str]) -> np.ndarray | None:
+    """The cells parsed as float64, or None unless every one is a finite real."""
     try:
-        value = float(text)
+        values = np.array([float(c) for c in cells], dtype=np.float64)
     except ValueError:
-        return False
-    return np.isfinite(value)
+        return None
+    return values if np.isfinite(values).all() else None
 
 
 def _index_levels(cells: Iterable[str]) -> tuple[list[str], dict[str, int]]:
@@ -274,15 +296,25 @@ def infer_schema(names: Sequence[str], raw_columns: Sequence[Sequence[str]]) -> 
     otherwise it is categorical with levels in first-appearance order. A
     column with no non-empty cells is categorical with an empty level table.
     """
+    schema, _ = _infer_columns(names, raw_columns)
+    return schema
+
+
+def _infer_columns(names, raw_columns) -> tuple[list[FeatureSchema], dict[str, np.ndarray]]:
+    """``infer_schema`` plus the parsed values of each continuous column with no empty cell."""
     schema = []
+    parsed = {}
     for name, cells in zip(names, raw_columns):
         non_empty = [c for c in cells if c != ""]
-        if non_empty and all(_parses_as_finite_real(c) for c in non_empty):
+        values = _finite_floats(non_empty) if non_empty else None
+        if values is not None:
             schema.append(FeatureSchema(name, CONTINUOUS))
+            if len(non_empty) == len(cells):
+                parsed[name] = values
         else:
             levels, _ = _index_levels(non_empty)
             schema.append(FeatureSchema(name, CATEGORICAL, tuple(levels)))
-    return schema
+    return schema, parsed
 
 
 def load_csv(source, has_header: bool = True, declared_schema: Mapping[str, str] | None = None) -> Dataset:
@@ -327,7 +359,7 @@ def load_csv(source, has_header: bool = True, declared_schema: Mapping[str, str]
 
     raw_columns = [[row[j] for row in rows] for j in range(width)]
 
-    inferred = infer_schema(names, raw_columns)
+    inferred, parsed = _infer_columns(names, raw_columns)
     if declared_schema:
         unknown = set(declared_schema) - set(names)
         if unknown:
@@ -354,20 +386,22 @@ def load_csv(source, has_header: bool = True, declared_schema: Mapping[str, str]
     columns: dict[str, np.ndarray] = {}
     for feat, cells in zip(schema, raw_columns):
         if feat.is_continuous:
-            values = np.empty(len(cells), dtype=np.float64)
-            for i, cell in enumerate(cells):
-                if cell == "":
-                    raise CsvError(
-                        f"missing value in column {feat.name!r} at row {i + 1}",
-                        row=i + 1, column=feat.name,
-                    )
-                if not _parses_as_finite_real(cell):
-                    raise CsvError(
-                        f"cell {cell!r} in continuous column {feat.name!r} at row {i + 1} "
-                        "is not a finite number",
-                        row=i + 1, column=feat.name,
-                    )
-                values[i] = float(cell)
+            values = parsed.get(feat.name)
+            if values is None:
+                values = _finite_floats(cells)
+            if values is None:  # report the first bad cell in row order
+                for i, cell in enumerate(cells):
+                    if cell == "":
+                        raise CsvError(
+                            f"missing value in column {feat.name!r} at row {i + 1}",
+                            row=i + 1, column=feat.name,
+                        )
+                    if _finite_floats([cell]) is None:
+                        raise CsvError(
+                            f"cell {cell!r} in continuous column {feat.name!r} at row {i + 1} "
+                            "is not a finite number",
+                            row=i + 1, column=feat.name,
+                        )
             columns[feat.name] = values
         else:
             index = {lvl: k for k, lvl in enumerate(feat.levels)}

@@ -16,16 +16,13 @@ All three return the same predictions as a per-point ``predict``.
 
 from __future__ import annotations
 
-import csv
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, FeatureSchema
+from .data import Dataset, FeatureSchema, write_csv, write_json
 from .errors import (
     DegenerateGridError,
     GridStrategyError,
@@ -192,14 +189,8 @@ class PDResult:
             ) + (float(value),)
 
     def to_csv(self, target) -> None:
-        if isinstance(target, (str, Path)):
-            with open(target, "w", encoding="utf-8", newline="") as fh:
-                self.to_csv(fh)
-            return
-        writer = csv.writer(target, lineterminator="\n")
-        writer.writerow(list(self.grid.features) + ["pd"])
-        for row in self.rows():
-            writer.writerow([_format_cell(v) for v in row])
+        write_csv(target, list(self.grid.features) + ["pd"],
+                  ([_format_cell(v) for v in row] for row in self.rows()))
 
     def to_json_dict(self) -> dict:
         points = {
@@ -220,7 +211,7 @@ class PDResult:
         }
 
     def to_json(self, target) -> None:
-        _dump_json(self.to_json_dict(), target)
+        write_json(target, self.to_json_dict())
 
 
 @dataclass(frozen=True)
@@ -233,18 +224,12 @@ class ICEResult:
     pd_values: np.ndarray = field(repr=False)
 
     def to_csv(self, target) -> None:
-        if isinstance(target, (str, Path)):
-            with open(target, "w", encoding="utf-8", newline="") as fh:
-                self.to_csv(fh)
-            return
-        writer = csv.writer(target, lineterminator="\n")
-        writer.writerow(["row_id", "grid_value", "prediction"])
         axis = self.grid.axes[0]
-        for i in range(self.curves.shape[0]):
-            for j in range(self.curves.shape[1]):
-                writer.writerow(
-                    [i, _format_cell(axis.display(j)), _format_cell(float(self.curves[i, j]))]
-                )
+        write_csv(target, ["row_id", "grid_value", "prediction"], (
+            [i, _format_cell(axis.display(j)), _format_cell(float(self.curves[i, j]))]
+            for i in range(self.curves.shape[0])
+            for j in range(self.curves.shape[1])
+        ))
 
     def to_json_dict(self) -> dict:
         axis = self.grid.axes[0]
@@ -259,20 +244,11 @@ class ICEResult:
         }
 
     def to_json(self, target) -> None:
-        _dump_json(self.to_json_dict(), target)
+        write_json(target, self.to_json_dict())
 
 
 def _format_cell(value):
     return repr(value) if isinstance(value, float) else value
-
-
-def _dump_json(doc: dict, target) -> None:
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8") as fh:
-            _dump_json(doc, fh)
-        return
-    json.dump(doc, target, indent=2)
-    target.write("\n")
 
 
 def ordered_mean(values: np.ndarray) -> float:

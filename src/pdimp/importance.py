@@ -9,15 +9,12 @@ deviation is available as a robust alternative.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_csv, write_json
 from .engine import GridStrategy, PDResult, build_grid, pd_values_at
 from .errors import DegenerateGridError, ParameterError
 from .models import PredictionModel
@@ -97,14 +94,7 @@ class ImportanceReport:
         raise KeyError(name)
 
     def to_csv(self, target) -> None:
-        if isinstance(target, (str, Path)):
-            with open(target, "w", encoding="utf-8", newline="") as fh:
-                self.to_csv(fh)
-            return
-        writer = csv.writer(target, lineterminator="\n")
-        writer.writerow(["feature", "score"])
-        for entry in self.entries:
-            writer.writerow([entry.name, repr(entry.score)])
+        write_csv(target, ["feature", "score"], ([e.name, repr(e.score)] for e in self.entries))
 
     def to_json_dict(self) -> dict:
         return {
@@ -123,12 +113,7 @@ class ImportanceReport:
         }
 
     def to_json(self, target) -> None:
-        if isinstance(target, (str, Path)):
-            with open(target, "w", encoding="utf-8") as fh:
-                self.to_json(fh)
-            return
-        json.dump(self.to_json_dict(), target, indent=2)
-        target.write("\n")
+        write_json(target, self.to_json_dict())
 
     def to_text(self) -> str:
         width = max((len(e.name) for e in self.entries), default=7)

@@ -14,18 +14,15 @@ uses it for both statistics.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_csv, write_json
 from .engine import Grid, GridAxis, GridStrategy, build_grid, ordered_mean, pd_values_at
 from .errors import DegenerateGridError, ParameterError
 from .importance import RANGE_OVER_4, SAMPLE_SD, sample_sd, spread
@@ -59,15 +56,11 @@ class InteractionReport:
         raise KeyError((a, b))
 
     def to_csv(self, target) -> None:
-        if isinstance(target, (str, Path)):
-            with open(target, "w", encoding="utf-8", newline="") as fh:
-                self.to_csv(fh)
-            return
-        writer = csv.writer(target, lineterminator="\n")
-        writer.writerow(["feature_i", "feature_j", "stat_pd", "stat_h"])
-        for pair in self.pairs:
+        def row(pair):
             h = "" if pair.stat_h is None or math.isnan(pair.stat_h) else repr(pair.stat_h)
-            writer.writerow([pair.features[0], pair.features[1], repr(pair.stat_pd), h])
+            return [pair.features[0], pair.features[1], repr(pair.stat_pd), h]
+
+        write_csv(target, ["feature_i", "feature_j", "stat_pd", "stat_h"], map(row, self.pairs))
 
     def to_json_dict(self) -> dict:
         def encode_h(h):
@@ -90,12 +83,7 @@ class InteractionReport:
         }
 
     def to_json(self, target) -> None:
-        if isinstance(target, (str, Path)):
-            with open(target, "w", encoding="utf-8") as fh:
-                self.to_json(fh)
-            return
-        json.dump(self.to_json_dict(), target, indent=2)
-        target.write("\n")
+        write_json(target, self.to_json_dict())
 
     def to_text(self, top: int | None = None) -> str:
         rows = self.pairs if top is None else self.pairs[:top]

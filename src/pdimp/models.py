@@ -14,6 +14,9 @@ import numpy as np
 from .data import CATEGORICAL, Dataset, FeatureSchema
 from .errors import ContractError, ParameterError, SingularDesignError
 
+# query x training x feature differences held per k-NN distance block
+_KNN_BLOCK_ELEMENTS = 65536
+
 
 class PredictionModel:
     """Abstract scoring contract.
@@ -96,7 +99,15 @@ class LinearModel(PredictionModel):
 
 
 class KnnModel(PredictionModel):
-    """k-nearest-neighbor regression under standardized Euclidean distance."""
+    """k-nearest-neighbor regression under standardized Euclidean distance.
+
+    Queries are scored in blocks of rows: a block holds at most
+    ``_KNN_BLOCK_ELEMENTS`` query x training x feature differences (one
+    row at a time when the training matrix alone is larger). Each row's k
+    nearest training rows are picked exactly, in (distance, row) order, so
+    distance ties resolve to the lower training row and every prediction is
+    bit-identical to scoring the rows one by one with a stable argsort.
+    """
 
     def __init__(self, k: int, schema: Sequence[FeatureSchema], train: np.ndarray,
                  targets: np.ndarray, scales: np.ndarray):
@@ -112,15 +123,40 @@ class KnnModel(PredictionModel):
         self._scaled_train = self.train / self.scales
 
     def _predict_checked(self, batch: Dataset) -> np.ndarray:
-        query = np.column_stack([batch.column(f.name) for f in self._feature_schema])
+        columns = [batch.column(f.name) for f in self._feature_schema]
+        query = np.column_stack(columns) / self.scales
+        block = max(1, _KNN_BLOCK_ELEMENTS // self._scaled_train.size)
         out = np.empty(batch.n_rows, dtype=np.float64)
-        for i in range(batch.n_rows):
-            diff = self._scaled_train - query[i] / self.scales
-            dist = np.sqrt(np.sum(diff * diff, axis=1))
-            # stable sort: distance ties resolve to the lower training row
-            nearest = np.argsort(dist, kind="stable")[: self.k]
-            out[i] = np.mean(self.targets[nearest])
+        for start in range(0, batch.n_rows, block):
+            diff = self._scaled_train - query[start:start + block, None]
+            diff *= diff
+            dist = np.sqrt(np.sum(diff, axis=2))
+            out[start:start + block] = np.mean(self.targets[_nearest(dist, self.k)], axis=1)
         return out
+
+
+def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k smallest entries, in (value, index) order.
+
+    Equal to ``np.argsort(dist, axis=1, kind="stable")[:, :k]``. The k-th
+    smallest value is found by partition; a row with exactly k entries at or
+    below it sorts only those, which are already in index order. A row with
+    ties at that value (or NaN) takes the full stable argsort.
+    """
+    if k == dist.shape[1]:
+        return np.argsort(dist, axis=1, kind="stable")
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+    candidates = dist <= kth
+    exact = np.count_nonzero(candidates, axis=1) == k
+    nearest = np.empty((dist.shape[0], k), dtype=np.intp)
+    if exact.any():
+        index = np.nonzero(candidates[exact])[1].reshape(-1, k)
+        order = np.argsort(np.take_along_axis(dist[exact], index, axis=1), axis=1, kind="stable")
+        nearest[exact] = np.take_along_axis(index, order, axis=1)
+    if not exact.all():
+        tied = ~exact
+        nearest[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k]
+    return nearest
 
 
 def _design_column_names(schema: Sequence[FeatureSchema]) -> list[str]:

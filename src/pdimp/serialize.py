@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureSchema
+from .data import FeatureSchema, write_json
 from .errors import ParameterError
 from .expressions import ExpressionModel, parse_expression
 from .models import KnnModel, LinearModel, PredictionModel
@@ -196,9 +196,7 @@ def model_from_json(doc: dict) -> PredictionModel:
 
 
 def save_model(model: PredictionModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(model), fh, indent=2)
-        fh.write("\n")
+    write_json(path, model_to_json(model))
 
 
 def load_model(path) -> PredictionModel:

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .data import CONTINUOUS, Dataset, FeatureSchema
 from .errors import ParameterError
@@ -52,6 +51,9 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
+    # imported here: scipy's start-up cost is paid only by commands that simulate
+    from scipy.special import ndtri
+
     # strictly interior uniforms, (k + 0.5) / 2^53, keep the inverse CDF finite
     bits = rng.integers(0, 1 << 53, size=n, dtype=np.int64)
     return ndtri((bits + 0.5) * 2.0**-53)

@@ -1,10 +1,14 @@
 """Command-line runs: artifacts, manifests, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pdimp
 from pdimp.cli import main
 
 
@@ -238,3 +242,14 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert _run("--help") == 0
         capsys.readouterr()
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy's start-up cost belongs to the commands that simulate, not to every command
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(pdimp.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    subprocess.run(
+        [sys.executable, "-c", "import pdimp.cli, sys; assert 'scipy' not in sys.modules"],
+        env=env, check=True, timeout=60,
+    )

@@ -1,9 +1,13 @@
 """Dataset construction, CSV ingestion, schema inference, summaries."""
 
+import csv
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdimp import (
     CATEGORICAL,
@@ -17,6 +21,7 @@ from pdimp import (
     load_csv,
     summarize,
 )
+from pdimp.data import write_csv, write_json
 
 
 def _load(text, **kwargs):
@@ -115,6 +120,68 @@ class TestLoadCsv:
         assert ds.labels("b") == ["x, with comma", 'say "hi"']
 
 
+def _per_cell_kind(cells):
+    """The per-cell inference rule: continuous iff every non-empty cell is a finite real."""
+    def finite(cell):
+        try:
+            return math.isfinite(float(cell))
+        except ValueError:
+            return False
+
+    non_empty = [c for c in cells if c != ""]
+    return CONTINUOUS if non_empty and all(map(finite, non_empty)) else CATEGORICAL
+
+
+def _per_cell_continuous(cells):
+    """Per-cell conversion: the values, or the row and message of the first bad cell."""
+    values = []
+    for i, cell in enumerate(cells):
+        if cell == "":
+            return i + 1, f"missing value in column 'a' at row {i + 1}"
+        try:
+            value = float(cell)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            return i + 1, (f"cell {cell!r} in continuous column 'a' at row {i + 1} "
+                           "is not a finite number")
+        values.append(value)
+    return np.array(values, dtype=np.float64)
+
+
+_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", " 2", "1_0", "", "abc", "-0", "7"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CELLS, min_size=1, max_size=25))
+def test_parsing_each_cell_once_keeps_the_per_cell_rule(cells):
+    (feat,) = infer_schema(["a"], [cells])
+    assert feat.kind == _per_cell_kind(cells)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["i", "a"])
+    writer.writerows([i, c] for i, c in enumerate(cells))
+    text = buf.getvalue()
+    expected = _per_cell_continuous(cells)
+    for declared in (None, {"a": CONTINUOUS}):
+        if declared is None and feat.kind == CATEGORICAL:
+            if "" in cells:
+                with pytest.raises(CsvError, match="missing value"):
+                    _load(text)
+            else:
+                assert _load(text).labels("a") == cells
+        elif isinstance(expected, tuple):
+            with pytest.raises(CsvError) as info:
+                _load(text, declared_schema=declared)
+            assert (info.value.row, str(info.value)) == expected
+        else:
+            assert _load(text, declared_schema=declared).column("a").tobytes() == expected.tobytes()
+
+
 class TestCsvRoundTrip:
     def test_full_precision_round_trip(self):
         rng = np.random.default_rng(42)
@@ -136,6 +203,18 @@ class TestCsvRoundTrip:
         buf = io.StringIO()
         ds.to_csv(buf)
         assert buf.getvalue().splitlines()[0] == "alpha,beta"
+
+
+def test_writers_give_a_path_the_bytes_they_give_an_open_file(tmp_path):
+    rows = [["a,b", 1.5], ["line\nbreak", -0.0]]
+    doc = {"x": [1.0, "é"], "y": None}
+    for write, arg in ((write_csv, (["k", "v"], rows)), (write_json, (doc,))):
+        buf = io.StringIO()
+        write(buf, *arg)
+        path = tmp_path / write.__name__
+        write(path, *arg)
+        assert path.read_bytes() == buf.getvalue().encode("utf-8")
+        assert buf.getvalue().endswith("\n")
 
 
 class TestDatasetValidation:

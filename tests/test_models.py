@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pdimp.models as models_module
 from pdimp import (
     ContractError,
     Dataset,
@@ -14,6 +17,7 @@ from pdimp import (
     fit_knn,
     fit_linear,
 )
+from pdimp.models import _nearest
 from pdimp.simulate import SimulationSpec, generate
 
 
@@ -212,3 +216,72 @@ class TestKnn:
             for u, v in zip(qa, qb)
         ]
         assert np.array_equal(whole, np.array(singles))
+
+
+def _knn_row_loop(model, batch):
+    """Reference k-NN scoring: one query row at a time, full stable argsort."""
+    query = np.column_stack([batch.column(f.name) for f in model._feature_schema])
+    out = np.empty(batch.n_rows, dtype=np.float64)
+    for i in range(batch.n_rows):
+        diff = model._scaled_train - query[i] / model.scales
+        dist = np.sqrt(np.sum(diff * diff, axis=1))
+        nearest = np.argsort(dist, kind="stable")[: model.k]
+        out[i] = np.mean(model.targets[nearest])
+    return out
+
+
+def _knn_values(draw, shape, label):
+    """Tie-heavy small integers, or normals at a drawn magnitude up to 1e200."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label=f"{label} seed"))
+    if draw(st.booleans(), label=f"{label} integer-valued"):
+        return rng.integers(0, 3, size=shape).astype(np.float64)
+    return rng.normal(size=shape) * 10.0 ** draw(st.sampled_from([-3, 0, 3, 200]),
+                                                  label=f"{label} magnitude")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_knn_blocks_equal_the_row_loop_bit_for_bit(data):
+    p = data.draw(st.integers(1, 17), label="features")
+    n = data.draw(st.integers(1, 40), label="training rows")
+    k = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="k")
+    names = [f"x{j}" for j in range(p)]
+    train = _knn_values(data.draw, (n, p), "train")
+    if n > 1 and data.draw(st.booleans(), label="duplicate rows"):
+        train[n // 2:] = train[: n - n // 2]
+    columns = {name: train[:, j] for j, name in enumerate(names)}
+    columns["y"] = np.random.default_rng(n).normal(size=n) * 1e3
+    model = fit_knn(Dataset.from_dict(columns), "y", k)
+    rows = data.draw(st.integers(1, 30), label="query rows")
+    query = _knn_values(data.draw, (rows, p), "query")
+    batch = Dataset.from_dict({name: query[:, j] for j, name in enumerate(names)})
+    expected = _knn_row_loop(model, batch)
+    saved = models_module._KNN_BLOCK_ELEMENTS
+    models_module._KNN_BLOCK_ELEMENTS = data.draw(st.sampled_from([1, 7, saved]), label="budget")
+    try:
+        assert model.predict(batch).tobytes() == expected.tobytes()
+        assert model.predict(batch.take([0])).tobytes() == expected[:1].tobytes()
+    finally:
+        models_module._KNN_BLOCK_ELEMENTS = saved
+
+
+def test_knn_blocks_equal_the_row_loop_on_friedman_data():
+    ds = generate(SimulationSpec("friedman", 180, 7, 1.0))
+    model = fit_knn(ds, "y", k=10)
+    batch = generate(SimulationSpec("friedman", 500, 8, 1.0)).drop("y")
+    assert model.predict(batch).tobytes() == _knn_row_loop(model, batch).tobytes()
+
+
+def test_nearest_equals_a_stable_argsort_on_tie_heavy_matrices():
+    rng = np.random.default_rng(5)
+    for trial in range(1500):
+        rows, cols = rng.integers(1, 12), rng.integers(1, 30)
+        k = int(rng.integers(1, cols + 1))
+        if trial % 2:
+            dist = rng.choice([0.0, 0.5, 1.0, 2.0, np.inf, np.nan], size=(rows, cols),
+                              p=[0.2, 0.15, 0.2, 0.2, 0.2, 0.05])
+        else:
+            dist = rng.integers(0, 4, size=(rows, cols)).astype(np.float64)
+        expected = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(_nearest(dist, k), expected)
