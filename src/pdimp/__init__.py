@@ -11,12 +11,10 @@ held fixed.
 from .data import (
     CATEGORICAL,
     CONTINUOUS,
-    ColumnSummary,
     Dataset,
     FeatureSchema,
     infer_schema,
     load_csv,
-    summarize,
 )
 from .engine import (
     Grid,
@@ -48,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .expressions import ExpressionModel, parse_expression
-from .bridge import ExternalModel, predict_external, spawn_external
+from .bridge import ExternalModel, spawn_external
 from .importance import (
     ImportanceEntry,
     ImportanceReport,
@@ -82,7 +80,6 @@ __all__ = [
     "BridgeTimeoutError",
     "CATEGORICAL",
     "CONTINUOUS",
-    "ColumnSummary",
     "ContractError",
     "CsvError",
     "Dataset",
@@ -134,10 +131,8 @@ __all__ = [
     "parse_expression",
     "partial_dependence",
     "pd_interaction",
-    "predict_external",
     "save_model",
     "spawn_external",
-    "summarize",
     "theoretical_uniform_sd",
     "true_pd_friedman_pair",
     "true_pd_linear",

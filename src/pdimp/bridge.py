@@ -9,9 +9,10 @@ Wire protocol (version 1, newline-delimited UTF-8 on stdin/stdout):
   response    child answers N lines, one decimal prediction per line, in
               row order
 
-Requests are strictly serialized: one in flight per child, responses map
-to requests by order. The bridge is therefore not concurrency-safe and
-the engine funnels all grid evaluation through a single writer. After a
+Requests are strictly serialized on the model's lock: one in flight per
+child, responses map to requests by order. The engine may call
+``predict`` from several threads, one grid point each; they queue at the
+lock, and each thread reads the answer to its own request. After a
 timeout or a protocol error the pairing of lines to requests is lost, so
 the child is killed and every later request fails with BridgeError.
 """
@@ -82,8 +83,6 @@ class _StderrTail:
 
 class ExternalModel(PredictionModel):
     """A handshaken child process scoring batches over the line protocol."""
-
-    concurrency_safe = False
 
     def __init__(self, command, process, feature_names, timeout, reader, stderr_tail):
         self.command = command
@@ -245,7 +244,3 @@ def spawn_external(command, timeout: float = 30.0) -> ExternalModel:
         )
     return ExternalModel(argv, process, doc["features"], timeout, reader, stderr_tail)
 
-
-def predict_external(model: ExternalModel, batch: Dataset) -> np.ndarray:
-    """Score a batch through the child; equivalent to ``model.predict``."""
-    return model.predict(batch)

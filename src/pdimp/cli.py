@@ -10,7 +10,6 @@ plotting tool.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -82,9 +81,8 @@ def _common_flags(parser: _Parser, grid_default: str):
                         help="unique | quantile:Q | equidistant:K (default %(default)s)")
     parser.add_argument("--aggregator", default="mean",
                         help="mean | median | trimmed:ALPHA (default %(default)s)")
-    parser.add_argument("--workers", type=int,
-                        default=int(os.environ.get("PDIMP_WORKERS", "1")),
-                        help="parallel grid workers; results do not depend on this")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="grid-point threads; results do not depend on this")
     parser.add_argument("--out-dir", default=".", help="artifact directory")
     parser.add_argument("--formats", default="csv,json", help="comma list of csv,json")
 
@@ -169,18 +167,23 @@ def _resolve_model(args, features: Dataset, full: Dataset):
         return spawn_external(args.external, timeout=args.timeout), f"external:{args.external}"
     if source == "model_file":
         return load_model(args.model_file), f"file:{args.model_file}"
-    kind, params = _parse_model_params(args.model)
-    if args.target is None:
+    return _fit_builtin(args.model, args.target, full), args.model
+
+
+def _fit_builtin(spec: str, target: str | None, full: Dataset):
+    """Fit the builtin learner named by a ``--model`` value on ``full``."""
+    kind, params = _parse_model_params(spec)
+    if target is None:
         raise UsageError(f"--target is required to fit the builtin {kind!r} model")
     if kind == "linear":
         _reject_params(params, ())
-        return fit_linear(full, args.target), args.model
+        return fit_linear(full, target)
     if kind == "knn":
         _reject_params(params, ("k",))
-        return fit_knn(full, args.target, params.get("k", 5)), args.model
+        return fit_knn(full, target, params.get("k", 5))
     if kind == "bagged":
         _reject_params(params, ("n_trees", "max_depth", "min_leaf", "seed"))
-        return fit_bagged_trees(full, args.target, **params), args.model
+        return fit_bagged_trees(full, target, **params)
     raise UsageError(f"unknown builtin model kind {kind!r}")
 
 
@@ -293,89 +296,81 @@ def _close_if_external(model) -> None:
 
 def _cmd_fit(args) -> int:
     full = load_csv(args.data)
-    args.expr = args.external = args.model_file = None
-    args.timeout = 30.0
-    model, model_desc = _resolve_model(args, full, full)
+    model = _fit_builtin(args.model, args.target, full)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(model, out_dir / "model.json")
     _write_manifest(out_dir, RunConfig(
-        subcommand="fit", data=args.data, target=args.target, model=model_desc,
+        subcommand="fit", data=args.data, target=args.target, model=args.model,
     ))
     print(f"saved {out_dir / 'model.json'}")
     return 0
 
 
-def _cmd_importance(args) -> int:
+def _analyse(args, basename: str, analysis, summary, **config) -> int:
+    """Body shared by the analysis subcommands.
+
+    Checks ``--formats``, loads the data, resolves the model, runs
+    ``analysis(model, features)`` (closing an external model afterwards),
+    writes the result and the manifest, and prints ``summary(result)``.
+    ``config`` holds the manifest fields particular to the subcommand.
+    """
+    formats = _formats(args)
     features, full = _load_features(args)
     model, model_desc = _resolve_model(args, features, full)
     try:
-        report = importance_all(
-            model, features, GridStrategy.parse(args.grid), args.measure,
-            workers=args.workers, aggregator=args.aggregator,
-        )
+        result = analysis(model, features)
     finally:
         _close_if_external(model)
-    formats = _formats(args)
-    emit_plot_data(report, args.out_dir, "importance", formats)
+    emit_plot_data(result, args.out_dir, basename, formats)
     _write_manifest(args.out_dir, RunConfig(
-        subcommand="importance", data=args.data, target=args.target, model=model_desc,
-        grid=args.grid, measure=args.measure, aggregator=args.aggregator,
-        workers=args.workers, out_dir=args.out_dir, formats=formats,
+        subcommand=args.subcommand, data=args.data, target=args.target, model=model_desc,
+        grid=args.grid, workers=args.workers, out_dir=args.out_dir, formats=formats,
+        **config,
     ))
-    print(report.to_text())
+    print(summary(result))
     return 0
+
+
+def _cmd_importance(args) -> int:
+    def analysis(model, features):
+        return importance_all(model, features, GridStrategy.parse(args.grid), args.measure,
+                              workers=args.workers, aggregator=args.aggregator)
+
+    return _analyse(args, "importance", analysis, ImportanceReport.to_text,
+                    measure=args.measure, aggregator=args.aggregator)
 
 
 def _cmd_pdp(args) -> int:
-    features, full = _load_features(args)
     names = [n.strip() for n in args.features.split(",") if n.strip()]
     if len(names) not in (1, 2):
         raise UsageError("--features takes one name or two comma-separated names")
-    model, model_desc = _resolve_model(args, features, full)
-    try:
+
+    def analysis(model, features):
         grid = build_grid(features, names, GridStrategy.parse(args.grid))
-        if len(names) == 1:
-            result = partial_dependence(model, features, grid,
-                                        workers=args.workers, aggregator=args.aggregator)
-        else:
-            result = joint_partial_dependence(model, features, grid,
-                                              workers=args.workers, aggregator=args.aggregator)
-    finally:
-        _close_if_external(model)
-    formats = _formats(args)
-    emit_plot_data(result, args.out_dir, "pd", formats)
-    _write_manifest(args.out_dir, RunConfig(
-        subcommand="pdp", data=args.data, target=args.target, model=model_desc,
-        grid=args.grid, aggregator=args.aggregator, workers=args.workers,
-        out_dir=args.out_dir, formats=formats, features=tuple(names),
-    ))
-    print(f"pd over {' x '.join(names)}: {grid.size} grid points, "
-          f"baseline {result.baseline:.6g}")
-    return 0
+        pd = partial_dependence if len(names) == 1 else joint_partial_dependence
+        return pd(model, features, grid, workers=args.workers, aggregator=args.aggregator)
+
+    def summary(result):
+        return (f"pd over {' x '.join(names)}: {result.grid.size} grid points, "
+                f"baseline {result.baseline:.6g}")
+
+    return _analyse(args, "pd", analysis, summary,
+                    aggregator=args.aggregator, features=tuple(names))
 
 
 def _cmd_ice(args) -> int:
-    features, full = _load_features(args)
-    model, model_desc = _resolve_model(args, features, full)
-    try:
+    def analysis(model, features):
         grid = build_grid(features, [args.feature], GridStrategy.parse(args.grid))
-        result = ice_curves(model, features, grid, workers=args.workers)
-    finally:
-        _close_if_external(model)
-    formats = _formats(args)
-    emit_plot_data(result, args.out_dir, "ice", formats)
-    _write_manifest(args.out_dir, RunConfig(
-        subcommand="ice", data=args.data, target=args.target, model=model_desc,
-        grid=args.grid, workers=args.workers, out_dir=args.out_dir,
-        formats=formats, features=(args.feature,),
-    ))
-    print(f"{result.curves.shape[0]} curves x {result.curves.shape[1]} grid points")
-    return 0
+        return ice_curves(model, features, grid, workers=args.workers)
+
+    def summary(result):
+        return f"{result.curves.shape[0]} curves x {result.curves.shape[1]} grid points"
+
+    return _analyse(args, "ice", analysis, summary, features=(args.feature,))
 
 
 def _cmd_interact(args) -> int:
-    features, full = _load_features(args)
     pairs = None
     if args.pairs:
         pairs = []
@@ -384,23 +379,15 @@ def _cmd_interact(args) -> int:
             if not sep:
                 raise UsageError(f"bad pair {item!r}; expected a:b")
             pairs.append((a.strip(), b.strip()))
-    model, model_desc = _resolve_model(args, features, full)
-    try:
-        report = interaction_matrix(
-            model, features, pairs, GridStrategy.parse(args.grid),
-            include_h=args.h_stat, workers=args.workers,
-        )
-    finally:
-        _close_if_external(model)
-    formats = _formats(args)
-    emit_plot_data(report, args.out_dir, "interactions", formats)
-    _write_manifest(args.out_dir, RunConfig(
-        subcommand="interact", data=args.data, target=args.target, model=model_desc,
-        grid=args.grid, workers=args.workers, out_dir=args.out_dir, formats=formats,
-        pairs=tuple(f"{a}:{b}" for a, b in pairs) if pairs else None, h_stat=args.h_stat,
-    ))
-    print(report.to_text(top=args.top))
-    return 0
+
+    def analysis(model, features):
+        return interaction_matrix(model, features, pairs, GridStrategy.parse(args.grid),
+                                  include_h=args.h_stat, workers=args.workers)
+
+    return _analyse(args, "interactions", analysis,
+                    lambda report: report.to_text(top=args.top),
+                    pairs=tuple(f"{a}:{b}" for a, b in pairs) if pairs else None,
+                    h_stat=args.h_stat)
 
 
 def _cmd_simulate(args) -> int:

@@ -255,21 +255,6 @@ def write_json(target, doc: dict) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class ColumnSummary:
-    """Order statistics of one continuous column."""
-
-    mean: float
-    min: float
-    max: float
-    unique_values: np.ndarray
-    _sorted: np.ndarray
-
-    def quantiles(self, q):
-        """Quantile(s) by linear interpolation between closest order statistics."""
-        return np.quantile(self._sorted, q)
-
-
 def _finite_floats(cells: Sequence[str]) -> np.ndarray | None:
     """The cells parsed as float64, or None unless every one is a finite real."""
     try:
@@ -422,23 +407,3 @@ def load_csv(source, has_header: bool = True, declared_schema: Mapping[str, str]
             columns[feat.name] = codes
 
     return Dataset(schema, columns)
-
-
-def summarize(dataset: Dataset, feature: str) -> ColumnSummary:
-    """Summary statistics of a continuous column, for grid construction."""
-    feat = dataset.schema_for(feature)
-    if not feat.is_continuous:
-        raise ValidationError(
-            f"feature {feature!r} is categorical; its summary is the level table"
-        )
-    col = dataset.column(feature)
-    if col.size == 0:
-        raise ValidationError(f"feature {feature!r} has no rows to summarize")
-    ordered = np.sort(col)
-    return ColumnSummary(
-        mean=float(np.mean(col)),
-        min=float(ordered[0]),
-        max=float(ordered[-1]),
-        unique_values=np.unique(col),
-        _sorted=ordered,
-    )

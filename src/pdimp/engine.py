@@ -7,11 +7,14 @@ use fixed left-to-right summation in row order so results are identical
 whether grid points run serially or on worker threads, and identical to a
 naive nested-loop evaluation.
 
-``predictions_at_points`` is the one place predictions at grid points come
-from. A model with a ``predict_grid`` method (bagged trees) scores all
-points in one call; the external bridge gets points stacked into chunked
-requests; any other model is called once per point, on worker threads.
-All three return the same predictions as a per-point ``predict``.
+Predictions at grid points come from one place, ``_score_points``, by
+one of two paths. A model with a ``predict_grid`` method (bagged trees)
+scores all points in one serial call; any other model, the external
+bridge included, is called once per point, with points spread over worker
+threads. Both give the same predictions as a per-point ``predict``.
+``pd_values_at`` aggregates each point's predictions as soon as they are
+scored, so only ``ice_curves`` (and the tree kernel's block) holds a
+points x rows matrix.
 """
 
 from __future__ import annotations
@@ -30,9 +33,6 @@ from .errors import (
     ParameterError,
 )
 from .models import PredictionModel
-
-# rows sent to an external child per protocol request
-_EXTERNAL_CHUNK_ROWS = 65536
 
 
 @dataclass(frozen=True)
@@ -326,41 +326,14 @@ def _predictions_at_point(model, dataset, features, point) -> np.ndarray:
     return preds
 
 
-def _predictions_batched(model, dataset, features, points) -> list[np.ndarray]:
-    """One protocol request per chunk of grid points (external models)."""
-    n = dataset.n_rows
-    chunk = max(1, _EXTERNAL_CHUNK_ROWS // max(n, 1))
-    out = []
-    for start in range(0, len(points), chunk):
-        block = points[start: start + chunk]
-        columns = {}
-        for feat in dataset.schema:
-            if feat.name in features:
-                i = features.index(feat.name)
-                columns[feat.name] = np.concatenate(
-                    [_constant_column(feat, p[i], n) for p in block]
-                )
-            else:
-                columns[feat.name] = np.tile(dataset.column(feat.name), len(block))
-        stacked = Dataset._unchecked(dataset.schema, columns)
-        preds = model.predict(stacked).reshape(len(block), n)
-        _check_finite(preds, dataset, features, block)
-        out.extend(preds)
-    return out
-
-
-def predictions_at_points(model: PredictionModel, dataset: Dataset,
-                          features: Sequence[str], points: Sequence[tuple],
-                          workers: int = 1) -> list[np.ndarray]:
-    """Training-set predictions with the interest features pinned to each point.
+def _score_points(model, dataset, features, points, workers, reduce) -> list:
+    """``reduce`` of the training-set predictions at each grid point, in point order.
 
     A model with ``predict_grid`` scores every point in one serial call,
-    which shares work between points and ignores ``workers``.
-    Otherwise grid points are the unit of parallelism; the rows within one
-    point are always scored and summed as a block, so the outcome is
-    invariant to ``workers``. Models that are not concurrency-safe (the
-    external bridge) are served serially with points batched into chunked
-    requests.
+    which shares work between points and ignores ``workers``. Otherwise
+    grid points are the unit of parallelism: each point's rows are scored
+    as one block and reduced on the thread that scored them, so the outcome
+    is invariant to ``workers``.
     """
     features = list(features)
     for name in features:
@@ -369,25 +342,35 @@ def predictions_at_points(model: PredictionModel, dataset: Dataset,
     if predict_grid is not None:
         block = predict_grid(dataset, features, points)
         _check_finite(block, dataset, features, points)
-        return list(block)
-    if not model.concurrency_safe:
-        return _predictions_batched(model, dataset, features, points)
+        return [reduce(row) for row in block]
+
+    def score(point):
+        return reduce(_predictions_at_point(model, dataset, features, point))
+
     if workers <= 1 or len(points) <= 1:
-        return [_predictions_at_point(model, dataset, features, p) for p in points]
+        return [score(p) for p in points]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(lambda p: _predictions_at_point(model, dataset, features, p), points)
-        )
+        return list(pool.map(score, points))
+
+
+def predictions_at_points(model: PredictionModel, dataset: Dataset,
+                          features: Sequence[str], points: Sequence[tuple],
+                          workers: int = 1) -> list[np.ndarray]:
+    """Training-set predictions with the interest features pinned to each point."""
+    return _score_points(model, dataset, features, points, workers, lambda preds: preds)
 
 
 def pd_values_at(model: PredictionModel, dataset: Dataset, features: Sequence[str],
                  points: Sequence[tuple], workers: int = 1,
                  aggregator: str = "mean") -> np.ndarray:
-    """Partial dependence values at an explicit list of grid points."""
+    """Partial dependence values at an explicit list of grid points.
+
+    Each point's predictions are aggregated as soon as they are scored.
+    """
     if dataset.n_rows == 0:
         raise ParameterError("cannot average over an empty dataset")
-    preds = predictions_at_points(model, dataset, features, points, workers)
-    return np.array([aggregate(p, aggregator) for p in preds])
+    return np.array(_score_points(model, dataset, features, points, workers,
+                                  lambda preds: aggregate(preds, aggregator)))
 
 
 def _baseline(model, dataset, aggregator) -> float:

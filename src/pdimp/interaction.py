@@ -15,8 +15,7 @@ uses it for both statistics.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Sequence
 
@@ -106,11 +105,6 @@ def _directional_spreads(values: np.ndarray, kinds: tuple[str, str]) -> tuple[fl
     return sample_sd(cond_i), sample_sd(cond_j)
 
 
-def joint_sd(values: np.ndarray) -> float:
-    """Plain sd of all joint PD values; a diagnostic, not the pair statistic."""
-    return sample_sd(values.reshape(-1))
-
-
 def pd_interaction(model: PredictionModel, dataset: Dataset, pair: Sequence[str],
                    grid_strategy: GridStrategy | None = None,
                    workers: int = 1) -> float:
@@ -175,10 +169,33 @@ def _pd_by_row(model, dataset, axis: GridAxis, workers) -> np.ndarray:
     return values[_row_codes(dataset, axis)]
 
 
+def _row_cells(dataset: Dataset, grid: Grid) -> np.ndarray:
+    """Flat index into the pair's joint table of each training row's grid cell."""
+    return _row_codes(dataset, grid.axes[0]) * grid.shape[1] + _row_codes(dataset, grid.axes[1])
+
+
+def _h(model, dataset, grid: Grid, joint: np.ndarray, marginals: dict, workers) -> float:
+    """Friedman's H of a pair from its joint PD at each training row.
+
+    ``marginals`` maps a feature to its marginal PD at each training row;
+    a feature missing from it is evaluated and added.
+    """
+    for axis in grid.axes:
+        if axis.feature not in marginals:
+            marginals[axis.feature] = _pd_by_row(model, dataset, axis, workers)
+    a, b = grid.features
+    f_joint = joint - ordered_mean(joint)
+    f_a = marginals[a] - ordered_mean(marginals[a])
+    f_b = marginals[b] - ordered_mean(marginals[b])
+    denom = float(np.sum(f_joint**2))
+    if denom == 0.0:
+        return math.nan
+    num = float(np.sum((f_joint - f_a - f_b) ** 2))
+    return math.sqrt(max(num / denom, 0.0))
+
+
 def h_statistic(model: PredictionModel, dataset: Dataset, pair: Sequence[str],
-                grid_strategy: GridStrategy | None = None, workers: int = 1,
-                _marginal_cache: dict | None = None,
-                _joint: np.ndarray | None = None) -> float:
+                grid_strategy: GridStrategy | None = None, workers: int = 1) -> float:
     """Friedman's H for one pair, evaluated at the training points.
 
     All three partial dependence functions (joint and both marginals) are
@@ -189,38 +206,20 @@ def h_statistic(model: PredictionModel, dataset: Dataset, pair: Sequence[str],
 
     With a quantile or equidistant strategy, training values snap to the
     nearest grid point first (a cost cap); ``unique`` is exact. The joint
-    term is the pair's joint PD table indexed by the rows' grid codes;
-    without a precomputed table only the cells some row falls in are
-    evaluated (at most n points, where the full ``unique`` table has up
-    to n^2). Returns NaN when the denominator is zero (joint PD centered
-    identically 0).
+    term is the pair's joint PD table indexed by the rows' grid cells; only
+    the cells some row falls in are evaluated (at most n points, where the
+    full ``unique`` table has up to n^2). Returns NaN when the denominator
+    is zero (joint PD centered identically 0).
     """
     if grid_strategy is None:
         grid_strategy = GridStrategy.unique()
     grid = _pair_grid(dataset, tuple(pair), grid_strategy)
-    a, b = grid.features
-    cache = _marginal_cache if _marginal_cache is not None else {}
-    for axis in grid.axes:
-        if axis.feature not in cache:
-            cache[axis.feature] = _pd_by_row(model, dataset, axis, workers)
-    cell = _row_codes(dataset, grid.axes[0]) * grid.shape[1] + _row_codes(dataset, grid.axes[1])
-    if _joint is None:
-        needed, where = np.unique(cell, return_inverse=True)
-        k_b = grid.shape[1]
-        va, vb = (axis.values.tolist() for axis in grid.axes)
-        points = [(va[c // k_b], vb[c % k_b]) for c in needed.tolist()]
-        values = pd_values_at(model, dataset, grid.features, points, workers=workers)
-        joint = values[where]
-    else:
-        joint = _joint.reshape(-1)[cell]
-    f_joint = joint - ordered_mean(joint)
-    f_a = cache[a] - ordered_mean(cache[a])
-    f_b = cache[b] - ordered_mean(cache[b])
-    denom = float(np.sum(f_joint**2))
-    if denom == 0.0:
-        return math.nan
-    num = float(np.sum((f_joint - f_a - f_b) ** 2))
-    return math.sqrt(max(num / denom, 0.0))
+    needed, where = np.unique(_row_cells(dataset, grid), return_inverse=True)
+    k_b = grid.shape[1]
+    va, vb = (axis.values.tolist() for axis in grid.axes)
+    points = [(va[c // k_b], vb[c % k_b]) for c in needed.tolist()]
+    values = pd_values_at(model, dataset, grid.features, points, workers=workers)
+    return _h(model, dataset, grid, values[where], {}, workers)
 
 
 def interaction_matrix(model: PredictionModel, dataset: Dataset,
@@ -229,8 +228,10 @@ def interaction_matrix(model: PredictionModel, dataset: Dataset,
                        include_h: bool = False, workers: int = 1) -> InteractionReport:
     """Pair statistics for every requested (default: all) unordered pair.
 
-    Pairs fan out over worker threads; each pair's joint PD table is
-    computed once and serves both conditional directions and H.
+    Pairs run one after another, each spreading its grid points over
+    ``workers`` threads. Each pair's joint PD table is computed once and
+    serves both conditional directions and H; each feature's marginal PD
+    for H is computed once for the whole report.
     """
     if grid_strategy is None:
         grid_strategy = GridStrategy.quantile(10)
@@ -242,29 +243,15 @@ def interaction_matrix(model: PredictionModel, dataset: Dataset,
             dataset.schema_for(a)
             dataset.schema_for(b)
 
-    marginal_cache: dict[str, np.ndarray] = {}
-    if include_h:
-        # fill serially so pair workers only read
-        for name in sorted({f for p in pairs for f in p}):
-            marginal_cache[name] = _pd_by_row(model, dataset,
-                                              _axis(dataset, name, grid_strategy), 1)
-
-    def compute(pair):
+    marginals: dict[str, np.ndarray] = {}
+    results = []
+    for pair in pairs:
         grid = _pair_grid(dataset, pair, grid_strategy)
-        table = _joint_table(model, dataset, grid, 1)
+        table = _joint_table(model, dataset, grid, workers)
         stat = _pair_statistics(grid, table)
         if include_h:
-            h = h_statistic(model, dataset, pair, grid_strategy, 1, marginal_cache, table)
-            stat = PairStatistics(
-                stat.features, stat.stat_pd,
-                stat.spread_first_given_second, stat.spread_second_given_first, h,
-            )
-        return stat
-
-    if workers <= 1 or len(pairs) <= 1 or not model.concurrency_safe:
-        results = [compute(p) for p in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(compute, pairs))
+            joint = table.reshape(-1)[_row_cells(dataset, grid)]
+            stat = replace(stat, stat_h=_h(model, dataset, grid, joint, marginals, workers))
+        results.append(stat)
     ranked = sorted(results, key=lambda s: -s.stat_pd)
     return InteractionReport(tuple(ranked), str(grid_strategy))

@@ -22,11 +22,11 @@ class PredictionModel:
     """Abstract scoring contract.
 
     Subclasses set ``_feature_schema`` (the features the model expects, in
-    order) and implement ``_predict_checked``. ``concurrency_safe`` tells
-    the engine whether predict may be called from several workers at once.
+    order) and implement ``_predict_checked``. The engine may call
+    ``predict`` from several threads at once, one grid point per call, so
+    a model that holds per-request state must serialise its calls itself.
     """
 
-    concurrency_safe = True
     _feature_schema: tuple[FeatureSchema, ...] = ()
 
     @property
@@ -118,8 +118,8 @@ class KnnModel(PredictionModel):
         self.scales = np.asarray(scales, dtype=np.float64)
         if not (1 <= self.k <= len(self.targets)):
             raise ParameterError(f"k={self.k} must be in [1, {len(self.targets)}]")
-        if np.any(self.scales <= 0):
-            raise ParameterError("scale factors must be strictly positive")
+        if not np.all(np.isfinite(self.scales) & (self.scales > 0)):
+            raise ParameterError("scale factors must be finite and strictly positive")
         self._scaled_train = self.train / self.scales
 
     def _predict_checked(self, batch: Dataset) -> np.ndarray:
@@ -218,7 +218,9 @@ def fit_knn(dataset: Dataset, target_name: str, k: int) -> KnnModel:
     """Store the training sample; predictions average the k nearest targets.
 
     Features are scaled by their sample standard deviation so distances are
-    unit-free; constant columns keep scale 1. Continuous features only.
+    unit-free; constant columns keep scale 1. Continuous features only; a
+    column whose standard deviation overflows (values beyond about 1e154)
+    is rejected rather than silently dropped from every distance.
     """
     features, y = dataset.split_target(target_name)
     for feat in features.schema:
@@ -229,6 +231,16 @@ def fit_knn(dataset: Dataset, target_name: str, k: int) -> KnnModel:
     if not (1 <= k <= features.n_rows):
         raise ParameterError(f"k={k} must be in [1, {features.n_rows}]")
     train = np.column_stack([features.column(f.name) for f in features.schema])
-    scales = np.std(train, axis=0, ddof=1) if features.n_rows > 1 else np.ones(train.shape[1])
+    if features.n_rows > 1:
+        with np.errstate(over="ignore", invalid="ignore"):
+            scales = np.std(train, axis=0, ddof=1)
+    else:
+        scales = np.ones(train.shape[1])
+    for feat, scale in zip(features.schema, scales):
+        if not np.isfinite(scale):
+            raise ParameterError(
+                f"feature {feat.name!r} has a standard deviation that overflows; "
+                "k-NN cannot scale it"
+            )
     scales = np.where(scales > 0, scales, 1.0)
     return KnnModel(k, features.schema, train, y, scales)

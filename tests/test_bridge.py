@@ -10,12 +10,16 @@ from pdimp import (
     BridgeTimeoutError,
     Dataset,
     FeatureSchema,
+    GridStrategy,
     LinearModel,
     ProtocolError,
     SpawnError,
-    predict_external,
+    build_grid,
+    ice_curves,
+    partial_dependence,
     spawn_external,
 )
+from pdimp.engine import ordered_mean
 
 PYTHON = sys.executable
 
@@ -125,7 +129,7 @@ class TestPredict:
             batch = Dataset.from_dict({"x1": [0.0, 1.0, 2.0], "x2": [5.0, 6.0, 7.0]})
             np.testing.assert_array_equal(model.predict(batch), [7.0, 7.0, 7.0])
             # again, to prove request serialization is clean
-            np.testing.assert_array_equal(predict_external(model, batch), [7.0] * 3)
+            np.testing.assert_array_equal(model.predict(batch), [7.0] * 3)
 
     def test_columns_are_reordered_to_handshake_order(self, tmp_path):
         with spawn_external(_stub(tmp_path, ECHO_X1)) as model:
@@ -226,3 +230,24 @@ class TestFailedChild:
                 model.predict(batch)
             with pytest.raises(BridgeError, match="earlier failure"):
                 model.predict(batch)
+
+
+class TestConcurrentRequests:
+    def test_each_grid_point_thread_reads_its_own_answers(self, tmp_path):
+        # the echo child answers x1, so an answer read by the wrong thread shows
+        # up as another grid point's value in that point's ICE column
+        rng = np.random.default_rng(11)
+        ds = Dataset.from_dict({"x1": rng.uniform(size=30), "x2": rng.uniform(size=30)})
+        grid = build_grid(ds, ["x1"], GridStrategy.unique())
+        values = grid.axes[0].values
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with spawn_external(_stub(tmp_path, ECHO_X1), timeout=10) as model:
+                pd = partial_dependence(model, ds, grid, workers=4)
+                ice = ice_curves(model, ds, grid, workers=4)
+        finally:
+            sys.setswitchinterval(switch)
+        assert ice.curves.tobytes() == np.tile(values, (30, 1)).tobytes()
+        expected = [ordered_mean(np.full(30, v)) for v in values]
+        assert pd.values.tobytes() == np.array(expected).tobytes()

@@ -2,8 +2,10 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -242,6 +244,41 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert _run("--help") == 0
         capsys.readouterr()
+
+    def test_formats_are_checked_before_any_work(self, friedman_csv, tmp_path, capsys):
+        # a bad --formats is a usage error even where the data could not be read
+        assert _run("importance", "--data", tmp_path / "nope.csv", "--expr", "x1",
+                    "--formats", "xml", "--out-dir", tmp_path / "out") == 1
+        # and no external child is started for it
+        marker = tmp_path / "spawned"
+        child = shlex.join([sys.executable, "-c", f"open({str(marker)!r}, 'w')"])
+        assert _run("importance", "--data", friedman_csv, "--target", "y",
+                    "--external", child, "--formats", "csv,xml",
+                    "--out-dir", tmp_path / "out") == 1
+        assert "unsupported output format 'xml'" in capsys.readouterr().err
+        assert not marker.exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_workers_do_not_read_the_environment(self, friedman_csv, tmp_path, monkeypatch,
+                                                 capsys):
+        monkeypatch.setenv("PDIMP_WORKERS", "abc")
+        assert _run("--version") == 0
+        monkeypatch.setenv("PDIMP_WORKERS", "0")
+        out = tmp_path / "imp"
+        assert _run("importance", "--data", friedman_csv, "--target", "y", "--expr", ORACLE,
+                    "--grid", "quantile:4", "--out-dir", out) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["workers"] == 1
+        capsys.readouterr()
+
+    def test_knn_scale_overflow_exits_2_without_a_warning(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text("a,b,y\n1e200,1,1\n-1e200,2,2\n3e200,3,3\n5,4,4\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run("importance", "--data", data, "--target", "y",
+                        "--model", "knn:k=2", "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: feature 'a'") and "Traceback" not in err
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

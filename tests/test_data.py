@@ -1,4 +1,4 @@
-"""Dataset construction, CSV ingestion, schema inference, summaries."""
+"""Dataset construction, CSV ingestion, schema inference."""
 
 import csv
 import io
@@ -19,7 +19,6 @@ from pdimp import (
     ValidationError,
     infer_schema,
     load_csv,
-    summarize,
 )
 from pdimp.data import write_csv, write_json
 
@@ -261,47 +260,3 @@ class TestDatasetValidation:
         ds = Dataset.from_dict({"a": [1.0], "y": ["u"]})
         with pytest.raises(ValidationError):
             ds.split_target("y")
-
-
-class TestSummarize:
-    def test_basic_statistics(self):
-        ds = Dataset.from_dict({"a": [3.0, 1.0, 2.0]})
-        s = summarize(ds, "a")
-        assert (s.min, s.max, s.mean) == (1.0, 3.0, 2.0)
-        np.testing.assert_array_equal(s.unique_values, [1.0, 2.0, 3.0])
-
-    def test_constant_column(self):
-        s = summarize(Dataset.from_dict({"a": [1.0, 1.0, 1.0]}), "a")
-        assert s.quantiles(0.0) == s.quantiles(0.5) == s.quantiles(1.0) == 1.0
-        np.testing.assert_array_equal(s.unique_values, [1.0])
-
-    def test_median_against_sort_based_oracle(self):
-        # independent oracle: sort by hand, average the two middle order stats
-        rng = np.random.default_rng(3)
-        values = rng.standard_normal(100)
-        ordered = sorted(values.tolist())
-        oracle_median = (ordered[49] + ordered[50]) / 2.0
-        s = summarize(Dataset.from_dict({"a": values}), "a")
-        assert s.quantiles(0.5) == pytest.approx(oracle_median, abs=0)
-
-    def test_quantiles_bounded_by_min_max(self):
-        rng = np.random.default_rng(4)
-        s = summarize(Dataset.from_dict({"a": rng.standard_normal(37)}), "a")
-        for q in np.linspace(0, 1, 21):
-            assert s.min <= s.quantiles(q) <= s.max
-
-    def test_unique_values_sorted_strictly_ascending_subset(self):
-        rng = np.random.default_rng(5)
-        values = rng.integers(0, 10, size=60).astype(float)
-        s = summarize(Dataset.from_dict({"a": values}), "a")
-        assert np.all(np.diff(s.unique_values) > 0)
-        assert set(s.unique_values).issubset(set(values))
-
-    def test_categorical_feature_is_rejected(self):
-        ds = Dataset.from_dict({"c": ["u", "v"]})
-        with pytest.raises(ValidationError, match="level table"):
-            summarize(ds, "c")
-
-    def test_unknown_feature(self):
-        with pytest.raises(UnknownFeatureError):
-            summarize(Dataset.from_dict({"a": [1.0]}), "zzz")

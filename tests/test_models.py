@@ -202,6 +202,17 @@ class TestKnn:
         model = fit_knn(ds, "y", k=1)
         assert model.scales[0] == 1.0
 
+    def test_overflowing_scale_is_rejected(self):
+        # np.std of values near 1e200 overflows to inf, which would zero the column
+        ds = Dataset.from_dict({"a": [1e200, -1e200, 3e200, 5.0], "b": [1.0, 2.0, 3.0, 4.0],
+                                "y": [1.0, 2.0, 3.0, 4.0]})
+        with pytest.raises(ParameterError, match="'a'"):
+            fit_knn(ds, "y", k=2)
+        schema = (FeatureSchema("a", "continuous"),)
+        for bad in (np.inf, np.nan, 0.0):
+            with pytest.raises(ParameterError, match="scale"):
+                models_module.KnnModel(1, schema, [[1.0], [2.0]], [1.0, 2.0], [bad])
+
     def test_batch_invariance(self):
         rng = np.random.default_rng(1)
         ds = Dataset.from_dict({
@@ -252,7 +263,13 @@ def test_knn_blocks_equal_the_row_loop_bit_for_bit(data):
         train[n // 2:] = train[: n - n // 2]
     columns = {name: train[:, j] for j, name in enumerate(names)}
     columns["y"] = np.random.default_rng(n).normal(size=n) * 1e3
-    model = fit_knn(Dataset.from_dict(columns), "y", k)
+    try:
+        model = fit_knn(Dataset.from_dict(columns), "y", k)
+    except ParameterError:
+        # only a training column whose sd overflows is rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(np.std(train, axis=0, ddof=1)).all()
+        return
     rows = data.draw(st.integers(1, 30), label="query rows")
     query = _knn_values(data.draw, (rows, p), "query")
     batch = Dataset.from_dict({name: query[:, j] for j, name in enumerate(names)})
