@@ -19,6 +19,7 @@ the child is killed and every later request fails with BridgeError.
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import json
@@ -31,83 +32,90 @@ import time
 import numpy as np
 
 from .data import Dataset
-from .errors import BridgeError, BridgeTimeoutError, ContractError, ProtocolError, SpawnError
+from .errors import BridgeError, BridgeTimeoutError, ProtocolError, SpawnError
 from .models import PredictionModel
 
 PROTOCOL_VERSION = 1
 
 
-class _LineReader:
-    """Drain a pipe on a daemon thread so reads can time out cleanly."""
+class _Child:
+    """A spawned child whose output pipes are drained on daemon threads.
+
+    Stdout lines queue up so reads can time out cleanly; the last 50 stderr
+    lines are kept for error messages. Each thread closes its own pipe at EOF.
+    """
 
     _EOF = object()
 
-    def __init__(self, stream):
-        self._queue: queue.Queue = queue.Queue()
-        self._thread = threading.Thread(target=self._pump, args=(stream,), daemon=True)
-        self._thread.start()
+    def __init__(self, process: subprocess.Popen):
+        self.process = process
+        self.stderr: collections.deque[str] = collections.deque(maxlen=50)
+        self._lines: queue.Queue = queue.Queue()
+        self._threads = [threading.Thread(target=pump, daemon=True)
+                         for pump in (self._pump_stdout, self._pump_stderr)]
+        for thread in self._threads:
+            thread.start()
 
-    def _pump(self, stream):
-        for line in stream:
-            self._queue.put(line)
-        self._queue.put(self._EOF)
+    def _pump_stdout(self):
+        with self.process.stdout as stream:
+            for line in stream:
+                self._lines.put(line)
+        self._lines.put(self._EOF)
+
+    def _pump_stderr(self):
+        with self.process.stderr as stream:
+            for line in stream:
+                self.stderr.append(line.rstrip("\n"))
 
     def readline(self, deadline: float):
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             raise TimeoutError
         try:
-            item = self._queue.get(timeout=remaining)
+            item = self._lines.get(timeout=remaining)
         except queue.Empty:
             raise TimeoutError from None
         if item is self._EOF:
             return None
         return item
 
+    def stderr_text(self) -> str:
+        return "\n".join(self.stderr)
 
-class _StderrTail:
-    def __init__(self, stream, keep: int = 50):
-        self._lines: list[str] = []
-        self._keep = keep
-        self._thread = threading.Thread(target=self._pump, args=(stream,), daemon=True)
-        self._thread.start()
-
-    def _pump(self, stream):
-        for line in stream:
-            self._lines.append(line.rstrip("\n"))
-            del self._lines[: -self._keep]
-
-    def text(self) -> str:
-        return "\n".join(self._lines)
+    def stop(self, kill: bool = False) -> None:
+        """Close the child's input, reap it (killed at once if ``kill``, else
+        after 2 s), and give each pipe thread 2 s to reach EOF."""
+        if kill:
+            self.process.kill()
+        try:
+            self.process.stdin.close()
+        except OSError:
+            pass
+        try:
+            self.process.wait(timeout=2)
+        except subprocess.TimeoutExpired:
+            self.process.kill()
+            self.process.wait()
+        for thread in self._threads:
+            thread.join(timeout=2)
 
 
 class ExternalModel(PredictionModel):
     """A handshaken child process scoring batches over the line protocol."""
 
-    def __init__(self, command, process, feature_names, timeout, reader, stderr_tail):
+    def __init__(self, command, child: _Child, feature_names, timeout):
         self.command = command
         self.timeout = timeout
         self.protocol = PROTOCOL_VERSION
         self._names = tuple(feature_names)
-        self._process = process
-        self._reader = reader
-        self._stderr = stderr_tail
+        self._child = child
+        self._process = child.process
         self._lock = threading.Lock()
         self._failure: str | None = None
 
     @property
     def feature_names(self) -> tuple[str, ...]:
         return self._names
-
-    def _validate_batch(self, batch: Dataset) -> None:
-        expected = set(self._names)
-        got = set(batch.feature_names)
-        if expected != got:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
-            raise ContractError(
-                f"batch does not match child features (missing {missing}, extra {extra})"
-            )
 
     def _predict_checked(self, batch: Dataset) -> np.ndarray:
         with self._lock:
@@ -118,8 +126,7 @@ class ExternalModel(PredictionModel):
                 return self._round_trip(batch)
             except (BridgeTimeoutError, ProtocolError) as exc:
                 self._failure = str(exc)
-                self._process.kill()
-                self._process.wait()
+                self._child.stop(kill=True)
                 raise
 
     def _round_trip(self, batch: Dataset) -> np.ndarray:
@@ -141,13 +148,14 @@ class ExternalModel(PredictionModel):
             self._process.stdin.write(payload)
             self._process.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
-            raise ProtocolError(f"child closed its input: {exc}; stderr:\n{self._stderr.text()}")
+            raise ProtocolError(f"child closed its input: {exc}; "
+                                f"stderr:\n{self._child.stderr_text()}")
 
         deadline = time.monotonic() + self.timeout
         out = np.empty(n, dtype=np.float64)
         for i in range(n):
             try:
-                line = self._reader.readline(deadline)
+                line = self._child.readline(deadline)
             except TimeoutError:
                 raise BridgeTimeoutError(
                     f"child answered {i} of {n} predictions before the "
@@ -156,7 +164,7 @@ class ExternalModel(PredictionModel):
             if line is None:
                 raise ProtocolError(
                     f"child ended output after {i} of {n} predictions; "
-                    f"stderr:\n{self._stderr.text()}"
+                    f"stderr:\n{self._child.stderr_text()}"
                 )
             text = line.strip()
             try:
@@ -168,17 +176,7 @@ class ExternalModel(PredictionModel):
         return out
 
     def close(self) -> None:
-        proc = self._process
-        if proc.poll() is None:
-            try:
-                proc.stdin.close()
-            except OSError:
-                pass
-            try:
-                proc.wait(timeout=2)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+        self._child.stop()
 
     def __enter__(self) -> "ExternalModel":
         return self
@@ -211,24 +209,23 @@ def spawn_external(command, timeout: float = 30.0) -> ExternalModel:
     except OSError as exc:
         raise SpawnError(f"cannot launch {argv}: {exc}") from None
 
-    reader = _LineReader(process.stdout)
-    stderr_tail = _StderrTail(process.stderr)
+    child = _Child(process)
     deadline = time.monotonic() + timeout
     try:
-        line = reader.readline(deadline)
+        line = child.readline(deadline)
     except TimeoutError:
-        process.kill()
+        child.stop(kill=True)
         raise SpawnError(f"no handshake within {timeout}s from {argv}") from None
     if line is None:
-        process.wait()
+        child.stop()
         raise SpawnError(
             f"child exited (code {process.returncode}) before the handshake; "
-            f"stderr:\n{stderr_tail.text()}"
+            f"stderr:\n{child.stderr_text()}"
         )
     try:
         doc = json.loads(line)
     except json.JSONDecodeError:
-        process.kill()
+        child.stop(kill=True)
         raise SpawnError(f"handshake line is not JSON: {line.strip()!r}") from None
     if (
         not isinstance(doc, dict)
@@ -237,10 +234,10 @@ def spawn_external(command, timeout: float = 30.0) -> ExternalModel:
         or not all(isinstance(f, str) for f in doc["features"])
         or not doc["features"]
     ):
-        process.kill()
+        child.stop(kill=True)
         raise SpawnError(
             f'handshake must be {{"protocol": {PROTOCOL_VERSION}, "features": [...]}}, '
             f"got {line.strip()!r}"
         )
-    return ExternalModel(argv, process, doc["features"], timeout, reader, stderr_tail)
+    return ExternalModel(argv, child, doc["features"], timeout)
 

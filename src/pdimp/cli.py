@@ -43,17 +43,11 @@ class RunConfig:
     measure: str | None = None
     aggregator: str | None = None
     workers: int = 1
-    seed: int | None = None
     out_dir: str | None = None
-    out: str | None = None
     formats: tuple[str, ...] = ("csv", "json")
     features: tuple[str, ...] | None = None
     pairs: tuple[str, ...] | None = None
     h_stat: bool = False
-    sigma: float | None = None
-    n: int | None = None
-    kind: str | None = None
-    betas: tuple[float, float, float] | None = None
     timeout: float = 30.0
 
 
@@ -326,7 +320,7 @@ def _analyse(args, basename: str, analysis, summary, **config) -> int:
     _write_manifest(args.out_dir, RunConfig(
         subcommand=args.subcommand, data=args.data, target=args.target, model=model_desc,
         grid=args.grid, workers=args.workers, out_dir=args.out_dir, formats=formats,
-        **config,
+        timeout=args.timeout, **config,
     ))
     print(summary(result))
     return 0

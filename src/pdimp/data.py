@@ -1,5 +1,5 @@
-"""Columnar datasets: schema inference, CSV ingestion, column summaries, and
-the CSV and JSON writers every result uses.
+"""Columnar datasets: CSV ingestion with per-column kind inference, and the
+CSV and JSON writers every result uses.
 
 A :class:`Dataset` is an immutable column store. Continuous columns hold
 float64 values, categorical columns hold int64 indices into a per-feature
@@ -54,11 +54,6 @@ class FeatureSchema:
         if self.kind == CATEGORICAL:
             doc["levels"] = list(self.levels)
         return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FeatureSchema":
-        levels = doc.get("levels")
-        return cls(doc["name"], doc["kind"], tuple(levels) if levels is not None else None)
 
 
 class Dataset:
@@ -132,10 +127,8 @@ class Dataset:
                 schema.append(FeatureSchema(name, CONTINUOUS))
                 columns[name] = arr.astype(np.float64)
             else:
-                labels = [str(v) for v in values]
-                levels, index = _index_levels(labels)
-                schema.append(FeatureSchema(name, CATEGORICAL, tuple(levels)))
-                columns[name] = np.array([index[v] for v in labels], dtype=np.int64)
+                levels, columns[name] = _level_codes(str(v) for v in values)
+                schema.append(FeatureSchema(name, CATEGORICAL, levels))
         return cls(schema, columns)
 
     # -- introspection -------------------------------------------------
@@ -264,14 +257,11 @@ def _finite_floats(cells: Sequence[str]) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-def _index_levels(cells: Iterable[str]) -> tuple[list[str], dict[str, int]]:
-    levels: list[str] = []
+def _level_codes(cells: Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Levels in first-appearance order, and each cell's index into them."""
     index: dict[str, int] = {}
-    for cell in cells:
-        if cell not in index:
-            index[cell] = len(levels)
-            levels.append(cell)
-    return levels, index
+    codes = np.array([index.setdefault(c, len(index)) for c in cells], dtype=np.int64)
+    return tuple(index), codes
 
 
 def infer_schema(names: Sequence[str], raw_columns: Sequence[Sequence[str]]) -> list[FeatureSchema]:
@@ -281,41 +271,75 @@ def infer_schema(names: Sequence[str], raw_columns: Sequence[Sequence[str]]) -> 
     otherwise it is categorical with levels in first-appearance order. A
     column with no non-empty cells is categorical with an empty level table.
     """
-    schema, _ = _infer_columns(names, raw_columns)
-    return schema
+    return [_column(name, [c for c in cells if c != ""], None)[0]
+            for name, cells in zip(names, raw_columns)]
 
 
-def _infer_columns(names, raw_columns) -> tuple[list[FeatureSchema], dict[str, np.ndarray]]:
-    """``infer_schema`` plus the parsed values of each continuous column with no empty cell."""
-    schema = []
-    parsed = {}
-    for name, cells in zip(names, raw_columns):
-        non_empty = [c for c in cells if c != ""]
-        values = _finite_floats(non_empty) if non_empty else None
-        if values is not None:
-            schema.append(FeatureSchema(name, CONTINUOUS))
-            if len(non_empty) == len(cells):
-                parsed[name] = values
-        else:
-            levels, _ = _index_levels(non_empty)
-            schema.append(FeatureSchema(name, CATEGORICAL, tuple(levels)))
-    return schema, parsed
+def _column(name: str, cells: list[str],
+            declared: str | None) -> tuple[FeatureSchema, np.ndarray]:
+    """Schema and values of one column.
+
+    The kind is ``declared``, or inferred by the rule of :func:`infer_schema`;
+    the cells are parsed as numbers once, for the kind and the values alike.
+    The first empty cell in row order, or in a continuous column the first
+    cell that is not a finite real, raises :class:`CsvError` naming it.
+    """
+    values = _finite_floats(cells)
+    if declared is None:
+        declared = CONTINUOUS if cells and values is not None else CATEGORICAL
+    if declared == CONTINUOUS and values is not None:
+        return FeatureSchema(name, CONTINUOUS), values
+    for i, cell in enumerate(cells):  # report the first bad cell in row order
+        if cell == "":
+            raise CsvError(f"missing value in column {name!r} at row {i + 1}",
+                           row=i + 1, column=name)
+        if declared == CONTINUOUS and _finite_floats([cell]) is None:
+            raise CsvError(f"cell {cell!r} in continuous column {name!r} at row {i + 1} "
+                           "is not a finite number", row=i + 1, column=name)
+    levels, codes = _level_codes(cells)
+    return FeatureSchema(name, CATEGORICAL, levels), codes
 
 
 def load_csv(source, has_header: bool = True, declared_schema: Mapping[str, str] | None = None) -> Dataset:
     """Load a comma-delimited UTF-8 table into a :class:`Dataset`.
 
-    ``declared_schema`` maps column names to kinds ("continuous" or
-    "categorical") for any subset of columns; the rest are inferred by
-    cell content. Missing (empty) cells are rejected: the estimator this
-    feeds assumes complete rows.
+    ``source`` is a path, bytes, or an open text file; a UTF-8 byte-order
+    mark is dropped. ``declared_schema`` maps column names to kinds
+    ("continuous" or "categorical") for any subset of columns; the rest are
+    inferred by cell content. Missing (empty) cells are rejected: the
+    estimator this feeds assumes complete rows.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
             return load_csv(fh, has_header, declared_schema)
     if isinstance(source, bytes):
-        return load_csv(io.StringIO(source.decode("utf-8")), has_header, declared_schema)
+        source = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline="")
+    try:
+        names, rows = _read_rows(source, has_header)
+    except UnicodeDecodeError as exc:
+        raise CsvError(f"input is not valid UTF-8: {exc}") from None
+    except csv.Error as exc:
+        raise CsvError(f"malformed CSV: {exc}") from None
 
+    declared = declared_schema or {}
+    unknown = set(declared) - set(names)
+    if unknown:
+        raise UnknownFeatureError(f"declared schema names absent columns: {sorted(unknown)}")
+    for name in names:
+        kind = declared.get(name)
+        if kind is not None and kind not in _KINDS:
+            raise ValidationError(f"unknown declared kind {kind!r} for column {name!r}")
+
+    if not rows:
+        warnings.warn("CSV body is empty; all columns default to categorical with no levels")
+
+    columns = [_column(name, [row[j] for row in rows], declared.get(name))
+               for j, name in enumerate(names)]
+    return Dataset([feat for feat, _ in columns], {feat.name: values for feat, values in columns})
+
+
+def _read_rows(source, has_header: bool) -> tuple[list[str], list[list[str]]]:
+    """Column names and data rows of a CSV text stream, checked for shape."""
     reader = csv.reader(source)
     try:
         first = next(reader)
@@ -341,69 +365,4 @@ def load_csv(source, has_header: bool = True, declared_schema: Mapping[str, str]
                 row=len(rows) + 1,
             )
         rows.append(row)
-
-    raw_columns = [[row[j] for row in rows] for j in range(width)]
-
-    inferred, parsed = _infer_columns(names, raw_columns)
-    if declared_schema:
-        unknown = set(declared_schema) - set(names)
-        if unknown:
-            raise UnknownFeatureError(f"declared schema names absent columns: {sorted(unknown)}")
-        by_name = {}
-        for feat, cells in zip(inferred, raw_columns):
-            kind = declared_schema.get(feat.name)
-            if kind is None or kind == feat.kind:
-                by_name[feat.name] = feat
-            elif kind == CONTINUOUS:
-                by_name[feat.name] = FeatureSchema(feat.name, CONTINUOUS)
-            elif kind == CATEGORICAL:
-                levels, _ = _index_levels(c for c in cells if c != "")
-                by_name[feat.name] = FeatureSchema(feat.name, CATEGORICAL, tuple(levels))
-            else:
-                raise ValidationError(f"unknown declared kind {kind!r} for column {feat.name!r}")
-        schema = [by_name[n] for n in names]
-    else:
-        schema = inferred
-
-    if not rows:
-        warnings.warn("CSV body is empty; all columns default to categorical with no levels")
-
-    columns: dict[str, np.ndarray] = {}
-    for feat, cells in zip(schema, raw_columns):
-        if feat.is_continuous:
-            values = parsed.get(feat.name)
-            if values is None:
-                values = _finite_floats(cells)
-            if values is None:  # report the first bad cell in row order
-                for i, cell in enumerate(cells):
-                    if cell == "":
-                        raise CsvError(
-                            f"missing value in column {feat.name!r} at row {i + 1}",
-                            row=i + 1, column=feat.name,
-                        )
-                    if _finite_floats([cell]) is None:
-                        raise CsvError(
-                            f"cell {cell!r} in continuous column {feat.name!r} at row {i + 1} "
-                            "is not a finite number",
-                            row=i + 1, column=feat.name,
-                        )
-            columns[feat.name] = values
-        else:
-            index = {lvl: k for k, lvl in enumerate(feat.levels)}
-            codes = np.empty(len(cells), dtype=np.int64)
-            for i, cell in enumerate(cells):
-                if cell == "":
-                    raise CsvError(
-                        f"missing value in column {feat.name!r} at row {i + 1}",
-                        row=i + 1, column=feat.name,
-                    )
-                if cell not in index:
-                    raise CsvError(
-                        f"value {cell!r} in column {feat.name!r} at row {i + 1} "
-                        "is not in the declared level table",
-                        row=i + 1, column=feat.name,
-                    )
-                codes[i] = index[cell]
-            columns[feat.name] = codes
-
-    return Dataset(schema, columns)
+    return names, rows

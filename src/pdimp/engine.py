@@ -124,13 +124,8 @@ class Grid:
 
 
 def build_grid(dataset: Dataset, features: Sequence[str], strategy: GridStrategy) -> Grid:
-    """Evaluation grid over 1 or 2 features.
-
-    Continuous axes honor the strategy: sorted distinct training values,
-    interpolated quantiles of the distinct values, or evenly spaced points
-    over [min, max]; duplicate points collapse. A categorical axis is
-    always its full level table (in stored level order) and only accepts
-    the ``unique`` strategy.
+    """Evaluation grid over 1 or 2 features, each axis as :func:`feature_axis`
+    builds it; a categorical feature only accepts the ``unique`` strategy.
     """
     features = list(features)
     if not 1 <= len(features) <= 2:
@@ -139,31 +134,40 @@ def build_grid(dataset: Dataset, features: Sequence[str], strategy: GridStrategy
         raise ParameterError(f"grid features must be distinct, got {features}")
     axes = []
     for name in features:
-        feat = dataset.schema_for(name)
-        if not feat.is_continuous:
-            if strategy.kind != "unique":
-                raise GridStrategyError(
-                    f"{strategy} grid is not defined for categorical feature {name!r}; "
-                    "its grid is the level table"
-                )
-            values = np.arange(len(feat.levels), dtype=np.int64)
-            if values.size == 0:
-                raise DegenerateGridError(f"categorical feature {name!r} has no levels")
-            axes.append(GridAxis(name, feat.kind, values, feat.levels))
-            continue
-        col = dataset.column(name)
-        if col.size == 0:
-            raise DegenerateGridError(f"feature {name!r} has no training values")
-        distinct = np.unique(col)
-        if strategy.kind == "unique":
-            points = distinct
-        elif strategy.kind == "quantile":
-            probs = np.linspace(0.0, 1.0, strategy.count + 1)
-            points = np.unique(np.quantile(distinct, probs))
-        else:
-            points = np.unique(np.linspace(distinct[0], distinct[-1], strategy.count))
-        axes.append(GridAxis(name, feat.kind, points))
+        if strategy.kind != "unique" and not dataset.schema_for(name).is_continuous:
+            raise GridStrategyError(
+                f"{strategy} grid is not defined for categorical feature {name!r}; "
+                "its grid is the level table"
+            )
+        axes.append(feature_axis(dataset, name, strategy))
     return Grid(tuple(axes), strategy)
+
+
+def feature_axis(dataset: Dataset, name: str, strategy: GridStrategy) -> GridAxis:
+    """Evaluation values of one feature.
+
+    A continuous axis honors the strategy: sorted distinct training values,
+    interpolated quantiles of the distinct values, or evenly spaced points
+    over [min, max]; duplicate points collapse. A categorical axis is always
+    its full level table, in stored level order, whatever the strategy.
+    """
+    feat = dataset.schema_for(name)
+    if not feat.is_continuous:
+        if not feat.levels:
+            raise DegenerateGridError(f"categorical feature {name!r} has no levels")
+        return GridAxis(name, feat.kind, np.arange(len(feat.levels), dtype=np.int64), feat.levels)
+    col = dataset.column(name)
+    if col.size == 0:
+        raise DegenerateGridError(f"feature {name!r} has no training values")
+    distinct = np.unique(col)
+    if strategy.kind == "unique":
+        points = distinct
+    elif strategy.kind == "quantile":
+        probs = np.linspace(0.0, 1.0, strategy.count + 1)
+        points = np.unique(np.quantile(distinct, probs))
+    else:
+        points = np.unique(np.linspace(distinct[0], distinct[-1], strategy.count))
+    return GridAxis(name, feat.kind, points)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, write_csv, write_json
-from .engine import GridStrategy, PDResult, build_grid, pd_values_at
+from .data import CATEGORICAL, Dataset, write_csv, write_json
+from .engine import GridStrategy, PDResult, feature_axis, pd_values_at
 from .errors import DegenerateGridError, ParameterError
 from .models import PredictionModel
 
@@ -52,6 +52,12 @@ def spread(values: np.ndarray, measure: str) -> float:
     return _range_over_4(values)
 
 
+def measure_for(kind: str, measure: str) -> str:
+    """The flatness measure a feature of ``kind`` is scored by: range/4 for a
+    categorical feature, whatever was requested, else ``measure``."""
+    return RANGE_OVER_4 if kind == CATEGORICAL else measure
+
+
 def importance_from_pd(pd: PDResult, measure: str = SAMPLE_SD) -> float:
     """Score a single-feature PD result.
 
@@ -62,9 +68,7 @@ def importance_from_pd(pd: PDResult, measure: str = SAMPLE_SD) -> float:
         raise ParameterError("importance is defined for single-feature PD results")
     if measure not in MEASURES:
         raise ParameterError(f"unknown flatness measure {measure!r}; pick one of {MEASURES}")
-    axis = pd.grid.axes[0]
-    used = RANGE_OVER_4 if axis.kind == "categorical" else measure
-    return spread(pd.values, used)
+    return spread(pd.values, measure_for(pd.grid.axes[0].kind, measure))
 
 
 @dataclass(frozen=True)
@@ -142,15 +146,15 @@ def importance_all(model: PredictionModel, dataset: Dataset,
     if grid_strategy is None:
         grid_strategy = GridStrategy.unique()
     entries = []
-    for feat in dataset.schema:
-        strategy = grid_strategy if feat.is_continuous else GridStrategy.unique()
-        grid = build_grid(dataset, [feat.name], strategy)
-        used = RANGE_OVER_4 if not feat.is_continuous else measure
-        if grid.size < 2:
-            entries.append(ImportanceEntry(feat.name, 0.0, used, grid.size, degenerate=True))
+    for name in dataset.feature_names:
+        axis = feature_axis(dataset, name, grid_strategy)
+        used = measure_for(axis.kind, measure)
+        if len(axis) < 2:
+            entries.append(ImportanceEntry(name, 0.0, used, len(axis), degenerate=True))
             continue
-        values = pd_values_at(model, dataset, grid.features, grid.points(), workers, aggregator)
-        entries.append(ImportanceEntry(feat.name, spread(values, used), used, grid.size))
+        points = [(v,) for v in axis.values.tolist()]
+        values = pd_values_at(model, dataset, [name], points, workers, aggregator)
+        entries.append(ImportanceEntry(name, spread(values, used), used, len(axis)))
     ranked = sorted(entries, key=lambda e: -e.score)
     return ImportanceReport(tuple(ranked), str(grid_strategy), aggregator)
 

@@ -21,10 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, write_csv, write_json
-from .engine import Grid, GridAxis, GridStrategy, build_grid, ordered_mean, pd_values_at
+from .data import CATEGORICAL, Dataset, write_csv, write_json
+from .engine import Grid, GridAxis, GridStrategy, feature_axis, ordered_mean, pd_values_at
 from .errors import DegenerateGridError, ParameterError
-from .importance import RANGE_OVER_4, SAMPLE_SD, sample_sd, spread
+from .importance import SAMPLE_SD, measure_for, sample_sd, spread
 from .models import PredictionModel
 
 
@@ -35,6 +35,7 @@ class PairStatistics:
     spread_first_given_second: float
     spread_second_given_first: float
     stat_h: float | None = None
+    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -89,17 +90,16 @@ class InteractionReport:
         lines = [f"{'pair':24}  {'stat_pd':>14}  {'stat_h':>10}"]
         for p in rows:
             h = "" if p.stat_h is None or math.isnan(p.stat_h) else f"{p.stat_h:10.6f}"
-            lines.append(f"{p.features[0] + ' * ' + p.features[1]:24}  {p.stat_pd:14.8g}  {h}")
+            note = "  (degenerate)" if p.degenerate else ""
+            pair = p.features[0] + " * " + p.features[1]
+            lines.append(f"{pair:24}  {p.stat_pd:14.8g}  {h}{note}")
         return "\n".join(lines)
 
 
 def _directional_spreads(values: np.ndarray, kinds: tuple[str, str]) -> tuple[float, float]:
     """Spread of conditional importances in each direction of a joint PD table."""
     k_i, k_j = values.shape
-    if k_i < 2 or k_j < 2:
-        raise DegenerateGridError("interaction needs at least 2 grid points per feature")
-    measure_i = RANGE_OVER_4 if kinds[0] == "categorical" else SAMPLE_SD
-    measure_j = RANGE_OVER_4 if kinds[1] == "categorical" else SAMPLE_SD
+    measure_i, measure_j = (measure_for(kind, SAMPLE_SD) for kind in kinds)
     cond_i = np.array([spread(values[:, j], measure_i) for j in range(k_j)])
     cond_j = np.array([spread(values[i, :], measure_j) for i in range(k_i)])
     return sample_sd(cond_i), sample_sd(cond_j)
@@ -112,26 +112,23 @@ def pd_interaction(model: PredictionModel, dataset: Dataset, pair: Sequence[str]
 
     Builds the joint PD once, computes the importance of each feature
     conditional on every grid value of the other, takes the sd of those
-    conditional importances per direction, and averages the two.
+    conditional importances per direction, and averages the two. A pair
+    with a one-point axis raises :class:`DegenerateGridError`.
     """
     if grid_strategy is None:
         grid_strategy = GridStrategy.quantile(10)
     grid = _pair_grid(dataset, tuple(pair), grid_strategy)
-    return _pair_statistics(grid, _joint_table(model, dataset, grid, workers)).stat_pd
-
-
-def _axis(dataset: Dataset, name: str, strategy: GridStrategy) -> GridAxis:
-    """Grid axis of one feature; a categorical axis is always its level table."""
-    if not dataset.schema_for(name).is_continuous:
-        strategy = GridStrategy.unique()
-    return build_grid(dataset, [name], strategy).axes[0]
+    stat = _pair_statistics(grid, _joint_table(model, dataset, grid, workers))
+    if stat.degenerate:
+        raise DegenerateGridError("interaction needs at least 2 grid points per feature")
+    return stat.stat_pd
 
 
 def _pair_grid(dataset: Dataset, pair: tuple[str, str], strategy: GridStrategy) -> Grid:
     a, b = pair
     if a == b:
         raise ParameterError("interaction needs two distinct features")
-    return Grid((_axis(dataset, a, strategy), _axis(dataset, b, strategy)), strategy)
+    return Grid((feature_axis(dataset, a, strategy), feature_axis(dataset, b, strategy)), strategy)
 
 
 def _joint_table(model, dataset, grid: Grid, workers: int) -> np.ndarray:
@@ -141,6 +138,10 @@ def _joint_table(model, dataset, grid: Grid, workers: int) -> np.ndarray:
 
 
 def _pair_statistics(grid: Grid, table: np.ndarray) -> PairStatistics:
+    """Both directional spreads and their mean; a pair with a one-point axis
+    has no slices to compare and scores 0 with a ``degenerate`` flag."""
+    if min(grid.shape) < 2:
+        return PairStatistics(grid.features, 0.0, 0.0, 0.0, degenerate=True)
     s_ab, s_ba = _directional_spreads(table, tuple(axis.kind for axis in grid.axes))
     return PairStatistics(grid.features, (s_ab + s_ba) / 2.0, s_ab, s_ba)
 
@@ -159,7 +160,7 @@ def _snap_codes(column: np.ndarray, grid_values: np.ndarray) -> np.ndarray:
 def _row_codes(dataset: Dataset, axis: GridAxis) -> np.ndarray:
     """Grid index of each training row's own value: snapped, or its level code."""
     column = dataset.column(axis.feature)
-    return column if axis.kind == "categorical" else _snap_codes(column, axis.values)
+    return column if axis.kind == CATEGORICAL else _snap_codes(column, axis.values)
 
 
 def _pd_by_row(model, dataset, axis: GridAxis, workers) -> np.ndarray:
@@ -231,7 +232,9 @@ def interaction_matrix(model: PredictionModel, dataset: Dataset,
     Pairs run one after another, each spreading its grid points over
     ``workers`` threads. Each pair's joint PD table is computed once and
     serves both conditional directions and H; each feature's marginal PD
-    for H is computed once for the whole report.
+    for H is computed once for the whole report. A pair with a one-point
+    axis (a constant column) scores 0 with a ``degenerate`` flag instead of
+    failing the whole report; its H is computed as for any other pair.
     """
     if grid_strategy is None:
         grid_strategy = GridStrategy.quantile(10)

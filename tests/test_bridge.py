@@ -232,6 +232,16 @@ class TestFailedChild:
                 model.predict(batch)
 
 
+    def test_close_after_a_failure_reaps_the_child_and_closes_its_pipes(self, tmp_path):
+        model = spawn_external(_stub(tmp_path, SHORT_RESPONSE))
+        with pytest.raises(ProtocolError):
+            model.predict(Dataset.from_dict({"x1": [1.0, 2.0, 3.0]}))
+        model.close()
+        process = model._process
+        assert process.returncode is not None
+        assert process.stdin.closed and process.stdout.closed and process.stderr.closed
+
+
 class TestConcurrentRequests:
     def test_each_grid_point_thread_reads_its_own_answers(self, tmp_path):
         # the echo child answers x1, so an answer read by the wrong thread shows

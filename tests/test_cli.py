@@ -144,6 +144,27 @@ class TestInteract:
         assert {top[0], top[1]} == {"x1", "x2"}
 
 
+    def test_constant_column_marks_its_pairs_degenerate(self, tmp_path, capsys):
+        data = tmp_path / "flat.csv"
+        data.write_text("a,b,c,y\n1,5,2,1\n2,5,3,2\n3,5,1,3\n4,5,4,4\n")
+        out = tmp_path / "int"
+        assert _run("interact", "--data", data, "--target", "y", "--expr", "a*c",
+                    "--h-stat", "--out-dir", out) == 0
+        table = capsys.readouterr().out.splitlines()
+        marked = {tuple(line.split()[:3:2]) for line in table if line.endswith("(degenerate)")}
+        assert marked == {("a", "b"), ("b", "c")}
+        doc = json.loads((out / "interactions.json").read_text())
+        assert len(doc["pairs"]) == 3
+        for pair in doc["pairs"]:
+            if "b" in pair["features"]:
+                assert pair["stat_pd"] == 0.0
+                assert list(pair["components"].values()) == [0.0, 0.0]
+                assert pair["stat_h"] is not None
+            assert "degenerate" not in pair
+        lines = (out / "interactions.csv").read_text().splitlines()
+        assert lines[0] == "feature_i,feature_j,stat_pd,stat_h" and len(lines) == 4
+
+
 class TestFitAndReuse:
     def test_fit_then_model_file(self, friedman_csv, tmp_path):
         fit_dir = tmp_path / "fitted"
@@ -279,6 +300,36 @@ class TestExitCodes:
                         "--model", "knn:k=2", "--out-dir", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: feature 'a'") and "Traceback" not in err
+
+
+    def test_manifest_records_the_given_timeout(self, friedman_csv, tmp_path, capsys):
+        out = tmp_path / "imp"
+        assert _run("importance", "--data", friedman_csv, "--target", "y", "--expr", ORACLE,
+                    "--grid", "quantile:3", "--timeout", "5", "--out-dir", out) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["timeout"] == 5.0
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("body, code", [
+    (b"", 2),                                      # empty file
+    (b"a,a,y\n1,2,3\n4,5,6\n", 2),                # duplicate header name
+    (b"a,,y\n1,2,3\n4,5,6\n", 2),                 # empty header name
+    (b"a,b,y\n1,2,3\n4,5\n", 2),                  # ragged row
+    (b"a,b,y\n1,,3\n4,5,6\n", 2),                 # empty cell
+    (b"a,b,y\n1,2,inf\n4,5,6\n", 2),              # non-finite cell: y is not numeric
+    (b"a,b,y\n1,2,3\n\xff\xfe,5,6\n", 2),          # not UTF-8
+    (b"a,b,y\n" + b"x" * 200_000 + b",2,3\n", 2),  # field past the csv module's limit
+    (b"\xef\xbb\xbfa,b,y\n1,2,3\n4,5,6\n", 0),     # byte-order mark before column a
+], ids=["empty", "duplicate-name", "empty-name", "ragged", "empty-cell", "non-finite",
+        "not-utf8", "oversized-field", "bom"])
+def test_malformed_csv_exits_with_its_code_and_no_traceback(tmp_path, capsys, body, code):
+    data = tmp_path / "in.csv"
+    data.write_bytes(body)
+    assert _run("pdp", "--data", data, "--target", "y", "--expr", "a + b",
+                "--features", "a", "--out-dir", tmp_path / "out") == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") if code else err == ""
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
