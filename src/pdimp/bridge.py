@@ -10,11 +10,12 @@ Wire protocol (version 1, newline-delimited UTF-8 on stdin/stdout):
               row order
 
 Requests are strictly serialized on the model's lock: one in flight per
-child, responses map to requests by order. The engine may call
-``predict`` from several threads, one grid point each; they queue at the
-lock, and each thread reads the answer to its own request. After a
-timeout or a protocol error the pairing of lines to requests is lost, so
-the child is killed and every later request fails with BridgeError.
+child, responses map to requests by order. The engine may score slabs
+of grid points on several threads, one ``predict`` call per point; the
+calls queue at the lock, and each thread reads the answer to its own
+request. After a timeout or a protocol error the pairing of lines to
+requests is lost, so the child is killed and every later request fails
+with BridgeError.
 """
 
 from __future__ import annotations

@@ -76,7 +76,8 @@ def _common_flags(parser: _Parser, grid_default: str):
     parser.add_argument("--aggregator", default="mean",
                         help="mean | median | trimmed:ALPHA (default %(default)s)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="grid-point threads; results do not depend on this")
+                        help="threads scoring slabs of grid points; "
+                             "results do not depend on this")
     parser.add_argument("--out-dir", default=".", help="artifact directory")
     parser.add_argument("--formats", default="csv,json", help="comma list of csv,json")
 

@@ -156,13 +156,6 @@ class Dataset:
             raise UnknownFeatureError(f"no feature named {name!r}")
         return self._columns[name]
 
-    def labels(self, name: str) -> list[str]:
-        """Decode a categorical column back to its level labels."""
-        feat = self.schema_for(name)
-        if feat.is_continuous:
-            raise ValidationError(f"feature {name!r} is continuous, not categorical")
-        return [feat.levels[i] for i in self._columns[name]]
-
     # -- derivation ----------------------------------------------------
 
     def select(self, names: Iterable[str]) -> "Dataset":
@@ -309,15 +302,17 @@ def load_csv(source, has_header: bool = True, declared_schema: Mapping[str, str]
     inferred by cell content. Missing (empty) cells are rejected: the
     estimator this feeds assumes complete rows.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            return load_csv(fh, has_header, declared_schema)
-    if isinstance(source, bytes):
-        source = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline="")
     try:
-        names, rows = _read_rows(source, has_header)
+        if isinstance(source, (str, Path)):
+            with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+                names, rows = _read_rows(fh, has_header)
+        elif isinstance(source, bytes):
+            text = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline="")
+            names, rows = _read_rows(text, has_header)
+        else:
+            names, rows = _read_rows(source, has_header)
     except UnicodeDecodeError as exc:
-        raise CsvError(f"input is not valid UTF-8: {exc}") from None
+        raise CsvError(f"input is not valid UTF-8: {_bad_byte(source, exc)}") from None
     except csv.Error as exc:
         raise CsvError(f"malformed CSV: {exc}") from None
 
@@ -336,6 +331,24 @@ def load_csv(source, has_header: bool = True, declared_schema: Mapping[str, str]
     columns = [_column(name, [row[j] for row in rows], declared.get(name))
                for j, name in enumerate(names)]
     return Dataset([feat for feat, _ in columns], {feat.name: values for feat, values in columns})
+
+
+def _bad_byte(source, exc: UnicodeDecodeError) -> str:
+    """The decode error, placed by line and file offset for a path or bytes.
+
+    A stream decoder reports offsets within its current chunk; only on this
+    failure path is the whole input read again and decoded at once.
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            source = fh.read()
+    if isinstance(source, bytes):
+        try:
+            source.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            line = source.count(b"\n", 0, whole.start) + 1
+            return f"line {line}: {whole}"
+    return str(exc)
 
 
 def _read_rows(source, has_header: bool) -> tuple[list[str], list[list[str]]]:

@@ -7,14 +7,15 @@ use fixed left-to-right summation in row order so results are identical
 whether grid points run serially or on worker threads, and identical to a
 naive nested-loop evaluation.
 
-Predictions at grid points come from one place, ``_score_points``, by
-one of two paths. A model with a ``predict_grid`` method (bagged trees)
-scores all points in one serial call; any other model, the external
-bridge included, is called once per point, with points spread over worker
-threads. Both give the same predictions as a per-point ``predict``.
-``pd_values_at`` aggregates each point's predictions as soon as they are
-scored, so only ``ice_curves`` (and the tree kernel's block) holds a
-points x rows matrix.
+Predictions at grid points come from one place, ``_score_points``, and
+one model method, ``predict_grid``. The points go to the model in slabs of
+consecutive points, each slab's points x rows block within a private
+memory cap, and each block is reduced (aggregated per point) before its
+slab is done; slabs run on the ``workers`` threads. A model's
+``predict_grid`` gives the same predictions as a per-point ``predict``, so
+neither the slab size nor the worker count changes a result. Only
+``ice_curves``, which returns every prediction, holds a points x rows
+matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Dataset, FeatureSchema, write_csv, write_json
+from .data import Dataset, write_csv, write_json
 from .errors import (
     DegenerateGridError,
     GridStrategyError,
@@ -33,6 +34,10 @@ from .errors import (
     ParameterError,
 )
 from .models import PredictionModel
+
+# grid points x rows predictions held per slab; a memory cap only,
+# results do not depend on it
+_SLAB_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -159,15 +164,44 @@ def feature_axis(dataset: Dataset, name: str, strategy: GridStrategy) -> GridAxi
     col = dataset.column(name)
     if col.size == 0:
         raise DegenerateGridError(f"feature {name!r} has no training values")
-    distinct = np.unique(col)
+    distinct = _distinct(col)
     if strategy.kind == "unique":
         points = distinct
     elif strategy.kind == "quantile":
         probs = np.linspace(0.0, 1.0, strategy.count + 1)
-        points = np.unique(np.quantile(distinct, probs))
+        points = _distinct(_quantiles(distinct, probs))
     else:
-        points = np.unique(np.linspace(distinct[0], distinct[-1], strategy.count))
+        points = _distinct(np.linspace(distinct[0], distinct[-1], strategy.count))
     return GridAxis(name, feat.kind, points)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a finite array: ``np.unique``'s sort and
+    boundary mask, without the ``numpy.ma`` import (about 10 ms of every
+    command) that ``np.unique`` makes on first use."""
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _quantiles(distinct: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """``np.quantile(distinct, probs)`` of sorted distinct finite values:
+    its linear interpolation, step for step, without its call of
+    ``np.unique``."""
+    virtual = (len(distinct) - 1) * probs
+    below = np.floor(virtual)
+    above = below + 1
+    top = virtual >= len(distinct) - 1
+    below[top] = above[top] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    t = virtual - below
+    low, high = distinct[below], distinct[above]
+    step = high - low
+    values = low + step * t
+    np.subtract(high, step * (1 - t), out=values, where=t >= 0.5)
+    return values
 
 
 @dataclass(frozen=True)
@@ -293,12 +327,6 @@ def aggregate(values: np.ndarray, aggregator: str) -> float:
     raise ParameterError(f"unknown aggregator {aggregator!r}")
 
 
-def _constant_column(feat: FeatureSchema, value, n: int) -> np.ndarray:
-    if feat.is_continuous:
-        return np.full(n, float(value), dtype=np.float64)
-    return np.full(n, int(value), dtype=np.int64)
-
-
 def _point_label(features, dataset, point) -> str:
     parts = []
     for name, value in zip(features, point):
@@ -318,50 +346,46 @@ def _check_finite(block: np.ndarray, dataset, features, points) -> None:
         )
 
 
-def _predictions_at_point(model, dataset, features, point) -> np.ndarray:
-    perturbed = dataset
-    for name, value in zip(features, point):
-        feat = dataset.schema_for(name)
-        perturbed = perturbed.replace_column(
-            name, _constant_column(feat, value, dataset.n_rows)
-        )
-    preds = model.predict(perturbed)
-    _check_finite(preds[None, :], dataset, features, [point])
-    return preds
+def _score_points(model, dataset, features, points, workers, reduce, out) -> np.ndarray:
+    """Write into ``out[g]`` the ``reduce`` of the training-set predictions
+    at ``points[g]``, for every grid point; return ``out``.
 
-
-def _score_points(model, dataset, features, points, workers, reduce) -> list:
-    """``reduce`` of the training-set predictions at each grid point, in point order.
-
-    A model with ``predict_grid`` scores every point in one serial call,
-    which shares work between points and ignores ``workers``. Otherwise
-    grid points are the unit of parallelism: each point's rows are scored
-    as one block and reduced on the thread that scored them, so the outcome
-    is invariant to ``workers``.
+    Points go to ``model.predict_grid`` in slabs of consecutive points,
+    each at most ``_SLAB_ELEMENTS`` points x rows (one point at least), so
+    a model that shares work between points shares it within a slab. Each
+    slab's block is checked and reduced on the thread that scored it, into
+    its own rows of ``out``; the outcome does not depend on the slab size or
+    on ``workers``.
     """
     features = list(features)
     for name in features:
         dataset.schema_for(name)
-    predict_grid = getattr(model, "predict_grid", None)
-    if predict_grid is not None:
-        block = predict_grid(dataset, features, points)
-        _check_finite(block, dataset, features, points)
-        return [reduce(row) for row in block]
+    size = max(1, _SLAB_ELEMENTS // max(1, dataset.n_rows))
+    starts = range(0, len(points), size)
 
-    def score(point):
-        return reduce(_predictions_at_point(model, dataset, features, point))
+    def score(start):
+        slab = points[start:start + size]
+        block = model.predict_grid(dataset, features, slab)
+        _check_finite(block, dataset, features, slab)
+        for g, row in enumerate(block, start):
+            out[g] = reduce(row)
 
-    if workers <= 1 or len(points) <= 1:
-        return [score(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(score, points))
+    if workers <= 1 or len(starts) <= 1:
+        for start in starts:
+            score(start)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(score, starts))  # raises the first slab's error, in point order
+    return out
 
 
 def predictions_at_points(model: PredictionModel, dataset: Dataset,
                           features: Sequence[str], points: Sequence[tuple],
                           workers: int = 1) -> list[np.ndarray]:
     """Training-set predictions with the interest features pinned to each point."""
-    return _score_points(model, dataset, features, points, workers, lambda preds: preds)
+    out = np.empty((len(points), dataset.n_rows))
+    return list(_score_points(model, dataset, features, points, workers,
+                              lambda preds: preds, out))
 
 
 def pd_values_at(model: PredictionModel, dataset: Dataset, features: Sequence[str],
@@ -373,8 +397,8 @@ def pd_values_at(model: PredictionModel, dataset: Dataset, features: Sequence[st
     """
     if dataset.n_rows == 0:
         raise ParameterError("cannot average over an empty dataset")
-    return np.array(_score_points(model, dataset, features, points, workers,
-                                  lambda preds: aggregate(preds, aggregator)))
+    return _score_points(model, dataset, features, points, workers,
+                         lambda preds: aggregate(preds, aggregator), np.empty(len(points)))
 
 
 def _baseline(model, dataset, aggregator) -> float:

@@ -229,8 +229,8 @@ def interaction_matrix(model: PredictionModel, dataset: Dataset,
                        include_h: bool = False, workers: int = 1) -> InteractionReport:
     """Pair statistics for every requested (default: all) unordered pair.
 
-    Pairs run one after another, each spreading its grid points over
-    ``workers`` threads. Each pair's joint PD table is computed once and
+    Pairs run one after another, each spreading its slabs of grid points
+    over ``workers`` threads. Each pair's joint PD table is computed once and
     serves both conditional directions and H; each feature's marginal PD
     for H is computed once for the whole report. A pair with a one-point
     axis (a constant column) scores 0 with a ``degenerate`` flag instead of

@@ -2,7 +2,9 @@
 
 Every model maps a batch of rows to one float64 prediction per row,
 deterministically and row-independently, which is all the partial
-dependence machinery requires of it.
+dependence machinery requires of it. ``predict_grid`` scores the rows with
+one or two features pinned to each of a slab of grid points; a model that
+can share work between the points overrides it.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ class PredictionModel:
     """Abstract scoring contract.
 
     Subclasses set ``_feature_schema`` (the features the model expects, in
-    order) and implement ``_predict_checked``. The engine may call
-    ``predict`` from several threads at once, one grid point per call, so
-    a model that holds per-request state must serialise its calls itself.
+    order) and implement ``_predict_checked``. The engine scores grid points
+    only through ``predict_grid``, one slab of consecutive points per call,
+    and may make those calls from several threads at once; the default
+    ``predict_grid`` calls ``predict`` once per point, so a model that holds
+    per-request state must serialise its calls itself.
     """
 
     _feature_schema: tuple[FeatureSchema, ...] = ()
@@ -37,6 +41,19 @@ class PredictionModel:
         self._validate_batch(batch)
         out = self._predict_checked(batch)
         return np.asarray(out, dtype=np.float64)
+
+    def predict_grid(self, batch: Dataset, features: Sequence[str],
+                     points: Sequence[tuple]) -> np.ndarray:
+        """Predictions with ``features`` pinned to each point: one row per point.
+
+        Row ``g`` equals ``predict`` on ``batch`` with each named column
+        overwritten by the constant ``points[g]`` value, bit for bit. This
+        default makes exactly that ``predict`` call for each point in turn.
+        """
+        block = np.empty((len(points), batch.n_rows))
+        for g, point in enumerate(points):
+            block[g] = self.predict(pin(batch, features, point))
+        return block
 
     def _predict_checked(self, batch: Dataset) -> np.ndarray:
         raise NotImplementedError
@@ -107,6 +124,14 @@ class KnnModel(PredictionModel):
     nearest training rows are picked exactly, in (distance, row) order, so
     distance ties resolve to the lower training row and every prediction is
     bit-identical to scoring the rows one by one with a stable argsort.
+
+    ``predict_grid`` prunes: with some features pinned, the distance over
+    the other features is the same at every grid point, so it is summed
+    once per block of rows. Adding the pinned terms of a point gives each
+    training row a distance that differs from the exact one by rounding
+    only; the training rows within a proven margin of the k-th smallest of
+    those are the only ones whose exact distance is computed. The result is
+    bit-identical to ``predict`` at every point.
     """
 
     def __init__(self, k: int, schema: Sequence[FeatureSchema], train: np.ndarray,
@@ -122,17 +147,116 @@ class KnnModel(PredictionModel):
             raise ParameterError("scale factors must be finite and strictly positive")
         self._scaled_train = self.train / self.scales
 
+    def _query(self, batch: Dataset) -> np.ndarray:
+        return np.column_stack([batch.column(f.name) for f in self._feature_schema]) / self.scales
+
     def _predict_checked(self, batch: Dataset) -> np.ndarray:
-        columns = [batch.column(f.name) for f in self._feature_schema]
-        query = np.column_stack(columns) / self.scales
+        return self._scores(self._query(batch))
+
+    def _scores(self, query: np.ndarray) -> np.ndarray:
+        """Predictions for scaled query rows, by the full blocked kernel."""
         block = max(1, _KNN_BLOCK_ELEMENTS // self._scaled_train.size)
-        out = np.empty(batch.n_rows, dtype=np.float64)
-        for start in range(0, batch.n_rows, block):
+        out = np.empty(len(query), dtype=np.float64)
+        for start in range(0, len(query), block):
             diff = self._scaled_train - query[start:start + block, None]
             diff *= diff
             dist = np.sqrt(np.sum(diff, axis=2))
             out[start:start + block] = np.mean(self.targets[_nearest(dist, self.k)], axis=1)
         return out
+
+    def predict_grid(self, batch: Dataset, features: Sequence[str],
+                     points: Sequence[tuple]) -> np.ndarray:
+        """Predictions with ``features`` pinned to each point: one row per point.
+
+        Equal, bit for bit, to ``predict`` at each point. Query rows go in
+        blocks of at most ``_KNN_BLOCK_ELEMENTS`` query x training distances
+        (one row at least); the candidates' exact distances are computed in
+        pieces of at most that many differences.
+        """
+        self._validate_batch(batch)
+        cols = [self.feature_names.index(name) for name in features]
+        query = self._query(batch)
+        pinned = np.array(points, dtype=np.float64).reshape(len(points), len(cols))
+        pinned /= self.scales[cols]
+        train = self._scaled_train
+        rows = max(1, _KNN_BLOCK_ELEMENTS // len(train))
+        out = np.empty((len(points), batch.n_rows))
+        for start in range(0, batch.n_rows, rows):
+            block = query[start:start + rows]
+            rest = np.zeros((len(block), len(train)))  # the unpinned features' terms
+            for f in range(train.shape[1]):
+                if f not in cols:
+                    term = train[:, f] - block[:, f:f + 1]
+                    term *= term
+                    rest += term
+            for g, values in enumerate(pinned):
+                at_point = block.copy()
+                at_point[:, cols] = values
+                scores = self._pruned(rest, cols, values, at_point)
+                if scores is None:  # an inf or NaN distance: no margin holds
+                    scores = self._scores(at_point)
+                out[g, start:start + rows] = scores
+        return out
+
+    def _pruned(self, rest, cols, values, at_point) -> np.ndarray | None:
+        """Predictions for the scaled query rows ``at_point``, whose
+        unpinned distance terms sum to ``rest`` and whose ``cols`` hold
+        ``values``; None where no margin can be proven.
+
+        Why the margin is safe. For one query row and training row, the
+        exact squared distance ``e`` and the approximate one ``a`` (``rest``
+        plus the pinned terms) are floating-point sums of the same p
+        nonnegative terms, bit-identical in both, added in different orders
+        with at most p + 1 additions. Every term and partial sum is
+        nonnegative, so without overflow each sum is within a factor 1 +- g
+        of the real sum S of the terms, g = (p + 1)u / (1 - (p + 1)u), u =
+        2**-53; a relative bound is enough, whatever the order. Let A be
+        the row's k-th smallest ``a``. The k training rows with ``a <= A``
+        have S <= A / (1 - g), so E, the k-th smallest ``e``, is at most rho
+        A with rho = (1 + g) / (1 - g). A training row can be among the k
+        nearest only if its rounded root is at most that of E, so e <= E
+        ((1 + u) / (1 - u))**2, and its ``a`` is at most rho e. Chained: a
+        <= A rho**2 ((1 + u) / (1 - u))**2, about A (1 + (4p + 8)u), which
+        ``margin`` = 1 + 8(p + 2)u exceeds for any p below 2**40 (it is
+        exact: a multiple of 2**-52 above 1). Rounding A * margin cannot
+        drop such a row: a float below the real product is at most its
+        rounding. Kept rows are rescored exactly, so extra ones change
+        nothing.
+
+        Inf and NaN void the bound, so the caller runs the full kernel
+        unless every A * margin is at most 2**1000. Then no sum that the
+        argument uses comes near overflow, every kept row's exact distance
+        is finite, and a row whose ``a`` is inf or NaN (a NaN term, so a
+        NaN distance, which sorts last) is rightly never kept.
+        """
+        k, train = self.k, self._scaled_train
+        n_train, p = train.shape
+        term = train[:, cols] - values
+        term *= term
+        approx = rest + np.sum(term, axis=1)
+        limit = np.partition(approx, k - 1, axis=1)[:, k - 1:k]
+        limit *= 1.0 + (p + 2) * 2.0**-50
+        if not (limit <= 2.0**1000).all():
+            return None
+        row, cand = np.divmod(np.flatnonzero(approx <= limit), n_train)
+        dist = np.empty(len(cand))
+        step = max(1, _KNN_BLOCK_ELEMENTS // p)
+        for a in range(0, len(cand), step):
+            diff = np.take(train, cand[a:a + step], axis=0)
+            diff -= np.take(at_point, row[a:a + step], axis=0)
+            diff *= diff
+            dist[a:a + step] = np.sum(diff, axis=1)
+        np.sqrt(dist, out=dist)
+        # each query row's candidates, in training-row order, padded with
+        # inf (every candidate's distance is finite); a stable sort of each
+        # row then picks the k nearest in (distance, row) order
+        counts = np.bincount(row, minlength=len(at_point))
+        first = np.cumsum(counts) - counts
+        slot = np.arange(len(cand)) - first[row]
+        table = np.full((len(at_point), counts.max()), np.inf)
+        table[row, slot] = dist
+        order = np.argsort(table, axis=1, kind="stable")[:, :k]
+        return np.mean(self.targets[cand[first[:, None] + order]], axis=1)
 
 
 def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
@@ -157,6 +281,17 @@ def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
         tied = ~exact
         nearest[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k]
     return nearest
+
+
+def pin(batch: Dataset, features: Sequence[str], point: tuple) -> Dataset:
+    """``batch`` with each named column overwritten by the matching ``point`` value."""
+    for name, value in zip(features, point):
+        if batch.schema_for(name).is_continuous:
+            column = np.full(batch.n_rows, float(value), dtype=np.float64)
+        else:
+            column = np.full(batch.n_rows, int(value), dtype=np.int64)
+        batch = batch.replace_column(name, column)
+    return batch
 
 
 def _design_column_names(schema: Sequence[FeatureSchema]) -> list[str]:

@@ -9,10 +9,10 @@ results do not depend on fitting order or worker scheduling.
 
 Prediction descends every tree with all rows at once and averages the
 leaf values tree by tree in a fixed order. ``predict_grid`` scores the
-rows with one or two features pinned to each of many grid points: within
-one tree, grid points that take the same branch at every split on the
-pinned features (one "split cell") reach the same leaves, so each cell of
-the whole grid is descended once instead of each point (the exact form
+rows with one or two features pinned to each point of a slab of grid
+points: within one tree, points that take the same branch at every split
+on the pinned features (one "split cell") reach the same leaves, so each
+cell of the slab is descended once instead of each point (the exact form
 of Friedman's 2001 weighted traversal). The result equals ``predict``
 point by point, bit for bit.
 """
@@ -238,7 +238,7 @@ class BaggedTreesModel(PredictionModel):
 
         Row ``g`` equals, bit for bit, ``predict`` on ``batch`` with each
         named column overwritten by the constant ``points[g]`` value.
-        Split cells are shared across the whole grid; besides the returned
+        Split cells are shared across ``points``; besides the returned
         block and per-tree labels of the points, no temporary holds more
         than ``max(_GRID_CHUNK_ELEMENTS, rows)`` elements.
         """

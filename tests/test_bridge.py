@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import pdimp.engine as engine_module
 from pdimp import (
     BridgeError,
     BridgeTimeoutError,
@@ -243,11 +244,12 @@ class TestFailedChild:
 
 
 class TestConcurrentRequests:
-    def test_each_grid_point_thread_reads_its_own_answers(self, tmp_path):
+    def test_each_grid_point_thread_reads_its_own_answers(self, tmp_path, monkeypatch):
         # the echo child answers x1, so an answer read by the wrong thread shows
         # up as another grid point's value in that point's ICE column
         rng = np.random.default_rng(11)
         ds = Dataset.from_dict({"x1": rng.uniform(size=30), "x2": rng.uniform(size=30)})
+        monkeypatch.setattr(engine_module, "_SLAB_ELEMENTS", 30)  # one point per slab
         grid = build_grid(ds, ["x1"], GridStrategy.unique())
         values = grid.axes[0].values
         switch = sys.getswitchinterval()

@@ -27,6 +27,12 @@ def _load(text, **kwargs):
     return load_csv(io.StringIO(text), **kwargs)
 
 
+def _labels(dataset, name):
+    """A categorical column decoded through its schema's level table."""
+    levels = dataset.schema_for(name).levels
+    return [levels[code] for code in dataset.column(name)]
+
+
 class TestInferSchema:
     def test_all_numeric_cells_make_continuous(self):
         (feat,) = infer_schema(["a"], [["1.5", "2", "3e1"]])
@@ -116,7 +122,21 @@ class TestLoadCsv:
 
     def test_quoted_fields_round_trip(self):
         ds = _load('a,b\n1,"x, with comma"\n2,"say ""hi"""\n')
-        assert ds.labels("b") == ["x, with comma", 'say "hi"']
+        assert _labels(ds, "b") == ["x, with comma", 'say "hi"']
+
+    def test_a_bad_byte_is_placed_by_line_and_file_offset(self, tmp_path):
+        # the stream decoder reads in chunks, so its own offset is within one
+        head = b"a,b\n" + b"".join(b"%d,%d\n" % (i, i) for i in range(3000))
+        data = head + b"\xff,1\n"
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        for source in (path, str(path), data):
+            with pytest.raises(CsvError, match="not valid UTF-8") as info:
+                load_csv(source)
+            assert f"line 3002: 'utf-8' codec can't decode byte 0xff in position {len(head)}:" \
+                in str(info.value)
+        with pytest.raises(CsvError, match="line 1: .* byte 0xff in position 3:"):
+            load_csv(b"\xef\xbb\xbf\xff\n")  # after a byte-order mark: the file offset
 
 
 def _per_cell_kind(cells):
@@ -172,7 +192,7 @@ def test_parsing_each_cell_once_keeps_the_per_cell_rule(cells):
                 with pytest.raises(CsvError, match="missing value"):
                     _load(text)
             else:
-                assert _load(text).labels("a") == cells
+                assert _labels(_load(text), "a") == cells
         elif isinstance(expected, tuple):
             with pytest.raises(CsvError) as info:
                 _load(text, declared_schema=declared)

@@ -1,13 +1,19 @@
 """Grid construction and the partial dependence estimator."""
 
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pdimp
+import pdimp.engine as engine_module
 from pdimp import (
     Dataset,
     GridStrategy,
@@ -23,7 +29,8 @@ from pdimp import (
     parse_expression,
     partial_dependence,
 )
-from pdimp.engine import ordered_mean
+from pdimp.engine import _distinct, _quantiles, ordered_mean, pd_values_at
+from pdimp.models import PredictionModel
 
 
 def _expr(text, dataset):
@@ -365,3 +372,91 @@ def test_ordered_mean_equals_the_left_to_right_loop_bit_for_bit(values):
         assert math.isnan(got)  # NaN payloads are not part of the contract
     else:
         assert struct.pack("<d", got) == struct.pack("<d", want)
+
+
+# --- slabs: the one grid path --------------------------------------------
+
+
+class _SlabRecorder(PredictionModel):
+    """A linear stub that records every slab of points it is handed."""
+
+    def __init__(self, schema):
+        self._feature_schema = tuple(schema)
+        self.slabs = []
+
+    def predict_grid(self, batch, features, points):
+        self.slabs.append(list(points))  # one append: atomic across threads
+        return super().predict_grid(batch, features, points)
+
+    def _predict_checked(self, batch):
+        return 2.0 * batch.column("a") - batch.column("b")
+
+
+@pytest.mark.parametrize("cap,rows,per_slab", [(1, 3, 1), (7, 3, 2), (9, 3, 3), (8, 1, 8)])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_slabs_are_consecutive_points_within_the_cap(monkeypatch, cap, rows, per_slab, workers):
+    ds = Dataset.from_dict({"a": np.arange(rows, dtype=float), "b": np.ones(rows)})
+    points = [(float(v), 0.5 * v) for v in range(11)]
+    monkeypatch.setattr(engine_module, "_SLAB_ELEMENTS", cap)
+    model = _SlabRecorder(ds.schema)
+    values = pd_values_at(model, ds, ["a", "b"], points, workers=workers)
+    slabs = model.slabs if workers == 1 else sorted(model.slabs, key=lambda s: points.index(s[0]))
+    assert [len(s) for s in slabs] == [per_slab] * (11 // per_slab) + (
+        [11 % per_slab] if 11 % per_slab else [])
+    assert [p for s in slabs for p in s] == points
+    monkeypatch.undo()
+    expected = pd_values_at(_SlabRecorder(ds.schema), ds, ["a", "b"], points)
+    assert values.tobytes() == expected.tobytes()
+
+
+def test_slab_size_does_not_change_any_model(monkeypatch):
+    rng = np.random.default_rng(23)
+    ds = Dataset.from_dict({"a": rng.uniform(size=40), "b": rng.integers(0, 3, 40) * 1.0,
+                            "y": rng.normal(size=40)})
+    features = ds.drop("y")
+    grid = build_grid(features, ["a", "b"], GridStrategy.quantile(4))
+    for model in (fit_knn(ds, "y", k=3), fit_bagged_trees(ds, "y", n_trees=6, seed=2),
+                  _expr("a * b + a", features)):
+        runs = []
+        for cap in (1, 100, 1 << 16):
+            monkeypatch.setattr(engine_module, "_SLAB_ELEMENTS", cap)
+            runs.append(joint_partial_dependence(model, features, grid, workers=2).values)
+        assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
+
+
+# --- no numpy.ma ------------------------------------------------------------
+
+
+_GRID_VALUES = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 5e-324, 1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_GRID_VALUES, min_size=1, max_size=40), st.integers(1, 40))
+def test_distinct_and_quantiles_equal_numpy_bit_for_bit(values, count):
+    values = np.array(values)
+    distinct = _distinct(values)
+    assert distinct.tobytes() == np.unique(values).tobytes()
+    probs = np.linspace(0.0, 1.0, count + 1)
+    assert _quantiles(distinct, probs).tobytes() == np.quantile(distinct, probs).tobytes()
+
+
+def test_importance_does_not_import_numpy_ma():
+    # np.unique and np.quantile import numpy.ma on first use, ~10 ms per command
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from pdimp import Dataset, GridStrategy, fit_knn, importance_all, interaction_matrix\n"
+        "rng = np.random.default_rng(0)\n"
+        "ds = Dataset.from_dict({'a': rng.uniform(size=30), 'b': rng.uniform(size=30),\n"
+        "                        'y': rng.uniform(size=30)})\n"
+        "model = fit_knn(ds, 'y', k=3)\n"
+        "for grid in (GridStrategy.unique(), GridStrategy.quantile(4),\n"
+        "             GridStrategy.equidistant(5)):\n"
+        "    importance_all(model, ds.drop('y'), grid)\n"
+        "    interaction_matrix(model, ds.drop('y'), grid_strategy=grid, include_h=True)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(pdimp.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=60)

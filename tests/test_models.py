@@ -17,7 +17,7 @@ from pdimp import (
     fit_knn,
     fit_linear,
 )
-from pdimp.models import _nearest
+from pdimp.models import _nearest, pin
 from pdimp.simulate import SimulationSpec, generate
 
 
@@ -281,6 +281,92 @@ def test_knn_blocks_equal_the_row_loop_bit_for_bit(data):
         assert model.predict(batch.take([0])).tobytes() == expected[:1].tobytes()
     finally:
         models_module._KNN_BLOCK_ELEMENTS = saved
+
+
+def _grid_values(draw, column, label):
+    """A grid value: a training value (ties), a float, 1e200 (inf distances) or NaN."""
+    return draw(st.one_of(st.sampled_from(column.tolist()),
+                          st.floats(-3, 3),
+                          st.sampled_from([1e200, -1e200, np.nan])), label=label)
+
+
+def _knn_grid_values(draw, shape, label):
+    """As ``_knn_values``, or tenths, whose squared differences round
+    differently when summed in another order."""
+    if draw(st.booleans(), label=f"{label} in tenths"):
+        seed = draw(st.integers(0, 2**32 - 1), label=f"{label} seed")
+        return np.random.default_rng(seed).integers(0, 10, size=shape) / 10
+    return _knn_values(draw, shape, label)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_knn_grid_equals_the_row_loop_bit_for_bit(data):
+    p = data.draw(st.integers(1, 12), label="features")
+    n = data.draw(st.integers(1, 40), label="training rows")
+    k = data.draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)), label="k")
+    names = [f"x{j}" for j in range(p)]
+    train = _knn_grid_values(data.draw, (n, p), "train")
+    if n > 1 and data.draw(st.booleans(), label="duplicate rows"):
+        train[n // 2:] = train[: n - n // 2]
+    targets = np.random.default_rng(n).normal(size=n) * 1e3
+    if data.draw(st.booleans(), label="unit scales"):
+        schema = [FeatureSchema(name, "continuous") for name in names]
+        model = models_module.KnnModel(k, schema, train, targets, np.ones(p))
+    else:
+        columns = {name: train[:, j] for j, name in enumerate(names)}
+        try:
+            model = fit_knn(Dataset.from_dict({**columns, "y": targets}), "y", k)
+        except ParameterError:
+            return  # a training column whose sd overflows, as above
+    rows = data.draw(st.one_of(st.just(1), st.integers(1, 30)), label="query rows")
+    query = _knn_grid_values(data.draw, (rows, p), "query")
+    batch = Dataset.from_dict({name: query[:, j] for j, name in enumerate(names)})
+    pinned = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=min(2, p),
+                                unique=True), label="pinned")
+    points = [tuple(_grid_values(data.draw, train[:, names.index(name)], f"{name} at {g}")
+                    for name in pinned)
+              for g in range(data.draw(st.integers(1, 6), label="points"))]
+    saved = models_module._KNN_BLOCK_ELEMENTS
+    models_module._KNN_BLOCK_ELEMENTS = data.draw(st.sampled_from([1, 7, saved]), label="budget")
+    try:
+        block = model.predict_grid(batch, pinned, points)
+    finally:
+        models_module._KNN_BLOCK_ELEMENTS = saved
+    assert block.shape == (len(points), rows)
+    for row, point in zip(block, points):
+        assert row.tobytes() == _knn_row_loop(model, pin(batch, pinned, point)).tobytes()
+
+
+def test_knn_grid_keeps_rows_that_rounding_moves_past_the_kth():
+    # distances summed in another order round differently: at unit scale,
+    # tenths in 2-5 features put about one draw in six on such a k-th boundary
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        p, n = int(rng.integers(2, 6)), int(rng.integers(2, 25))
+        schema = [FeatureSchema(f"x{j}", "continuous") for j in range(p)]
+        train = rng.integers(0, 10, size=(n, p)) / 10
+        model = models_module.KnnModel(int(rng.integers(1, n + 1)), schema, train,
+                                       rng.normal(size=n), np.ones(p))
+        query = rng.integers(0, 10, size=(4, p)) / 10
+        batch = Dataset(schema, {f"x{j}": query[:, j] for j in range(p)})
+        pinned = [f"x{int(rng.integers(0, p - 1))}"]  # not the last feature
+        points = [(v,) for v in np.unique(batch.column(pinned[0])).tolist()]
+        block = model.predict_grid(batch, pinned, points)
+        for row, point in zip(block, points):
+            assert row.tobytes() == model.predict(pin(batch, pinned, point)).tobytes()
+
+
+def test_knn_grid_equals_predict_on_friedman_data():
+    ds = generate(SimulationSpec("friedman", 180, 7, 1.0))
+    model = fit_knn(ds, "y", k=10)
+    batch = ds.drop("y")
+    for pinned in (["x4"], ["x1", "x2"], ["x10", "x3"]):
+        points = [tuple(batch.column(name)[g] for name in pinned) for g in range(0, 180, 9)]
+        block = model.predict_grid(batch, pinned, points)
+        for row, point in zip(block, points):
+            assert row.tobytes() == model.predict(pin(batch, pinned, point)).tobytes()
 
 
 def test_knn_blocks_equal_the_row_loop_on_friedman_data():
