@@ -225,9 +225,9 @@ def spawn_external(command, timeout: float = 30.0) -> ExternalModel:
         )
     try:
         doc = json.loads(line)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         child.stop(kill=True)
-        raise SpawnError(f"handshake line is not JSON: {line.strip()!r}") from None
+        raise SpawnError(f"handshake line is not JSON: {line.strip()[:200]!r}") from None
     if (
         not isinstance(doc, dict)
         or doc.get("protocol") != PROTOCOL_VERSION
@@ -238,7 +238,7 @@ def spawn_external(command, timeout: float = 30.0) -> ExternalModel:
         child.stop(kill=True)
         raise SpawnError(
             f'handshake must be {{"protocol": {PROTOCOL_VERSION}, "features": [...]}}, '
-            f"got {line.strip()!r}"
+            f"got {line.strip()[:200]!r}"
         )
     return ExternalModel(argv, child, doc["features"], timeout)
 

@@ -188,7 +188,10 @@ def model_from_json(doc: dict) -> PredictionModel:
             raise ParameterError("bagged_trees document holds no trees")
         if n_trees != len(trees):
             raise ParameterError(f"n_trees is {n_trees} but the document holds {len(trees)} trees")
-        roots = [_node_from_json(tree, schema) for tree in trees]
+        try:
+            roots = [_node_from_json(tree, schema) for tree in trees]
+        except RecursionError:
+            raise ParameterError("a tree in the bagged_trees document nests too deeply") from None
         return BaggedTreesModel(schema, roots, n_trees, max_depth, min_leaf, seed)
     if kind == "expression":
         return parse_expression(_field(doc, "source", str, where), schema)
@@ -205,4 +208,6 @@ def load_model(path) -> PredictionModel:
             doc = json.load(fh)
         except ValueError as exc:  # bad JSON or bad UTF-8
             raise ParameterError(f"{path} is not a JSON model document: {exc}") from None
+        except RecursionError:
+            raise ParameterError(f"{path} nests too deeply to be a model document") from None
     return model_from_json(doc)

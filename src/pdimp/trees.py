@@ -7,14 +7,16 @@ for squared error). Everything is deterministic given the seed: each tree
 draws its bootstrap from a Philox stream keyed by (seed, tree index), so
 results do not depend on fitting order or worker scheduling.
 
-Prediction descends every tree with all rows at once and averages the
-leaf values tree by tree in a fixed order. ``predict_grid`` scores the
-rows with one or two features pinned to each point of a slab of grid
-points: within one tree, points that take the same branch at every split
-on the pinned features (one "split cell") reach the same leaves, so each
-cell of the slab is descended once instead of each point (the exact form
-of Friedman's 2001 weighted traversal). The result equals ``predict``
-point by point, bit for bit.
+Prediction averages the leaf values tree by tree in a fixed order.
+``predict_grid`` scores the rows with one or two features pinned to each
+point of a slab of grid points, by the exact form of Friedman's 2001
+weighted traversal. Within one tree, points that take the same branch at
+every split on the pinned features (one "split cell") reach the same
+leaves. Each row descends each tree once, following both children at a
+pinned split; each cell descends through the pinned splits only, following
+both children elsewhere. A (cell, row) pair meets at one leaf, and its
+value is that leaf's. The result equals ``predict`` point by point, bit for
+bit; ``predict`` is the case of no pinned feature, one cell per tree.
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ from .data import Dataset, FeatureSchema
 from .errors import ParameterError
 from .models import PredictionModel
 
-# elements in each temporary of ``predict_grid`` (a block of cells x rows
-# being descended, a slab of one tree's leaf values being added to the
-# output); a memory cap only, results do not depend on it
-_GRID_CHUNK_ELEMENTS = 8192
+# trees are taken a block at a time while their cells x max(rows, leaves)
+# stay within this many elements (a tree alone over it, a slice of the rows
+# at a time): it bounds the block's (cell, row) table, its descent, its
+# join and each slab of the table gathered to the points; a memory cap
+# only, results do not depend on it
+_GRID_CHUNK_ELEMENTS = 16384
 
 
 @dataclass
@@ -134,53 +138,49 @@ def _grow(columns, schema, rows, targets, depth, max_depth, min_leaf):
 class _FlatForest:
     """All trees flattened into shared node arrays for vectorized descent.
 
-    An internal node's children sit at adjacent slots (left, left + 1), so
-    one gather plus the comparison bit replaces separate left/right
-    lookups. Leaves point at themselves with a +inf threshold, making
-    extra traversal steps a no-op.
+    Each tree's nodes are laid out level by level, so a tree is one slot
+    range and an internal node's children sit at adjacent slots (left,
+    left + 1): one gather plus the comparison bit replaces separate
+    left/right lookups. Leaves point at themselves with a +inf threshold,
+    making extra traversal steps a no-op.
     """
 
     def __init__(self, roots: Sequence[_Node], n_levels_max: int):
-        sizes = [_count(r) for r in roots]
-        total = sum(sizes)
-        self.tree = np.repeat(np.arange(len(roots)), sizes)
-        self.depth = np.array([_depth_of(r) for r in roots])
-        self.feature = np.zeros(total, dtype=np.int32)
-        self.threshold = np.full(total, np.inf)
-        self.child = np.zeros(total, dtype=np.int32)
-        self.value = np.zeros(total)
-        self.cat_row = np.full(total, -1, dtype=np.int32)
-        self.root = np.zeros(len(roots), dtype=np.int32)
-        cat_masks = []
-        cursor = 0
+        nodes, tree, root, depth = [], [], [], []
         for t, tree_root in enumerate(roots):
-            self.root[t] = cursor
-            queue = [(tree_root, cursor)]
-            cursor += 1
-            while queue:
-                node, slot = queue.pop(0)
-                self.value[slot] = node.value
-                if node.is_leaf:
-                    self.child[slot] = slot
-                    continue
-                self.feature[slot] = node.feature
-                self.child[slot] = cursor
-                if node.left_levels is None:
-                    self.threshold[slot] = node.threshold
-                else:
-                    self.threshold[slot] = np.nan
-                    self.cat_row[slot] = len(cat_masks)
-                    padded = np.zeros(n_levels_max, dtype=bool)
-                    padded[: node.left_levels.size] = node.left_levels
-                    cat_masks.append(padded)
-                queue.append((node.left, cursor))
-                queue.append((node.right, cursor + 1))
-                cursor += 2
-        self.cat_masks = (
-            np.vstack(cat_masks) if cat_masks else np.zeros((1, max(n_levels_max, 1)), dtype=bool)
-        )
-        self.has_categorical = bool(cat_masks)
-        self.internal = self.child != np.arange(total)
+            root.append(len(nodes))
+            level, depth_t = [tree_root], -1
+            while level:
+                nodes += level
+                tree += [t] * len(level)
+                level = [c for node in level if not node.is_leaf for c in (node.left, node.right)]
+                depth_t += 1
+            depth.append(depth_t)
+        total = len(nodes)
+        self.root = np.array(root, dtype=np.int32)
+        self.end = np.array(root[1:] + [total], dtype=np.int32)
+        self.leaves = (self.end - self.root + 1) // 2  # every split has two children
+        self.tree = np.array(tree)
+        self.depth = np.array(depth)
+        self.internal = np.array([not node.is_leaf for node in nodes])
+        # the k-th split of a tree, in slot order, has its children at slots 2k + 1, 2k + 2
+        before = np.cumsum(self.internal) - self.internal
+        first = self.root[self.tree]
+        self.child = np.where(self.internal, first + 1 + 2 * (before - before[first]),
+                              np.arange(total)).astype(np.int32)
+        self.value = np.array([node.value for node in nodes])
+        self.feature = np.array([max(node.feature, 0) for node in nodes], dtype=np.int32)
+        self.threshold = np.array([np.inf if node.is_leaf else
+                                   np.nan if node.left_levels is not None else node.threshold
+                                   for node in nodes])
+        cat = [i for i, node in enumerate(nodes)
+               if not node.is_leaf and node.left_levels is not None]
+        self.cat_row = np.full(total, -1, dtype=np.int32)
+        self.cat_row[cat] = np.arange(len(cat))
+        self.cat_masks = np.zeros((max(len(cat), 1), max(n_levels_max, 1)), dtype=bool)
+        for r, i in enumerate(cat):
+            self.cat_masks[r, : nodes[i].left_levels.size] = nodes[i].left_levels
+        self.has_categorical = bool(cat)
 
     def step(self, node: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """Children of ``node`` for the compared feature values ``vals``."""
@@ -195,10 +195,6 @@ class _FlatForest:
                 cat_left = self.cat_masks[np.maximum(crow, 0), codes]
                 go_right = np.where(is_cat, ~cat_left, go_right)
         return self.child[node] + go_right
-
-
-def _count(node: _Node) -> int:
-    return 1 if node.is_leaf else 1 + _count(node.left) + _count(node.right)
 
 
 def _tree_rng(seed: int, index: int) -> np.random.Generator:
@@ -229,7 +225,7 @@ class BaggedTreesModel(PredictionModel):
 
     def _predict_checked(self, batch: Dataset) -> np.ndarray:
         out = np.empty((1, batch.n_rows))
-        self._fold_cells(self._matrix(batch), [], np.empty((1, 0)), out)
+        self._fold_trees(self._matrix(batch), [], np.empty((1, 0)), out)
         return out[0]
 
     def predict_grid(self, batch: Dataset, features: Sequence[str],
@@ -237,10 +233,12 @@ class BaggedTreesModel(PredictionModel):
         """Predictions with ``features`` pinned to each point: one row per point.
 
         Row ``g`` equals, bit for bit, ``predict`` on ``batch`` with each
-        named column overwritten by the constant ``points[g]`` value.
-        Split cells are shared across ``points``; besides the returned
-        block and per-tree labels of the points, no temporary holds more
-        than ``max(_GRID_CHUNK_ELEMENTS, rows)`` elements.
+        named column overwritten by the constant ``points[g]`` value. Each
+        row descends each tree once, each split cell of ``points`` once,
+        and the two meet at the leaves. Besides the returned block, the
+        per-tree labels of the points and one tree's (cell, leaf) pairs,
+        temporaries stay within a small multiple of ``_GRID_CHUNK_ELEMENTS``
+        elements.
         """
         self._validate_batch(batch)
         cols = [self.feature_names.index(batch.schema_for(name).name) for name in features]
@@ -249,7 +247,7 @@ class BaggedTreesModel(PredictionModel):
             cast = float if self._feature_schema[j].is_continuous else int
             pinned[:, s] = [cast(p[s]) for p in points]
         out = np.empty((len(points), batch.n_rows))
-        self._fold_cells(self._matrix(batch), cols, pinned, out)
+        self._fold_trees(self._matrix(batch), cols, pinned, out)
         return out
 
     def _tree_cells(self, cols: list[int], pinned: np.ndarray):
@@ -294,71 +292,124 @@ class BaggedTreesModel(PredictionModel):
             member[code] = every  # any member will do: a cell's points share every leaf
             yield cell[code], member[present]
 
-    def _fold_cells(self, matrix: np.ndarray, cols: list[int], pinned: np.ndarray,
+    def _fold_trees(self, matrix: np.ndarray, cols: list[int], pinned: np.ndarray,
                     out: np.ndarray) -> None:
         """Write into ``out`` the mean over trees for each row of ``pinned``.
 
-        Cells of consecutive trees are queued until they fill a descent
-        block; each cell is descended once over all rows, pinned to one of
-        its points. Leaf values are summed tree by tree from +0.0, then
-        divided by the tree count: the order of ``np.mean(values, axis=0)``
-        over a (trees x rows) block.
+        A block of trees is folded in one pass, or in passes over slices of
+        the rows when one tree alone exceeds the cap. Leaf values are summed
+        tree by tree from +0.0, then divided by the tree count: the order of
+        ``np.mean(values, axis=0)`` over a (trees x rows) block.
         """
-        n_trees = len(self._flat.root)
-        cap = max(1, _GRID_CHUNK_ELEMENTS // matrix.shape[1])
-        queued, n_cells = [], 0
-        for t, (cell, member) in enumerate(self._tree_cells(cols, pinned)):
-            queued.append((t, cell, member))
-            n_cells += len(member)
-            if n_cells >= cap or t == n_trees - 1:
-                self._descend_queued(matrix, cols, pinned, queued, out)
-                queued, n_cells = [], 0
-        out /= n_trees
-
-    def _descend_queued(self, matrix, cols, pinned, queued, out) -> None:
-        """Descend the queued trees' cells, a block at a time, and fold
-        each block's leaf values into ``out``."""
         flat = self._flat
         n = matrix.shape[1]
-        sizes = [len(member) for _, _, member in queued]
-        starts = np.cumsum([0] + sizes)
-        roots = np.repeat(flat.root[[t for t, _, _ in queued]], sizes)
-        depths = np.repeat(flat.depth[[t for t, _, _ in queued]], sizes)
-        pins = pinned[np.concatenate([member for _, _, member in queued])]
-        values = matrix.ravel()
-        offset = flat.feature.astype(np.int64) * n
-        rows = np.arange(n)
-        cap = max(1, _GRID_CHUNK_ELEMENTS // n)
-        for lo in range(0, len(roots), cap):
-            hi = min(lo + cap, len(roots))
-            node = np.repeat(roots[lo:hi, None], n, axis=1)
-            for _ in range(int(depths[lo:hi].max())):
-                vals = values[offset[node] + rows]
-                if cols:
-                    feat = flat.feature[node]
-                    for s, col in enumerate(cols):
-                        vals = np.where(feat == col, pins[lo:hi, s: s + 1], vals)
-                node = flat.step(node, vals)
-            leaf = flat.value[node]
-            for (t, cell, _), start, end in zip(queued, starts, starts[1:]):
-                if end <= lo or start >= hi:
-                    continue
-                cell = cell + (start - lo)
-                points = None
-                if start < lo or end > hi:  # the tree's cells span blocks
-                    points = np.flatnonzero((cell >= 0) & (cell < hi - lo))
-                    cell = cell[points]
-                for a in range(0, len(cell), cap):
-                    target = slice(a, a + cap) if points is None else points[a: a + cap]
-                    part = leaf[cell[a: a + cap]]
-                    if t:
-                        out[target] += part
-                    else:
-                        out[target] = part + 0.0
+        # per node: 0 a split the rows follow by value, 1 a pinned split, 2 a leaf
+        kind = np.where(flat.internal, 0, 2)
+        for col in cols:
+            kind[flat.internal & (flat.feature == col)] = 1
+        for block, weight in self._tree_blocks(cols, pinned, n):
+            width = max(n, 1)
+            if weight > _GRID_CHUNK_ELEMENTS:  # one tree alone: a slice of the rows at a time
+                width = max(1, n * _GRID_CHUNK_ELEMENTS // weight)
+            for r in range(0, n, width):
+                self._fold_block(matrix[:, r: r + width], cols, pinned, kind, block,
+                                 out[:, r: r + width])
+        out /= len(flat.root)
 
+    def _tree_blocks(self, cols: list[int], pinned: np.ndarray, n: int):
+        """Consecutive trees' cells, grouped while the sum of cells times
+        max(rows, leaves) stays within the cap (one tree at least), each
+        block with that sum."""
+        block, weight = [], 0
+        for t, (cell, member) in enumerate(self._tree_cells(cols, pinned)):
+            size = len(member) * max(n, int(self._flat.leaves[t]))
+            if block and weight + size > _GRID_CHUNK_ELEMENTS:
+                yield block, weight
+                block, weight = [], 0
+            block.append((t, cell, member))
+            weight += size
+        yield block, weight
 
-def _depth_of(node: _Node) -> int:
-    return 0 if node.is_leaf else 1 + max(_depth_of(node.left), _depth_of(node.right))
+    def _fold_block(self, matrix, cols, pinned, kind, block, out) -> None:
+        """Add the leaf values of a block of consecutive trees to ``out``.
+
+        Rows and cells descend the block's trees together, one level a
+        step. A row follows its own value, except at a pinned split, where
+        it follows both children; a cell follows its point's value at a
+        pinned split and both children elsewhere. A (cell, row) pair meets
+        at exactly one leaf, the one its path reaches, and that leaf's value
+        goes to the pair's entry of the block's table; each tree's table
+        rows are then gathered to its points.
+        """
+        flat = self._flat
+        n = matrix.shape[1]
+        trees = [t for t, _, _ in block]
+        sizes = [len(member) for _, _, member in block]
+        first = np.cumsum([0] + sizes)
+        roots = flat.root[trees]
+        # owners 0..n-1 are the rows, n and up the cells that descend. With no
+        # pinned feature nothing forks, and a tree's one cell, which does not
+        # descend, meets each row at the row's own leaf.
+        members = [member if cols else member[:0] for _, _, member in block]
+        descending = [len(member) for member in members]
+        columns = np.zeros((matrix.shape[0], n + sum(descending)))
+        columns[:, :n] = matrix
+        columns[cols, n:] = pinned[np.concatenate(members)].T
+        values = columns.ravel()
+        offset = flat.feature.astype(np.intp) * columns.shape[1]
+        node = np.concatenate([np.repeat(roots, n), np.repeat(roots, descending)])
+        owner = np.concatenate([np.tile(np.arange(n, dtype=np.int32), len(trees)),
+                                np.arange(n, columns.shape[1], dtype=np.int32)])
+        ended = []
+        for level in range(int(flat.depth[trees].max())):
+            if level % 8 == 7:  # in a deep tree, stop stepping the entries at a leaf
+                done = ~flat.internal[node]
+                ended.append((node[done], owner[done]))
+                node, owner = node[~done], owner[~done]
+            nxt = flat.step(node, values[offset[node] + owner])
+            both = np.flatnonzero(kind[node] == (owner < n)) if cols else ()
+            if len(both):
+                left = flat.child[node[both]]
+                nxt[both] = left
+                nxt = np.concatenate([nxt, left + 1])
+                owner = np.concatenate([owner, owner[both]])
+            node = nxt
+        node = np.concatenate([node] + [leaf for leaf, _ in ended])
+        owner = np.concatenate([owner] + [whose for _, whose in ended])
+        table = np.empty((first[-1], n))
+        if not cols:
+            table[flat.tree[node] - trees[0], owner] = flat.value[node]
+        else:
+            self._join(node, owner, n, roots[0], flat.end[trees[-1]], table)
+        cap = max(1, _GRID_CHUNK_ELEMENTS // max(n, 1))
+        part = np.empty((min(cap, len(block[0][1])), n))
+        for (t, point_cell, _), base in zip(block, first):
+            for a in range(0, len(point_cell), cap):
+                rows = part[: len(point_cell[a: a + cap])]
+                np.take(table, point_cell[a: a + cap] + base, axis=0, out=rows)
+                if t:
+                    out[a: a + cap] += rows
+                else:
+                    np.add(rows, 0.0, out=out[a: a + cap])
+
+    def _join(self, node, owner, n, lo, hi, table) -> None:
+        """Write each (cell, row) pair's leaf value into ``table``.
+
+        A row at a leaf meets every cell at that leaf. The cells' table
+        offsets are listed leaf by leaf in ``cell_base``; the run of table
+        entries of a row at a leaf takes that leaf's cells in turn. ``lo``
+        and ``hi`` bound the block's node slots.
+        """
+        is_cell = owner >= n
+        cell_leaf, row_leaf = node[is_cell] - lo, node[~is_cell] - lo
+        count = np.bincount(cell_leaf, minlength=hi - lo)
+        cell_base = (owner[is_cell][np.argsort(cell_leaf)] - n) * np.intp(n)
+        meets = count[row_leaf]
+        dest = np.repeat((np.cumsum(count) - count)[row_leaf] - np.cumsum(meets) + meets, meets)
+        dest += np.arange(dest.size)
+        np.take(cell_base, dest, out=dest, mode="clip")  # in place: each index is read first
+        dest += np.repeat(owner[~is_cell], meets)
+        table.ravel()[dest] = np.repeat(self._flat.value[node[~is_cell]], meets)
 
 
 def fit_bagged_trees(dataset: Dataset, target_name: str, n_trees: int = 100,

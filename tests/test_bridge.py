@@ -1,6 +1,7 @@
 """External-model bridge: handshake, wire protocol, failure modes."""
 
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -107,6 +108,14 @@ class TestHandshake:
         cmd = _stub(tmp_path, "print('not json'); import time; time.sleep(5)")
         with pytest.raises(SpawnError, match="not JSON"):
             spawn_external(cmd)
+
+    def test_deeply_nested_handshake_stops_the_child(self, tmp_path):
+        cmd = _stub(tmp_path, "print('[' * 100000 + ']' * 100000, flush=True)\n"
+                              "import time; time.sleep(5)")
+        started = time.monotonic()
+        with pytest.raises(SpawnError, match="not JSON"):
+            spawn_external(cmd)
+        assert time.monotonic() - started < 4  # killed, not waited for
 
     def test_wrong_protocol_version(self, tmp_path):
         cmd = _stub(tmp_path, 'print(\'{"protocol": 2, "features": ["a"]}\')\n'

@@ -201,6 +201,15 @@ class TestBridgeCheck:
         stub.write_text("print('garbage')\nimport time\ntime.sleep(3)\n")
         assert _run("bridge-check", "--external", f"{sys.executable} {stub}") == 3
 
+    def test_deeply_nested_handshake_exits_3_without_a_traceback(self, tmp_path, capsys):
+        stub = tmp_path / "c.py"
+        stub.write_text("print('[' * 100000 + ']' * 100000, flush=True)\n"
+                        "import time\ntime.sleep(3)\n")
+        assert _run("bridge-check", "--external", f"{sys.executable} {stub}") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("bridge error: ") and "Traceback" not in err
+        assert len(err) < 1000
+
 
 class TestExitCodes:
     def test_usage_errors_exit_1(self, friedman_csv, tmp_path, capsys):
@@ -249,6 +258,25 @@ class TestExitCodes:
                     "--model-file", path, "--out-dir", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @staticmethod
+    def _chain_model(depth):
+        """A one-tree model file whose tree is a chain of ``depth`` splits."""
+        split = '{"feature": 0, "threshold": 0.5, "value": 0.0, "right": {"value": 1.0}, "left": '
+        schema = [{"name": f"x{j}", "kind": "continuous"} for j in range(1, 11)]
+        return ('{"format": 1, "kind": "bagged_trees", "schema": ' + json.dumps(schema)
+                + ', "n_trees": 1, "max_depth": 6, "min_leaf": 5, "seed": 1, "trees": ['
+                + split * depth + '{"value": 2.0}' + "}" * depth + "]}")
+
+    @pytest.mark.parametrize("depth,code", [(900, 0), (3000, 2)])
+    def test_deeply_nested_model_file(self, friedman_csv, tmp_path, capsys, depth, code):
+        path = tmp_path / "model.json"
+        path.write_text(self._chain_model(depth))
+        assert _run("pdp", "--data", friedman_csv, "--target", "y", "--features", "x1",
+                    "--grid", "quantile:4", "--model-file", path,
+                    "--out-dir", tmp_path / "out") == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and (code == 0 or err.startswith("error: "))
 
     def test_model_file_that_is_not_json_exits_2(self, friedman_csv, tmp_path, capsys):
         path = tmp_path / "model.json"

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdimp import (
     Dataset,
+    GridStrategy,
     ParameterError,
+    build_grid,
     fit_bagged_trees,
     fit_knn,
     fit_linear,
@@ -185,3 +189,44 @@ class TestMalformedDocuments:
         path.write_text("{not json")
         with pytest.raises(ParameterError, match="not a JSON model"):
             load_model(path)
+
+
+@pytest.fixture(scope="module")
+def model_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("models")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_round_trip_keeps_every_prediction_and_saves_the_same_bytes(model_dir, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = data.draw(st.integers(12, 30), label="rows")
+    kind = data.draw(st.sampled_from(["linear", "knn", "bagged", "expression"]), label="kind")
+    columns = {"a": rng.uniform(-1, 1, size=n), "b": rng.normal(size=n) * 1e3,
+               "g": [("u", "v", "w")[i] for i in rng.integers(0, 3, size=n)],
+               "y": rng.normal(size=n)}
+    if kind == "knn":
+        del columns["g"]  # continuous features only
+    ds = Dataset.from_dict(columns)
+    if kind == "linear":
+        model = fit_linear(ds, "y")
+    elif kind == "knn":
+        model = fit_knn(ds, "y", k=data.draw(st.integers(1, n), label="k"))
+    elif kind == "bagged":
+        model = fit_bagged_trees(ds, "y", n_trees=data.draw(st.integers(1, 6), label="trees"),
+                                 max_depth=data.draw(st.integers(0, 5), label="depth"),
+                                 min_leaf=1, seed=data.draw(st.integers(0, 99), label="fit seed"))
+    else:
+        model = parse_expression("a*b - 3*sin(a) + b^2/7", ds.drop("y").schema)
+    first, second = model_dir / "first.json", model_dir / "second.json"
+    save_model(model, first)
+    back = load_model(first)
+    save_model(back, second)
+    assert second.read_bytes() == first.read_bytes()
+    batch = ds.drop("y")
+    assert np.array_equal(back.predict(batch), model.predict(batch))
+    pinned = data.draw(st.lists(st.sampled_from(batch.feature_names), min_size=1, max_size=2,
+                                unique=True), label="pinned")
+    points = build_grid(batch, pinned, GridStrategy.unique()).points()[::5]
+    assert np.array_equal(back.predict_grid(batch, pinned, points),
+                          model.predict_grid(batch, pinned, points))

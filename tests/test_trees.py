@@ -1,5 +1,7 @@
 """Bagged regression trees against brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,11 @@ from pdimp import (
     FeatureSchema,
     GridStrategy,
     ParameterError,
+    SimulationSpec,
     build_grid,
     fit_bagged_trees,
+    generate,
+    model_from_json,
 )
 
 
@@ -305,4 +310,74 @@ def test_each_split_cell_is_descended_once_over_the_whole_grid(rows):
     batch = Dataset.from_dict({"a": rng.uniform(size=rows), "b": rng.uniform(size=rows)})
     block = model.predict_grid(batch, ["a"], points[::50])
     for row, point in zip(block, points[::50]):
+        assert np.array_equal(row, _walk_mean(model, _pinned(batch, ["a"], point)))
+
+
+def test_deep_forest_mixed_pairs_match_predict_and_the_walk(monkeypatch):
+    # depth-6 trees that split on both kinds of feature, pinned in mixed pairs
+    rng = np.random.default_rng(53)
+    n = 100
+    g = rng.integers(0, 4, size=n)
+    a = rng.uniform(-1, 1, size=n)
+    b = rng.normal(size=n)
+    ds = Dataset(
+        (FeatureSchema("a", "continuous"), FeatureSchema("b", "continuous"),
+         FeatureSchema("g", "categorical", ("p", "q", "r", "s")),
+         FeatureSchema("y", "continuous")),
+        {"a": a, "b": b, "g": g,
+         "y": np.sin(3 * a) * (g - 1.5) + b * (g % 2) + rng.normal(scale=0.1, size=n)},
+    )
+    model = fit_bagged_trees(ds, "y", n_trees=8, max_depth=6, min_leaf=2, seed=11)
+    flat = model._flat
+    assert flat.depth.max() == 6 and flat.has_categorical
+    features = ds.drop("y")
+    for pair in (("a", "g"), ("g", "b")):
+        col = model.feature_names.index(pair[0] if pair[1] == "g" else pair[1])
+        thresholds = np.unique(flat.threshold[flat.internal & (flat.feature == col)])
+        values = [np.nan, -5.0, 7.0, *thresholds[::8]]  # NaN, outside the data, on splits
+        points = [(v, code) if pair[1] == "g" else (code, v) for v in values for code in range(4)]
+        blocks = []
+        for cap in (64, trees_module._GRID_CHUNK_ELEMENTS):  # a row slice at a time, then not
+            monkeypatch.setattr(trees_module, "_GRID_CHUNK_ELEMENTS", cap)
+            blocks.append(model.predict_grid(features, list(pair), points))
+        assert np.array_equal(blocks[0], blocks[1])
+        for row, point in zip(blocks[1], points):
+            perturbed = _pinned(features, pair, point)
+            assert np.array_equal(row, model.predict(perturbed))
+            assert np.array_equal(row, _walk_mean(model, perturbed))
+
+
+def test_grid_kernel_memory_stays_within_the_chunk_cap():
+    # a pair grid's (cell, row) table over all trees would be several MB here
+    ds = generate(SimulationSpec(kind="friedman", n=400, sigma=1.0, seed=3))
+    model = fit_bagged_trees(ds, "y", n_trees=20, max_depth=6, min_leaf=5, seed=2)
+    features = ds.drop("y")
+    points = build_grid(features, ["x1", "x2"], GridStrategy.quantile(10)).points()
+    assert len(points) == 121
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        block = model.predict_grid(features, ["x1", "x2"], points)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= block.nbytes + 8 * trees_module._GRID_CHUNK_ELEMENTS * 8
+
+
+def test_tree_deeper_than_eight_levels_matches_the_walk():
+    # entries resting at a leaf are set aside every eighth level of the descent
+    schema = [{"name": "a", "kind": "continuous"}, {"name": "b", "kind": "continuous"}]
+    tree = {"value": -1.0}
+    for i in reversed(range(20)):
+        tree = {"feature": i % 2, "threshold": 1.0 - i / 20, "value": 0.0,
+                "left": tree, "right": {"value": 100.0 + i}}
+    model = model_from_json({"format": 1, "kind": "bagged_trees", "schema": schema,
+                             "n_trees": 2, "max_depth": 20, "min_leaf": 1, "seed": 0,
+                             "trees": [tree, tree["left"]]})
+    rng = np.random.default_rng(59)
+    batch = Dataset.from_dict({"a": rng.uniform(-0.2, 1.2, size=40),
+                               "b": rng.uniform(-0.2, 1.2, size=40)})
+    points = [(v,) for v in np.linspace(-0.1, 1.1, 25)]
+    block = model.predict_grid(batch, ["a"], points)
+    for row, point in zip(block, points):
         assert np.array_equal(row, _walk_mean(model, _pinned(batch, ["a"], point)))
