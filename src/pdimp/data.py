@@ -175,9 +175,13 @@ class Dataset:
         return self.drop(target), self._columns[target]
 
     def take(self, indices: np.ndarray) -> "Dataset":
+        """The rows at ``indices`` (positions, or a boolean mask), same schema."""
+        index = np.asarray(indices)
+        if index.dtype != bool:
+            index = index.astype(np.intp)  # an empty list is float64
         cols = {}
         for name, col in self._columns.items():
-            sub = col[np.asarray(indices)]
+            sub = col[index]
             sub.setflags(write=False)
             cols[name] = sub
         return Dataset._unchecked(self._schema, cols)

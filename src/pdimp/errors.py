@@ -58,7 +58,7 @@ class DegenerateGridError(PdimpError):
 
 
 class NonFiniteError(PdimpError):
-    """The model produced a NaN or infinite prediction."""
+    """A prediction, or a score computed from predictions, is NaN or infinite."""
 
 
 class BridgeError(PdimpError):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import CATEGORICAL, Dataset, write_csv, write_json
 from .engine import GridStrategy, PDResult, feature_axis, pd_values_at
-from .errors import DegenerateGridError, ParameterError
+from .errors import DegenerateGridError, NonFiniteError, ParameterError
 from .models import PredictionModel
 
 SAMPLE_SD = "sd"
@@ -25,24 +25,37 @@ RANGE_OVER_4 = "range4"
 MEASURES = (SAMPLE_SD, MAD, RANGE_OVER_4)
 
 
+def _finite(measure: str, score) -> float:
+    if not np.isfinite(score):
+        raise NonFiniteError(f"the {measure} of partial dependence values overflows float64")
+    return float(score)
+
+
 def sample_sd(values: np.ndarray) -> float:
-    """Standard deviation with the k-1 denominator."""
-    return float(np.std(values, ddof=1))
+    """Standard deviation with the k-1 denominator; NonFiniteError if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(SAMPLE_SD, np.std(values, ddof=1))
 
 
 def _mad(values: np.ndarray) -> float:
-    return float(np.median(np.abs(values - np.median(values))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(MAD, np.median(np.abs(values - np.median(values))))
 
 
 def _range_over_4(values: np.ndarray) -> float:
-    return float(values.max() - values.min()) / 4.0
+    with np.errstate(over="ignore"):
+        return _finite(RANGE_OVER_4, values.max() - values.min()) / 4.0
 
 
 def spread(values: np.ndarray, measure: str) -> float:
+    """The ``measure`` of PD values; NonFiniteError when a value or the
+    score is not finite."""
     if measure not in MEASURES:
         raise ParameterError(f"unknown flatness measure {measure!r}; pick one of {MEASURES}")
     if measure in (SAMPLE_SD, MAD) and len(values) < 2:
         raise DegenerateGridError(f"{measure} needs at least 2 grid points")
+    if not np.isfinite(values).all():
+        raise NonFiniteError("a partial dependence value overflows float64")
     if values.max() == values.min():
         return 0.0  # guarantee zero-iff-flat, immune to mean round-off
     if measure == SAMPLE_SD:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import CATEGORICAL, Dataset, write_csv, write_json
 from .engine import Grid, GridAxis, GridStrategy, feature_axis, ordered_mean, pd_values_at
-from .errors import DegenerateGridError, ParameterError
+from .errors import DegenerateGridError, NonFiniteError, ParameterError
 from .importance import SAMPLE_SD, measure_for, sample_sd, spread
 from .models import PredictionModel
 
@@ -185,13 +185,16 @@ def _h(model, dataset, grid: Grid, joint: np.ndarray, marginals: dict, workers) 
         if axis.feature not in marginals:
             marginals[axis.feature] = _pd_by_row(model, dataset, axis, workers)
     a, b = grid.features
-    f_joint = joint - ordered_mean(joint)
-    f_a = marginals[a] - ordered_mean(marginals[a])
-    f_b = marginals[b] - ordered_mean(marginals[b])
-    denom = float(np.sum(f_joint**2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_joint = joint - ordered_mean(joint)
+        f_a = marginals[a] - ordered_mean(marginals[a])
+        f_b = marginals[b] - ordered_mean(marginals[b])
+        denom = float(np.sum(f_joint**2))
+        num = float(np.sum((f_joint - f_a - f_b) ** 2))
+    if not (math.isfinite(denom) and math.isfinite(num)):
+        raise NonFiniteError(f"Friedman's H of {a} and {b} overflows float64")
     if denom == 0.0:
         return math.nan
-    num = float(np.sum((f_joint - f_a - f_b) ** 2))
     return math.sqrt(max(num / denom, 0.0))
 
 

@@ -118,20 +118,18 @@ class LinearModel(PredictionModel):
 class KnnModel(PredictionModel):
     """k-nearest-neighbor regression under standardized Euclidean distance.
 
-    Queries are scored in blocks of rows: a block holds at most
-    ``_KNN_BLOCK_ELEMENTS`` query x training x feature differences (one
-    row at a time when the training matrix alone is larger). Each row's k
-    nearest training rows are picked exactly, in (distance, row) order, so
-    distance ties resolve to the lower training row and every prediction is
-    bit-identical to scoring the rows one by one with a stable argsort.
+    Each row's k nearest training rows are picked exactly, in (distance,
+    row) order, so distance ties resolve to the lower training row and every
+    prediction is bit-identical to scoring the rows one by one with a stable
+    argsort of their exact distances.
 
-    ``predict_grid`` prunes: with some features pinned, the distance over
-    the other features is the same at every grid point, so it is summed
-    once per block of rows. Adding the pinned terms of a point gives each
-    training row a distance that differs from the exact one by rounding
-    only; the training rows within a proven margin of the k-th smallest of
-    those are the only ones whose exact distance is computed. The result is
-    bit-identical to ``predict`` at every point.
+    ``predict`` and ``predict_grid`` share one pruned kernel; ``predict`` is
+    the case of no pinned feature. The distance over the unpinned features
+    is the same at every grid point, so it is summed once per block of
+    rows. Adding the pinned terms of a point gives each training row a
+    distance that differs from the exact one by rounding only; the training
+    rows within a proven margin of the k-th smallest of those are the only
+    ones whose exact distance is computed.
     """
 
     def __init__(self, k: int, schema: Sequence[FeatureSchema], train: np.ndarray,
@@ -147,40 +145,45 @@ class KnnModel(PredictionModel):
             raise ParameterError("scale factors must be finite and strictly positive")
         self._scaled_train = self.train / self.scales
 
-    def _query(self, batch: Dataset) -> np.ndarray:
-        return np.column_stack([batch.column(f.name) for f in self._feature_schema]) / self.scales
-
     def _predict_checked(self, batch: Dataset) -> np.ndarray:
-        return self._scores(self._query(batch))
+        return self._grid(batch, [], [()])[0]
 
     def _scores(self, query: np.ndarray) -> np.ndarray:
-        """Predictions for scaled query rows, by the full blocked kernel."""
+        """Predictions for scaled query rows by the full kernel, the fall-back
+        where ``_pruned`` proves no margin: a stable argsort of all distances."""
         block = max(1, _KNN_BLOCK_ELEMENTS // self._scaled_train.size)
         out = np.empty(len(query), dtype=np.float64)
         for start in range(0, len(query), block):
             diff = self._scaled_train - query[start:start + block, None]
             diff *= diff
             dist = np.sqrt(np.sum(diff, axis=2))
-            out[start:start + block] = np.mean(self.targets[_nearest(dist, self.k)], axis=1)
+            nearest = np.argsort(dist, axis=1, kind="stable")[:, :self.k]
+            out[start:start + block] = np.mean(self.targets[nearest], axis=1)
         return out
 
     def predict_grid(self, batch: Dataset, features: Sequence[str],
                      points: Sequence[tuple]) -> np.ndarray:
         """Predictions with ``features`` pinned to each point: one row per point.
 
-        Equal, bit for bit, to ``predict`` at each point. Query rows go in
-        blocks of at most ``_KNN_BLOCK_ELEMENTS`` query x training distances
-        (one row at least); the candidates' exact distances are computed in
-        pieces of at most that many differences.
+        Equal, bit for bit, to ``predict`` at each point.
         """
         self._validate_batch(batch)
-        cols = [self.feature_names.index(name) for name in features]
-        query = self._query(batch)
+        return self._grid(batch, [self.feature_names.index(name) for name in features], points)
+
+    def _grid(self, batch: Dataset, cols: list[int], points: Sequence[tuple]) -> np.ndarray:
+        """Predictions with the columns ``cols`` set to each point.
+
+        Query rows go in blocks of at most ``_KNN_BLOCK_ELEMENTS`` query x
+        training distances (one row at least); the candidates' exact
+        distances are computed in pieces of at most that many differences.
+        """
+        query = np.column_stack([batch.column(f.name) for f in self._feature_schema])
+        query /= self.scales
         pinned = np.array(points, dtype=np.float64).reshape(len(points), len(cols))
         pinned /= self.scales[cols]
         train = self._scaled_train
         rows = max(1, _KNN_BLOCK_ELEMENTS // len(train))
-        out = np.empty((len(points), batch.n_rows))
+        out = np.empty((len(pinned), batch.n_rows))
         for start in range(0, batch.n_rows, rows):
             block = query[start:start + rows]
             rest = np.zeros((len(block), len(train)))  # the unpinned features' terms
@@ -257,30 +260,6 @@ class KnnModel(PredictionModel):
         table[row, slot] = dist
         order = np.argsort(table, axis=1, kind="stable")[:, :k]
         return np.mean(self.targets[cand[first[:, None] + order]], axis=1)
-
-
-def _nearest(dist: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of each row's k smallest entries, in (value, index) order.
-
-    Equal to ``np.argsort(dist, axis=1, kind="stable")[:, :k]``. The k-th
-    smallest value is found by partition; a row with exactly k entries at or
-    below it sorts only those, which are already in index order. A row with
-    ties at that value (or NaN) takes the full stable argsort.
-    """
-    if k == dist.shape[1]:
-        return np.argsort(dist, axis=1, kind="stable")
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
-    candidates = dist <= kth
-    exact = np.count_nonzero(candidates, axis=1) == k
-    nearest = np.empty((dist.shape[0], k), dtype=np.intp)
-    if exact.any():
-        index = np.nonzero(candidates[exact])[1].reshape(-1, k)
-        order = np.argsort(np.take_along_axis(dist[exact], index, axis=1), axis=1, kind="stable")
-        nearest[exact] = np.take_along_axis(index, order, axis=1)
-    if not exact.all():
-        tied = ~exact
-        nearest[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k]
-    return nearest
 
 
 def pin(batch: Dataset, features: Sequence[str], point: tuple) -> Dataset:

@@ -4,6 +4,11 @@ Every document carries ``format`` (currently 1) and a ``kind`` tag; an
 expression model serializes as its source text plus the schema it was
 bound to. Loading validates the whole document against its schema, so a
 malformed file fails with ParameterError instead of later, mid-analysis.
+
+A tree document nests each split's ``left`` and ``right`` children. Loading
+walks it a level at a time into the level-order node arrays of
+``trees._FlatForest``; saving builds it from those arrays, last slot first,
+so that both children exist before their parent. Neither recurses.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from .data import FeatureSchema, write_json
 from .errors import ParameterError
 from .expressions import ExpressionModel, parse_expression
 from .models import KnnModel, LinearModel, PredictionModel
-from .trees import BaggedTreesModel, _Node
+from .trees import BaggedTreesModel, _FlatForest
 
 FORMAT = 1
 
@@ -36,14 +41,19 @@ def _field(doc, key: str, types, where: str):
     return value
 
 
-def _array(doc, key: str, ndim: int, where: str) -> np.ndarray:
+def _floats(doc, key: str, where: str, ndim: int = 0):
+    """``doc[key]`` as float64: a number when ``ndim`` is 0, else an array of
+    ``ndim`` dimensions. Every number a document holds is read through here,
+    so an integer beyond the float64 range raises ParameterError too."""
+    value = _field(doc, key, list if ndim else (int, float), where)
     try:
-        value = np.asarray(_field(doc, key, list, where), dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{where} field {key!r} is not a numeric array") from None
-    if value.ndim != ndim:
+        out = np.asarray(value, dtype=np.float64) if ndim else float(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an array of float64 numbers" if ndim else "a float64 number"
+        raise ParameterError(f"{where} field {key!r} is not {kind}") from None
+    if ndim and out.ndim != ndim:
         raise ParameterError(f"{where} field {key!r} must be {ndim}-dimensional")
-    return value
+    return out
 
 
 def _schema_from_json(docs: list) -> tuple[FeatureSchema, ...]:
@@ -60,41 +70,46 @@ def _schema_from_json(docs: list) -> tuple[FeatureSchema, ...]:
     return tuple(schema)
 
 
-def _node_to_json(node: _Node) -> dict:
-    if node.is_leaf:
-        return {"value": node.value}
-    doc = {
-        "feature": node.feature,
-        "value": node.value,
-        "left": _node_to_json(node.left),
-        "right": _node_to_json(node.right),
-    }
-    if node.left_levels is None:
-        doc["threshold"] = node.threshold
-    else:
-        doc["left_levels"] = [int(i) for i in np.flatnonzero(node.left_levels)]
-        doc["n_levels"] = int(node.left_levels.size)
-    return doc
+def _trees_to_json(model: BaggedTreesModel) -> list[dict]:
+    """Each tree as nested node documents, built from the last slot back."""
+    flat, schema = model._flat, model._feature_schema
+    docs = [None] * len(flat.value)
+    for i in reversed(range(len(docs))):
+        value = float(flat.value[i])
+        if not flat.internal[i]:
+            docs[i] = {"value": value}
+            continue
+        j, left = int(flat.feature[i]), int(flat.child[i])
+        doc = docs[i] = {"feature": j, "value": value,
+                         "left": docs[left], "right": docs[left + 1]}
+        if flat.cat_row[i] < 0:
+            doc["threshold"] = float(flat.threshold[i])
+        else:
+            n_levels = len(schema[j].levels)
+            mask = flat.cat_masks[flat.cat_row[i], :n_levels]
+            doc["left_levels"] = [int(v) for v in np.flatnonzero(mask)]
+            doc["n_levels"] = n_levels
+    return [docs[r] for r in flat.root]
 
 
-def _node_from_json(doc, schema) -> _Node:
-    """Tree node, checked against ``schema``: a threshold splits a continuous
-    feature, a level mask over the full level table splits a categorical one."""
+def _tree_node(doc, schema):
+    """A tree node's (value, feature, split, children) for ``_FlatForest``,
+    checked against ``schema``: a threshold splits a continuous feature, a
+    level mask over the full level table splits a categorical one."""
     where = "tree node"
     if not isinstance(doc, dict):
         raise ParameterError(f"{where} must be a JSON object, got {doc!r}")
     if "feature" not in doc:
-        return _Node(value=_field(doc, "value", (int, float), where))
+        return _floats(doc, "value", where), -1, None, ()
     j = _field(doc, "feature", int, where)
     if not 0 <= j < len(schema):
         raise ParameterError(f"tree node splits on feature {j}; the schema has {len(schema)}")
     feat = schema[j]
-    value = _field(doc, "value", (int, float), where) if "value" in doc else 0.0
-    node = _Node(feature=j, value=value)
+    value = _floats(doc, "value", where) if "value" in doc else 0.0
     if feat.is_continuous:
         if "left_levels" in doc:
             raise ParameterError(f"continuous feature {feat.name!r} cannot split on a level mask")
-        node.threshold = _field(doc, "threshold", (int, float), where)
+        split = _floats(doc, "threshold", where)
     else:
         if "threshold" in doc:
             raise ParameterError(f"categorical feature {feat.name!r} cannot split on a threshold")
@@ -108,11 +123,9 @@ def _node_from_json(doc, schema) -> _Node:
         if not all(isinstance(i, int) and not isinstance(i, bool) and 0 <= i < n_levels
                    for i in left):
             raise ParameterError(f"tree node has malformed left_levels: {left!r}")
-        node.left_levels = np.zeros(n_levels, dtype=bool)
-        node.left_levels[left] = True
-    node.left = _node_from_json(_field(doc, "left", dict, where), schema)
-    node.right = _node_from_json(_field(doc, "right", dict, where), schema)
-    return node
+        split = np.zeros(n_levels, dtype=bool)
+        split[left] = True
+    return value, j, split, (_field(doc, "left", dict, where), _field(doc, "right", dict, where))
 
 
 def model_to_json(model: PredictionModel) -> dict:
@@ -143,7 +156,7 @@ def model_to_json(model: PredictionModel) -> dict:
             "max_depth": model.max_depth,
             "min_leaf": model.min_leaf,
             "seed": model.seed,
-            "trees": [_node_to_json(root) for root in model._roots],
+            "trees": _trees_to_json(model),
         }
     if isinstance(model, ExpressionModel):
         return {
@@ -166,13 +179,12 @@ def model_from_json(doc: dict) -> PredictionModel:
     schema = _schema_from_json(_field(doc, "schema", list, where))
     if kind == "linear":
         coefficients = _field(doc, "coefficients", dict, where)
-        for key in coefficients:
-            _field(coefficients, key, (int, float), "coefficients")
-        return LinearModel(_field(doc, "intercept", (int, float), where), coefficients, schema)
+        coefficients = {key: _floats(coefficients, key, "coefficients") for key in coefficients}
+        return LinearModel(_floats(doc, "intercept", where), coefficients, schema)
     if kind == "knn":
-        train = _array(doc, "train", 2, where)
-        targets = _array(doc, "targets", 1, where)
-        scales = _array(doc, "scales", 1, where)
+        train = _floats(doc, "train", where, ndim=2)
+        targets = _floats(doc, "targets", where, ndim=1)
+        scales = _floats(doc, "scales", where, ndim=1)
         if train.shape != (targets.size, len(schema)) or scales.size != len(schema):
             raise ParameterError(
                 f"k-NN arrays do not match: train {train.shape}, targets {targets.shape}, "
@@ -188,11 +200,8 @@ def model_from_json(doc: dict) -> PredictionModel:
             raise ParameterError("bagged_trees document holds no trees")
         if n_trees != len(trees):
             raise ParameterError(f"n_trees is {n_trees} but the document holds {len(trees)} trees")
-        try:
-            roots = [_node_from_json(tree, schema) for tree in trees]
-        except RecursionError:
-            raise ParameterError("a tree in the bagged_trees document nests too deeply") from None
-        return BaggedTreesModel(schema, roots, n_trees, max_depth, min_leaf, seed)
+        forest = _FlatForest(schema, trees, lambda doc, _: _tree_node(doc, schema))
+        return BaggedTreesModel(schema, forest, n_trees, max_depth, min_leaf, seed)
     if kind == "expression":
         return parse_expression(_field(doc, "source", str, where), schema)
     raise ParameterError(f"unknown model kind {kind!r}")

@@ -17,11 +17,14 @@ pinned split; each cell descends through the pinned splits only, following
 both children elsewhere. A (cell, row) pair meets at one leaf, and its
 value is that leaf's. The result equals ``predict`` point by point, bit for
 bit; ``predict`` is the case of no pinned feature, one cell per tree.
+
+A forest has one form, ``_FlatForest``: every node of every tree in shared
+arrays, each tree's nodes in level order. Fitting grows each tree one level
+at a time straight into it, and ``serialize`` reads and writes it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,22 +41,9 @@ from .models import PredictionModel
 _GRID_CHUNK_ELEMENTS = 16384
 
 
-@dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left_levels: np.ndarray | None = None  # bool mask over levels, categorical splits
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    value: float = 0.0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-
 def _best_split(columns, schema, rows, y, min_leaf):
-    """Return (gain, feature_index, threshold_or_prefix, left_mask) or None.
+    """Return (gain, feature index, split) or None, where the split is a
+    threshold or, for a categorical feature, a bool mask of the levels sent left.
 
     Gain is the reduction in summed squared error. Ties resolve to the
     lower feature index, then the lower threshold.
@@ -83,7 +73,7 @@ def _best_split(columns, schema, rows, y, min_leaf):
             t = int(np.argmax(gain))  # first max: lowest threshold wins ties
             if gain[t] > 0 and (best is None or gain[t] > best[0]):
                 threshold = (sv[t] + sv[t + 1]) / 2.0
-                best = (float(gain[t]), j, threshold, None)
+                best = (float(gain[t]), j, threshold)
         else:
             n_levels = len(feat.levels)
             if n_levels < 2:
@@ -110,76 +100,66 @@ def _best_split(columns, schema, rows, y, min_leaf):
             if gain[t] > 0 and (best is None or gain[t] > best[0]):
                 mask = np.zeros(n_levels, dtype=bool)
                 mask[order[: t + 1]] = True
-                best = (float(gain[t]), j, float(t), mask)
+                best = (float(gain[t]), j, mask)
     return best
 
 
-def _grow(columns, schema, rows, targets, depth, max_depth, min_leaf):
-    node = _Node(value=float(np.mean(targets[rows])))
-    if depth >= max_depth or rows.size < 2 * min_leaf:
-        return node
-    found = _best_split(columns, schema, rows, targets[rows], min_leaf)
-    if found is None:
-        return node
-    _, j, threshold, mask = found
-    vals = columns[j][rows]
-    if mask is None:
-        go_left = vals <= threshold
-    else:
-        go_left = mask[vals]
-    node.feature = j
-    node.threshold = threshold
-    node.left_levels = mask
-    node.left = _grow(columns, schema, rows[go_left], targets, depth + 1, max_depth, min_leaf)
-    node.right = _grow(columns, schema, rows[~go_left], targets, depth + 1, max_depth, min_leaf)
-    return node
-
-
 class _FlatForest:
-    """All trees flattened into shared node arrays for vectorized descent.
+    """All trees in shared node arrays, for vectorized descent.
 
     Each tree's nodes are laid out level by level, so a tree is one slot
-    range and an internal node's children sit at adjacent slots (left,
-    left + 1): one gather plus the comparison bit replaces separate
-    left/right lookups. Leaves point at themselves with a +inf threshold,
-    making extra traversal steps a no-op.
+    range and the k-th split of a tree, in slot order, has its children at
+    the tree's slots 2k + 1 (left) and 2k + 2: one gather plus the
+    comparison bit replaces separate left/right lookups. Leaves point at
+    themselves with a +inf threshold, making extra traversal steps a no-op;
+    a categorical split has a NaN threshold and a row of ``cat_masks``.
     """
 
-    def __init__(self, roots: Sequence[_Node], n_levels_max: int):
-        nodes, tree, root, depth = [], [], [], []
-        for t, tree_root in enumerate(roots):
-            root.append(len(nodes))
-            level, depth_t = [tree_root], -1
+    def __init__(self, schema: Sequence[FeatureSchema], starts, visit):
+        """Lay out, a level at a time, the trees ``visit`` grows from ``starts``.
+
+        ``visit(item, level)`` returns the node of ``item`` as (value,
+        feature, split, children): a leaf has feature -1, split None and no
+        children; a split is a threshold or a bool mask of the levels sent
+        left, with the left child's item first in children.
+        """
+        value, feature, threshold, child, cat, root, depth = [], [], [], [], [], [], []
+        for start in starts:
+            root.append(len(value))
+            level, depth_t = [start], -1
             while level:
-                nodes += level
-                tree += [t] * len(level)
-                level = [c for node in level if not node.is_leaf for c in (node.left, node.right)]
                 depth_t += 1
+                following, next_level = [], len(value) + len(level)
+                for item in level:
+                    node_value, j, split, children = visit(item, depth_t)
+                    if isinstance(split, np.ndarray):
+                        cat.append((len(value), split))
+                        split = np.nan
+                    child.append(next_level + len(following) if children else len(value))
+                    value.append(node_value)
+                    feature.append(j)
+                    threshold.append(np.inf if split is None else split)
+                    following += children
+                level = following
             depth.append(depth_t)
-        total = len(nodes)
+        total = len(value)
         self.root = np.array(root, dtype=np.int32)
         self.end = np.array(root[1:] + [total], dtype=np.int32)
         self.leaves = (self.end - self.root + 1) // 2  # every split has two children
-        self.tree = np.array(tree)
+        self.tree = np.repeat(np.arange(len(root)), self.end - self.root)
         self.depth = np.array(depth)
-        self.internal = np.array([not node.is_leaf for node in nodes])
-        # the k-th split of a tree, in slot order, has its children at slots 2k + 1, 2k + 2
-        before = np.cumsum(self.internal) - self.internal
-        first = self.root[self.tree]
-        self.child = np.where(self.internal, first + 1 + 2 * (before - before[first]),
-                              np.arange(total)).astype(np.int32)
-        self.value = np.array([node.value for node in nodes])
-        self.feature = np.array([max(node.feature, 0) for node in nodes], dtype=np.int32)
-        self.threshold = np.array([np.inf if node.is_leaf else
-                                   np.nan if node.left_levels is not None else node.threshold
-                                   for node in nodes])
-        cat = [i for i, node in enumerate(nodes)
-               if not node.is_leaf and node.left_levels is not None]
+        feature = np.array(feature)
+        self.internal = feature >= 0
+        self.child = np.array(child, dtype=np.int32)
+        self.value = np.array(value, dtype=np.float64)
+        self.feature = np.maximum(feature, 0).astype(np.int32)
+        self.threshold = np.array(threshold, dtype=np.float64)
+        n_levels = max((len(f.levels) for f in schema if not f.is_continuous), default=1)
         self.cat_row = np.full(total, -1, dtype=np.int32)
-        self.cat_row[cat] = np.arange(len(cat))
-        self.cat_masks = np.zeros((max(len(cat), 1), max(n_levels_max, 1)), dtype=bool)
-        for r, i in enumerate(cat):
-            self.cat_masks[r, : nodes[i].left_levels.size] = nodes[i].left_levels
+        self.cat_row[[i for i, _ in cat]] = np.arange(len(cat))
+        self.cat_masks = np.zeros((max(len(cat), 1), max(n_levels, 1)), dtype=bool)
+        for r, (_, mask) in enumerate(cat):
+            self.cat_masks[r, : mask.size] = mask
         self.has_categorical = bool(cat)
 
     def step(self, node: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -205,18 +185,14 @@ def _tree_rng(seed: int, index: int) -> np.random.Generator:
 class BaggedTreesModel(PredictionModel):
     """Mean over an ensemble of bootstrap-fitted regression trees."""
 
-    def __init__(self, schema: Sequence[FeatureSchema], roots: Sequence[_Node],
+    def __init__(self, schema: Sequence[FeatureSchema], forest: _FlatForest,
                  n_trees: int, max_depth: int, min_leaf: int, seed: int):
         self._feature_schema = tuple(schema)
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.min_leaf = min_leaf
         self.seed = seed
-        self._roots = list(roots)
-        n_levels_max = max(
-            (len(f.levels) for f in self._feature_schema if not f.is_continuous), default=1
-        )
-        self._flat = _FlatForest(self._roots, n_levels_max)
+        self._flat = forest
 
     def _matrix(self, batch: Dataset) -> np.ndarray:
         return np.ascontiguousarray(
@@ -430,16 +406,30 @@ def fit_bagged_trees(dataset: Dataset, target_name: str, n_trees: int = 100,
     n = features.n_rows
     if n < 2 * min_leaf:
         raise ParameterError(f"need at least {2 * min_leaf} rows, got {n}")
-    columns = [features.column(f.name) for f in features.schema]
-    roots = []
-    for t in range(n_trees):
-        if bootstrap:
-            rows = np.sort(_tree_rng(seed, t).integers(0, n, size=n))
-        else:
-            rows = np.arange(n)
-        boot_cols = [c[rows] for c in columns]
-        boot_y = y[rows]
-        roots.append(
-            _grow(boot_cols, features.schema, np.arange(n), boot_y, 0, max_depth, min_leaf)
-        )
-    return BaggedTreesModel(features.schema, roots, n_trees, max_depth, min_leaf, seed)
+    # n max|y| bounds every sample's sum |y|, and each gain term is at most
+    # 2 (sum |y|)**2: below this bound no squared sum overflows
+    if n * np.abs(y).max() > 2.0**510:
+        raise ParameterError(f"target {target_name!r} is too large for least-squares splits: "
+                             f"{n} rows times its largest magnitude exceed 2**510")
+    schema = features.schema
+    columns = [features.column(f.name) for f in schema]
+
+    def samples():
+        for t in range(n_trees):
+            rows = np.sort(_tree_rng(seed, t).integers(0, n, size=n)) if bootstrap else np.arange(n)
+            yield [c[rows] for c in columns], y[rows], np.arange(n)
+
+    def grow(item, level):
+        cols, targets, rows = item
+        value = float(np.mean(targets[rows]))
+        found = None
+        if level < max_depth and rows.size >= 2 * min_leaf:
+            found = _best_split(cols, schema, rows, targets[rows], min_leaf)
+        if found is None:
+            return value, -1, None, ()
+        _, j, split = found
+        go_left = split[cols[j][rows]] if isinstance(split, np.ndarray) else cols[j][rows] <= split
+        return value, j, split, ((cols, targets, rows[go_left]), (cols, targets, rows[~go_left]))
+
+    forest = _FlatForest(schema, samples(), grow)
+    return BaggedTreesModel(schema, forest, n_trees, max_depth, min_leaf, seed)

@@ -278,6 +278,65 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err and (code == 0 or err.startswith("error: "))
 
+    @staticmethod
+    def _first_leaf(doc):
+        node = doc["trees"][0]
+        while "feature" in node:
+            node = node["left"]
+        return node
+
+    @pytest.mark.parametrize("model,edit", [
+        ("linear", lambda d: d.update(intercept=10**400)),
+        ("linear", lambda d: d["coefficients"].update(x3=-(10**400))),
+        ("knn:k=3", lambda d: d["train"][0].__setitem__(0, 10**400)),
+        ("bagged:n_trees=2,max_depth=2,min_leaf=5,seed=1",
+         lambda d: TestExitCodes._first_leaf(d).update(value=10**400)),
+        ("bagged:n_trees=2,max_depth=2,min_leaf=5,seed=1",
+         lambda d: d["trees"][0].update(threshold=10**400)),
+    ])
+    def test_integer_beyond_float64_in_a_model_file_exits_2(self, friedman_csv, tmp_path,
+                                                             capsys, model, edit):
+        assert _run("fit", "--data", friedman_csv, "--target", "y", "--model", model,
+                    "--out-dir", tmp_path) == 0
+        path = tmp_path / "model.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert _run("importance", "--data", friedman_csv, "--target", "y",
+                    "--model-file", path, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "float64" in err and "Traceback" not in err
+
+    def test_target_whose_squared_sums_overflow_is_refused(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("a,y\n" + "".join(f"{i / 40},{(-1) ** i * 1e160!r}\n"
+                                            for i in range(40)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _run("fit", "--data", data, "--target", "y",
+                        "--model", "bagged:n_trees=3,max_depth=3,min_leaf=2,seed=1",
+                        "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: target 'y' ")
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    @pytest.mark.parametrize("argv,artifact", [
+        (["importance", "--expr", "1e200*x1"], "importance"),
+        (["importance", "--expr", "1e307*x1+1e307"], "importance"),  # the PD mean is inf
+        (["interact", "--expr", "1e200*x1*x2", "--pairs", "x1:x2"], "interactions"),
+        (["interact", "--expr", "1e154*x1*x2", "--pairs", "x1:x2", "--h-stat"], "interactions"),
+    ])
+    def test_scores_that_overflow_exit_2_and_write_nothing(self, friedman_csv, tmp_path,
+                                                           capsys, argv, artifact):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _run(*argv, "--data", friedman_csv, "--target", "y", "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflows float64" in err
+        assert not (out / f"{artifact}.csv").exists() and not (out / f"{artifact}.json").exists()
+
     def test_model_file_that_is_not_json_exits_2(self, friedman_csv, tmp_path, capsys):
         path = tmp_path / "model.json"
         path.write_bytes(b"\xff\xfe not json")

@@ -280,3 +280,10 @@ class TestDatasetValidation:
         ds = Dataset.from_dict({"a": [1.0], "y": ["u"]})
         with pytest.raises(ValidationError):
             ds.split_target("y")
+
+    def test_take_of_no_rows_keeps_the_schema_and_a_mask_still_selects(self):
+        ds = Dataset.from_dict({"a": [1.0, 2.0], "g": ["u", "v"]})
+        empty = ds.take([])
+        assert empty.n_rows == 0 and empty.schema == ds.schema
+        picked = ds.take(np.array([False, True]))
+        assert picked.column("a").tolist() == [2.0] and _labels(picked, "g") == ["v"]

@@ -17,7 +17,7 @@ from pdimp import (
     fit_knn,
     fit_linear,
 )
-from pdimp.models import _nearest, pin
+from pdimp.models import pin
 from pdimp.simulate import SimulationSpec, generate
 
 
@@ -374,17 +374,3 @@ def test_knn_blocks_equal_the_row_loop_on_friedman_data():
     model = fit_knn(ds, "y", k=10)
     batch = generate(SimulationSpec("friedman", 500, 8, 1.0)).drop("y")
     assert model.predict(batch).tobytes() == _knn_row_loop(model, batch).tobytes()
-
-
-def test_nearest_equals_a_stable_argsort_on_tie_heavy_matrices():
-    rng = np.random.default_rng(5)
-    for trial in range(1500):
-        rows, cols = rng.integers(1, 12), rng.integers(1, 30)
-        k = int(rng.integers(1, cols + 1))
-        if trial % 2:
-            dist = rng.choice([0.0, 0.5, 1.0, 2.0, np.inf, np.nan], size=(rows, cols),
-                              p=[0.2, 0.15, 0.2, 0.2, 0.2, 0.05])
-        else:
-            dist = rng.integers(0, 4, size=(rows, cols)).astype(np.float64)
-        expected = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        assert np.array_equal(_nearest(dist, k), expected)

@@ -1,5 +1,6 @@
 """Bagged regression trees against brute-force oracles."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,8 @@ from pdimp import (
     fit_bagged_trees,
     generate,
     model_from_json,
+    model_to_json,
+    save_model,
 )
 
 
@@ -78,8 +81,8 @@ class TestFitting:
         })
         model = fit_bagged_trees(ds, "y", n_trees=1, max_depth=1, min_leaf=1,
                                  seed=0, bootstrap=False)
-        root = model._roots[0]
-        assert -1.0 < root.threshold < 1.0
+        root = model_to_json(model)["trees"][0]
+        assert -1.0 < root["threshold"] < 1.0
         preds = model.predict(Dataset.from_dict({"a": [-10.0, 10.0]}))
         np.testing.assert_array_equal(preds, [0.0, 1.0])
 
@@ -102,16 +105,16 @@ class TestFitting:
         model = fit_bagged_trees(ds, "y", n_trees=5, max_depth=8, min_leaf=7, seed=1)
 
         def leaf_counts(node, rows, column):
-            if node.is_leaf:
+            if "feature" not in node:
                 yield rows.size
                 return
-            mask = column[rows] <= node.threshold
-            yield from leaf_counts(node.left, rows[mask], column)
-            yield from leaf_counts(node.right, rows[~mask], column)
+            mask = column[rows] <= node["threshold"]
+            yield from leaf_counts(node["left"], rows[mask], column)
+            yield from leaf_counts(node["right"], rows[~mask], column)
 
         # re-derive each tree's bootstrap rows through its seeded stream
         from pdimp.trees import _tree_rng
-        for t, root in enumerate(model._roots):
+        for t, root in enumerate(model_to_json(model)["trees"]):
             rows = np.sort(_tree_rng(1, t).integers(0, 30, size=30))
             col = ds.column("a")[rows]
             assert all(c >= 7 for c in leaf_counts(root, np.arange(30), col))
@@ -140,13 +143,14 @@ class TestPrediction:
         queries = Dataset.from_dict({"a": rng.uniform(size=10), "b": rng.uniform(size=10)})
 
         def walk(node, row):
-            while not node.is_leaf:
-                v = row[node.feature]
-                node = node.left if v <= node.threshold else node.right
-            return node.value
+            while "feature" in node:
+                v = row[node["feature"]]
+                node = node["left"] if v <= node["threshold"] else node["right"]
+            return node["value"]
 
         rows = np.column_stack([queries.column("a"), queries.column("b")])
-        per_tree = np.array([[walk(r, row) for row in rows] for r in model._roots])
+        per_tree = np.array([[walk(r, row) for row in rows]
+                             for r in model_to_json(model)["trees"]])
         want = [(c[0] + c[1] + c[2]) / 3.0 for c in per_tree.T]
         np.testing.assert_allclose(model.predict(queries), want, atol=0)
 
@@ -190,24 +194,24 @@ class TestPrediction:
 
 
 def _walk_mean(model, batch):
-    """Reference predict: walk each tree row by row, add leaf values in tree
-    order starting from 0.0, divide by the tree count."""
+    """Reference predict: walk each saved tree document row by row, add leaf
+    values in tree order starting from 0.0, divide by the tree count."""
     names = [f.name for f in model._feature_schema]
+    roots = model_to_json(model)["trees"]
     out = []
     for i in range(batch.n_rows):
         row = [batch.column(name)[i] for name in names]
         total = 0.0
-        for root in model._roots:
-            node = root
-            while not node.is_leaf:
-                v = row[node.feature]
-                if node.left_levels is None:
-                    go_left = not v > node.threshold  # NaN goes left
+        for node in roots:
+            while "feature" in node:
+                v = row[node["feature"]]
+                if "threshold" in node:
+                    go_left = not v > node["threshold"]  # NaN goes left
                 else:
-                    go_left = node.left_levels[int(v)]
-                node = node.left if go_left else node.right
-            total += node.value
-        out.append(total / len(model._roots))
+                    go_left = int(v) in node["left_levels"]
+                node = node["left"] if go_left else node["right"]
+            total += node["value"]
+        out.append(total / len(roots))
     return np.array(out)
 
 
@@ -285,11 +289,11 @@ def _cell_signature(root, col, value):
     sides, stack = [], [root]
     while stack:
         node = stack.pop()
-        if node.is_leaf:
+        if "feature" not in node:
             continue
-        if node.feature == col:
-            sides.append(bool(value > node.threshold))
-        stack += [node.left, node.right]
+        if node["feature"] == col:
+            sides.append(bool(value > node["threshold"]))
+        stack += [node["left"], node["right"]]
     return tuple(sides)
 
 
@@ -302,7 +306,7 @@ def test_each_split_cell_is_descended_once_over_the_whole_grid(rows):
     points = [(v,) for v in np.linspace(-0.1, 1.1, 3000)]
     pinned = np.array(points)
     cells = list(model._tree_cells([0], pinned))
-    for root, (cell, member) in zip(model._roots, cells):
+    for root, (cell, member) in zip(model_to_json(model)["trees"], cells):
         signatures = [_cell_signature(root, 0, p[0]) for p in points]
         assert len(member) == len(set(signatures))  # one descent per distinct cell
         for g, sig in enumerate(signatures):
@@ -381,3 +385,33 @@ def test_tree_deeper_than_eight_levels_matches_the_walk():
     block = model.predict_grid(batch, ["a"], points)
     for row, point in zip(block, points):
         assert np.array_equal(row, _walk_mean(model, _pinned(batch, ["a"], point)))
+
+
+def test_saved_forest_bytes_are_pinned_and_loading_rebuilds_every_node_array(tmp_path):
+    # threshold and level-mask splits; the digest was recorded when trees were
+    # still fitted as linked nodes and flattened afterwards
+    rng = np.random.default_rng(61)
+    n = 60
+    g = rng.integers(0, 3, size=n)
+    a = rng.uniform(size=n)
+    ds = Dataset(
+        (FeatureSchema("a", "continuous"), FeatureSchema("g", "categorical", ("p", "q", "r")),
+         FeatureSchema("y", "continuous")),
+        {"a": a, "g": g, "y": np.sin(4 * a) + g * (a > 0.5) + rng.normal(scale=0.1, size=n)},
+    )
+    model = fit_bagged_trees(ds, "y", n_trees=4, max_depth=4, min_leaf=3, seed=5)
+    flat = model._flat
+    assert flat.has_categorical and np.isfinite(flat.threshold).any()
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "85c64b3a412c69e3e24d84cc6d61d5fdb6a67eab5d62234e02e9dc43ff96b6ae")
+    loaded = model_from_json(model_to_json(model))._flat
+    assert vars(loaded).keys() == vars(flat).keys()
+    for name, array in vars(flat).items():
+        again = getattr(loaded, name)
+        if isinstance(array, np.ndarray):
+            assert again.dtype == array.dtype, name
+            assert np.array_equal(again, array, equal_nan=True), name
+        else:
+            assert again == array, name
