@@ -134,16 +134,7 @@ class ExternalModel(PredictionModel):
         n = batch.n_rows
         body = io.StringIO()
         writer = csv.writer(body, lineterminator="\n")
-        decoded = []
-        for name in self._names:
-            feat = batch.schema_for(name)
-            col = batch.column(name)
-            if feat.is_continuous:
-                decoded.append([repr(float(v)) for v in col])
-            else:
-                decoded.append([feat.levels[i] for i in col])
-        for row in zip(*decoded):
-            writer.writerow(row)
+        writer.writerows(zip(*(batch._text_cells(name) for name in self._names)))
         payload = json.dumps({"n": n}) + "\n" + body.getvalue()
         try:
             self._process.stdin.write(payload)

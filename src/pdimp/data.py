@@ -197,15 +197,17 @@ class Dataset:
 
     # -- CSV -----------------------------------------------------------
 
+    def _text_cells(self, name: str) -> list[str]:
+        """A column as CSV cells: each float in shortest round-trip form, each
+        level index as its label."""
+        feat = self.schema_for(name)
+        if feat.is_continuous:
+            return [repr(float(v)) for v in self._columns[name]]
+        return [feat.levels[i] for i in self._columns[name]]
+
     def to_csv(self, target) -> None:
         """Write RFC-4180 CSV with header; floats use shortest round-trip form."""
-        decoded = []
-        for feat in self._schema:
-            col = self._columns[feat.name]
-            if feat.is_continuous:
-                decoded.append([repr(float(v)) for v in col])
-            else:
-                decoded.append([feat.levels[i] for i in col])
+        decoded = [self._text_cells(name) for name in self.feature_names]
         write_csv(target, self.feature_names, zip(*decoded) if decoded else ())
 
     def __eq__(self, other) -> bool:

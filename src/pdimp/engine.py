@@ -14,7 +14,7 @@ memory cap, and each block is reduced (aggregated per point) before its
 slab is done; slabs run on the ``workers`` threads. A model's
 ``predict_grid`` gives the same predictions as a per-point ``predict``, so
 neither the slab size nor the worker count changes a result. Only
-``ice_curves``, which returns every prediction, holds a points x rows
+``ice_curves``, which returns every prediction, holds a rows x points
 matrix.
 """
 
@@ -336,25 +336,24 @@ def _point_label(features, dataset, point) -> str:
     return ", ".join(parts)
 
 
-def _check_finite(block: np.ndarray, dataset, features, points) -> None:
-    """Raise NonFiniteError at the first point whose row of ``block`` is not finite."""
-    bad = np.flatnonzero(~np.isfinite(block).all(axis=1))
+def _check_finite(values: np.ndarray, dataset, features, points, message: str) -> None:
+    """Raise NonFiniteError with ``message`` naming the first point whose
+    entry of ``values`` (a value, or a row of predictions) is not finite."""
+    bad = np.flatnonzero(~np.isfinite(values).reshape(len(values), -1).all(axis=1))
     if bad.size:
-        raise NonFiniteError(
-            f"model produced a non-finite prediction at grid point "
-            f"({_point_label(features, dataset, points[bad[0]])})"
-        )
+        raise NonFiniteError(message.format(_point_label(features, dataset, points[bad[0]])))
 
 
-def _score_points(model, dataset, features, points, workers, reduce, out) -> np.ndarray:
-    """Write into ``out[g]`` the ``reduce`` of the training-set predictions
-    at ``points[g]``, for every grid point; return ``out``.
+def _score_points(model, dataset, features, points, workers, reduce) -> np.ndarray:
+    """The ``reduce(g, predictions)`` of the training-set predictions at
+    ``points[g]``, for every grid point, as an array.
 
     Points go to ``model.predict_grid`` in slabs of consecutive points,
     each at most ``_SLAB_ELEMENTS`` points x rows (one point at least), so
     a model that shares work between points shares it within a slab. Each
     slab's block is checked and reduced on the thread that scored it, into
-    its own rows of ``out``; the outcome does not depend on the slab size or
+    its own entries of the result, and a reduction that is not finite
+    raises NonFiniteError; the outcome does not depend on the slab size or
     on ``workers``.
     """
     features = list(features)
@@ -362,13 +361,17 @@ def _score_points(model, dataset, features, points, workers, reduce, out) -> np.
         dataset.schema_for(name)
     size = max(1, _SLAB_ELEMENTS // max(1, dataset.n_rows))
     starts = range(0, len(points), size)
+    out = np.empty(len(points))
 
     def score(start):
         slab = points[start:start + size]
         block = model.predict_grid(dataset, features, slab)
-        _check_finite(block, dataset, features, slab)
+        _check_finite(block, dataset, features, slab,
+                      "model produced a non-finite prediction at grid point ({})")
         for g, row in enumerate(block, start):
-            out[g] = reduce(row)
+            out[g] = reduce(g, row)
+        _check_finite(out[start:start + len(slab)], dataset, features, slab,
+                      "the partial dependence at grid point ({}) overflows float64")
 
     if workers <= 1 or len(starts) <= 1:
         for start in starts:
@@ -379,33 +382,29 @@ def _score_points(model, dataset, features, points, workers, reduce, out) -> np.
     return out
 
 
-def predictions_at_points(model: PredictionModel, dataset: Dataset,
-                          features: Sequence[str], points: Sequence[tuple],
-                          workers: int = 1) -> list[np.ndarray]:
-    """Training-set predictions with the interest features pinned to each point."""
-    out = np.empty((len(points), dataset.n_rows))
-    return list(_score_points(model, dataset, features, points, workers,
-                              lambda preds: preds, out))
-
-
 def pd_values_at(model: PredictionModel, dataset: Dataset, features: Sequence[str],
                  points: Sequence[tuple], workers: int = 1,
                  aggregator: str = "mean") -> np.ndarray:
     """Partial dependence values at an explicit list of grid points.
 
-    Each point's predictions are aggregated as soon as they are scored.
+    Each point's predictions are aggregated as soon as they are scored; a
+    value that is not finite raises NonFiniteError.
     """
     if dataset.n_rows == 0:
         raise ParameterError("cannot average over an empty dataset")
     return _score_points(model, dataset, features, points, workers,
-                         lambda preds: aggregate(preds, aggregator), np.empty(len(points)))
+                         lambda g, preds: aggregate(preds, aggregator))
 
 
 def _baseline(model, dataset, aggregator) -> float:
     preds = model.predict(dataset)
     if not np.all(np.isfinite(preds)):
         raise NonFiniteError("model produced a non-finite prediction on the training data")
-    return aggregate(preds, aggregator)
+    baseline = aggregate(preds, aggregator)
+    if not np.isfinite(baseline):
+        raise NonFiniteError("the baseline (the aggregate prediction on the training data) "
+                             "overflows float64")
+    return baseline
 
 
 def partial_dependence(model: PredictionModel, dataset: Dataset, grid: Grid,
@@ -441,7 +440,12 @@ def ice_curves(model: PredictionModel, dataset: Dataset, grid: Grid,
     """
     if len(grid.axes) != 1:
         raise ParameterError("ICE curves are defined for a single feature")
-    preds = predictions_at_points(model, dataset, grid.features, grid.points(), workers)
-    curves = np.column_stack(preds)
-    pd_values = np.array([ordered_mean(col) for col in preds])
+    points = grid.points()
+    curves = np.empty((dataset.n_rows, len(points)))
+
+    def keep(g, preds):
+        curves[:, g] = preds
+        return ordered_mean(preds)
+
+    pd_values = _score_points(model, dataset, grid.features, points, workers, keep)
     return ICEResult(grid, curves, _baseline(model, dataset, "mean"), pd_values)

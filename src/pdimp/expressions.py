@@ -1,9 +1,15 @@
 """Formula-defined prediction surfaces, e.g. ``10*sin(pi*x1*x2) + 5*x5``.
 
-A small recursive-descent parser compiles the text to an expression tree
-over feature names; evaluation is vectorized over dataset columns. These
-oracle models make it possible to test the estimators against surfaces
-whose partial dependence is known exactly.
+A small recursive-descent parser compiles the text to a flat postfix
+program over feature names as it reads: a number or a feature name pushes
+a value, and each operator or function replaces its operands on the value
+stack with its result. Evaluation runs the program in one loop,
+vectorized over dataset columns, so sums and products of any length
+compile and score. Only nesting (parentheses, unary minus, ``^`` chains)
+recurses in the parser; an expression nested too deeply for Python's
+stack raises ExpressionError. These oracle models make it possible to
+test the estimators against surfaces whose partial dependence is known
+exactly.
 
 Precedence, loosest to tightest: ``+ -``, ``* /``, unary ``-``, ``^``
 (right-associative, so ``2^3^2 == 512`` and ``-2^2 == -4``).
@@ -12,8 +18,8 @@ Precedence, loosest to tightest: ``+ -``, ``* /``, unary ``-``, ``^``
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,39 +37,20 @@ FUNCTIONS = {
     "abs": np.abs,
 }
 
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": np.power,
+}
+_BINARY_STEPS = frozenset(_BINARY.values())
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^(),]))"
 )
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    lhs: object
-    rhs: object
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: object
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -83,143 +70,100 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Appends each step to ``program`` as soon as its operands are there:
+    a float or a feature name pushes a value, a callable in ``_BINARY_STEPS``
+    pops two, and any other callable maps the top value."""
+
     def __init__(self, text: str, variables: set[str]):
         self.text = text
         self.tokens = _tokenize(text)
         self.variables = variables
         self.index = 0
+        self.program = []
 
     def peek(self):
         return self.tokens[self.index] if self.index < len(self.tokens) else (None, None, len(self.text))
 
-    def advance(self):
-        token = self.peek()
-        self.index += 1
-        return token
+    def take(self, symbols: str):
+        """Consume and return the next token if it is one of the operator ``symbols``."""
+        kind, value, _ = self.peek()
+        if kind == "op" and value in symbols:
+            self.index += 1
+            return value
+        return None
 
     def expect_op(self, symbol: str):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != symbol:
+        if not self.take(symbol):
+            pos = self.peek()[2]
             raise ExpressionError(f"expected {symbol!r} at position {pos}", position=pos)
-        self.advance()
 
-    def parse(self):
-        node = self.expr()
+    def parse(self) -> tuple:
+        self.expr()
         kind, value, pos = self.peek()
         if kind is not None:
             raise ExpressionError(f"unexpected {value!r} at position {pos}", position=pos)
-        return node
+        return tuple(self.program)
 
     def expr(self):
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                node = BinOp(value, node, self.term())
-            else:
-                return node
+        self.term()
+        while op := self.take("+-"):
+            self.term()
+            self.program.append(_BINARY[op])
 
     def term(self):
-        node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                node = BinOp(value, node, self.factor())
-            else:
-                return node
+        self.factor()
+        while op := self.take("*/"):
+            self.factor()
+            self.program.append(_BINARY[op])
 
     def factor(self):
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
+        if self.take("-"):
+            self.factor()
+            self.program.append(operator.neg)
+        else:
+            self.power()
 
     def power(self):
-        node = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            return BinOp("^", node, self.factor())
-        return node
+        self.atom()
+        if self.take("^"):
+            self.factor()
+            self.program.append(np.power)
 
     def atom(self):
-        kind, value, pos = self.advance()
+        kind, value, pos = self.peek()
+        self.index += 1
         if kind == "num":
-            return Num(float(value))
-        if kind == "name":
-            next_kind, next_value, _ = self.peek()
-            if next_kind == "op" and next_value == "(":
-                return self.call(value, pos)
-            if value == "pi":
-                return Num(math.pi)
+            self.program.append(float(value))
+        elif kind == "name" and self.take("("):
+            self.call(value, pos)
+        elif kind == "name" and value == "pi":
+            self.program.append(math.pi)
+        elif kind == "name":
             if value not in self.variables:
-                raise ExpressionError(
-                    f"unknown variable {value!r} at position {pos}", position=pos
-                )
-            return Var(value)
-        if kind == "op" and value == "(":
-            node = self.expr()
+                raise ExpressionError(f"unknown variable {value!r} at position {pos}", position=pos)
+            self.program.append(value)
+        elif kind == "op" and value == "(":
+            self.expr()
             self.expect_op(")")
-            return node
-        shown = "end of input" if kind is None else repr(value)
-        raise ExpressionError(f"expected a value, got {shown} at position {pos}", position=pos)
+        else:
+            shown = "end of input" if kind is None else repr(value)
+            raise ExpressionError(f"expected a value, got {shown} at position {pos}", position=pos)
 
     def call(self, name: str, pos: int):
         if name not in FUNCTIONS:
             raise ExpressionError(f"unknown function {name!r} at position {pos}", position=pos)
-        self.expect_op("(")
-        args = [self.expr()]
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value == ",":
-                self.advance()
-                args.append(self.expr())
-            else:
-                break
+        self.expr()
+        count = 1
+        while self.take(","):
+            self.expr()
+            count += 1
         self.expect_op(")")
-        if len(args) != 1:
+        if count != 1:
             raise ExpressionError(
-                f"function {name!r} takes 1 argument, got {len(args)} at position {pos}",
+                f"function {name!r} takes 1 argument, got {count} at position {pos}",
                 position=pos,
             )
-        return Call(name, args[0])
-
-
-def _evaluate(node, columns: dict[str, np.ndarray]):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return columns[node.name]
-    if isinstance(node, Neg):
-        return -_evaluate(node.operand, columns)
-    if isinstance(node, Call):
-        return FUNCTIONS[node.fn](_evaluate(node.arg, columns))
-    lhs = _evaluate(node.lhs, columns)
-    rhs = _evaluate(node.rhs, columns)
-    if node.op == "+":
-        return lhs + rhs
-    if node.op == "-":
-        return lhs - rhs
-    if node.op == "*":
-        return lhs * rhs
-    if node.op == "/":
-        return lhs / rhs
-    return np.power(lhs, rhs)
-
-
-def _referenced(node, out: set[str]):
-    if isinstance(node, Var):
-        out.add(node.name)
-    elif isinstance(node, Neg):
-        _referenced(node.operand, out)
-    elif isinstance(node, Call):
-        _referenced(node.arg, out)
-    elif isinstance(node, BinOp):
-        _referenced(node.lhs, out)
-        _referenced(node.rhs, out)
+        self.program.append(FUNCTIONS[name])
 
 
 class ExpressionModel(PredictionModel):
@@ -230,18 +174,27 @@ class ExpressionModel(PredictionModel):
     them (and those features get a perfectly flat partial dependence).
     """
 
-    def __init__(self, source: str, tree, schema: Sequence[FeatureSchema]):
+    def __init__(self, source: str, program: tuple, schema: Sequence[FeatureSchema]):
         self._feature_schema = tuple(schema)
         self.source = source
-        self.tree = tree
-        self.variables = set()
-        _referenced(tree, self.variables)
+        self.program = program
+        self.variables = {step for step in program if isinstance(step, str)}
 
     def _predict_checked(self, batch: Dataset) -> np.ndarray:
         columns = {name: batch.column(name) for name in self.variables}
+        stack = []
         with np.errstate(all="ignore"):
-            result = _evaluate(self.tree, columns)
-        return np.broadcast_to(np.asarray(result, dtype=np.float64), (batch.n_rows,)).copy()
+            for step in self.program:
+                if isinstance(step, float):
+                    stack.append(step)
+                elif isinstance(step, str):
+                    stack.append(columns[step])
+                elif step in _BINARY_STEPS:
+                    rhs = stack.pop()
+                    stack[-1] = step(stack[-1], rhs)
+                else:
+                    stack[-1] = step(stack[-1])
+        return np.broadcast_to(np.asarray(stack[-1], dtype=np.float64), (batch.n_rows,)).copy()
 
 
 def parse_expression(text: str, schema: Sequence[FeatureSchema]) -> ExpressionModel:
@@ -249,5 +202,12 @@ def parse_expression(text: str, schema: Sequence[FeatureSchema]) -> ExpressionMo
     if not text.strip():
         raise ExpressionError("empty expression", position=0)
     continuous = {f.name for f in schema if f.is_continuous}
-    tree = _Parser(text, continuous).parse()
-    return ExpressionModel(text, tree, schema)
+    parser = _Parser(text, continuous)
+    try:
+        program = parser.parse()
+    except RecursionError:
+        pos = parser.peek()[2]
+        raise ExpressionError(
+            f"expression nests too deeply at position {pos}", position=pos
+        ) from None
+    return ExpressionModel(text, program, schema)

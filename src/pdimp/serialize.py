@@ -14,6 +14,7 @@ so that both children exist before their parent. Neither recurses.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +43,10 @@ def _field(doc, key: str, types, where: str):
 
 
 def _floats(doc, key: str, where: str, ndim: int = 0):
-    """``doc[key]`` as float64: a number when ``ndim`` is 0, else an array of
-    ``ndim`` dimensions. Every number a document holds is read through here,
-    so an integer beyond the float64 range raises ParameterError too."""
+    """``doc[key]`` as finite float64: a number when ``ndim`` is 0, else an
+    array of ``ndim`` dimensions. Every number a document holds is read
+    through here, so an integer beyond the float64 range, ``NaN`` and
+    ``Infinity`` raise ParameterError too; a fitted model holds none."""
     value = _field(doc, key, list if ndim else (int, float), where)
     try:
         out = np.asarray(value, dtype=np.float64) if ndim else float(value)
@@ -53,6 +55,8 @@ def _floats(doc, key: str, where: str, ndim: int = 0):
         raise ParameterError(f"{where} field {key!r} is not {kind}") from None
     if ndim and out.ndim != ndim:
         raise ParameterError(f"{where} field {key!r} must be {ndim}-dimensional")
+    if not (np.isfinite(out).all() if ndim else math.isfinite(out)):
+        raise ParameterError(f"{where} field {key!r} holds a non-finite number")
     return out
 
 

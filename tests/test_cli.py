@@ -308,6 +308,64 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "float64" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("model,edit", [
+        ("linear", lambda d: d["coefficients"].update(x3=float("inf"))),
+        ("knn:k=3", lambda d: d["train"][1].__setitem__(2, float("inf"))),
+        ("knn:k=3", lambda d: d["targets"].__setitem__(0, float("nan"))),
+        ("bagged:n_trees=2,max_depth=2,min_leaf=5,seed=1",
+         lambda d: TestExitCodes._first_leaf(d).update(value=float("-inf"))),
+        ("bagged:n_trees=2,max_depth=2,min_leaf=5,seed=1",
+         lambda d: d["trees"][0].update(threshold=float("nan"))),
+    ], ids=["linear coefficient", "knn train", "knn target", "tree leaf value",
+            "tree threshold"])
+    def test_non_finite_number_in_a_model_file_exits_2(self, friedman_csv, tmp_path,
+                                                       capsys, model, edit):
+        assert _run("fit", "--data", friedman_csv, "--target", "y", "--model", model,
+                    "--out-dir", tmp_path) == 0
+        path = tmp_path / "model.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))  # writes NaN, Infinity or -Infinity
+        capsys.readouterr()
+        assert _run("importance", "--data", friedman_csv, "--target", "y",
+                    "--model-file", path, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite number" in err
+        assert "grid point" not in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "importance.csv").exists()
+
+    @staticmethod
+    def _expression_file(path, source):
+        schema = [{"name": f"x{i}", "kind": "continuous"} for i in range(1, 11)]
+        path.write_text(json.dumps({"format": 1, "kind": "expression", "schema": schema,
+                                    "source": source}))
+        return path
+
+    def test_expression_of_any_length_scores(self, friedman_csv, tmp_path, capsys):
+        source = "+".join(f"0.5*x{i % 5 + 1}" for i in range(2000))
+        path = self._expression_file(tmp_path / "long.json", source)
+        for argv in (["--model-file", path], ["--expr", source]):
+            out = tmp_path / argv[0].strip("-")
+            assert _run("importance", "--data", friedman_csv, "--target", "y", *argv,
+                        "--grid", "quantile:4", "--out-dir", out) == 0
+            rows = (out / "importance.csv").read_text().splitlines()
+            assert len(rows) == 11
+        assert (tmp_path / "model-file" / "importance.csv").read_bytes() == \
+            (tmp_path / "expr" / "importance.csv").read_bytes()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("deep", ["(" * 300 + "x1" + ")" * 300, "-" * 3000 + "x1"],
+                             ids=["parentheses", "unary minuses"])
+    def test_expression_nested_too_deeply_exits_2(self, friedman_csv, tmp_path, capsys, deep):
+        path = self._expression_file(tmp_path / "deep.json", deep)
+        for argv in (["--expr=" + deep], ["--model-file", path]):
+            assert _run("importance", "--data", friedman_csv, "--target", "y", *argv,
+                        "--out-dir", tmp_path / "out") == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "nests too deeply" in err
+            assert "Traceback" not in err
+        assert not (tmp_path / "out" / "importance.csv").exists()
+
     def test_target_whose_squared_sums_overflow_is_refused(self, tmp_path, capsys):
         data = tmp_path / "big.csv"
         data.write_text("a,y\n" + "".join(f"{i / 40},{(-1) ** i * 1e160!r}\n"
@@ -326,6 +384,8 @@ class TestExitCodes:
         (["importance", "--expr", "1e307*x1+1e307"], "importance"),  # the PD mean is inf
         (["interact", "--expr", "1e200*x1*x2", "--pairs", "x1:x2"], "interactions"),
         (["interact", "--expr", "1e154*x1*x2", "--pairs", "x1:x2", "--h-stat"], "interactions"),
+        (["pdp", "--expr", "1e307*x1+1e307", "--features", "x2"], "pd"),
+        (["ice", "--expr", "1e307*x1+1e307", "--feature", "x1"], "ice"),
     ])
     def test_scores_that_overflow_exit_2_and_write_nothing(self, friedman_csv, tmp_path,
                                                            capsys, argv, artifact):

@@ -209,6 +209,24 @@ class TestPartialDependence:
         with pytest.raises(ParameterError):
             partial_dependence(_expr("a", ds), ds, grid)
 
+    @pytest.mark.parametrize("estimate", [partial_dependence, ice_curves])
+    def test_overflowing_mean_names_the_grid_point(self, estimate):
+        ds = Dataset.from_dict({"x1": [0.5, 1.0], "x2": [1.0, 1.0]})
+        grid = build_grid(ds, ["x1"], GridStrategy.unique())
+        with pytest.raises(NonFiniteError, match=r"at grid point \(x1=0.5\) overflows float64"):
+            estimate(_expr("1e308*x1 + 5e307", ds), ds, grid)  # finite predictions
+
+    @pytest.mark.parametrize("estimate", [partial_dependence, ice_curves])
+    def test_overflowing_baseline_is_refused(self, estimate):
+        # at every grid point the alternating terms cancel as they are summed,
+        # while on the training rows every term is +1e308
+        ds = Dataset.from_dict({"x1": [1.0, -1.0, 1.0, -1.0], "x2": [1.0, -1.0, 1.0, -1.0]})
+        grid = build_grid(ds, ["x1"], GridStrategy.unique())
+        model = _expr("1e308*x1*x2", ds)
+        assert np.array_equal(pd_values_at(model, ds, ["x1"], grid.points()), [0.0, 0.0])
+        with pytest.raises(NonFiniteError, match="baseline .* overflows float64"):
+            estimate(model, ds, grid)
+
     def test_median_aggregator(self):
         ds = Dataset.from_dict({"a": [0.0, 0.0, 0.0], "b": [1.0, 2.0, 10.0]})
         model = _expr("a + b", ds)

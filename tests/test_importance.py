@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pdimp import (
     Dataset,
@@ -219,3 +221,25 @@ class TestReportOutput:
         report = importance_all(model, ds, GridStrategy.quantile(6))
         pd = partial_dependence(model, ds, build_grid(ds, ["a"], GridStrategy.quantile(6)))
         assert report.score_of("a") == importance_from_pd(pd, SAMPLE_SD)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(2, 40), st.sampled_from([SAMPLE_SD, MAD, RANGE_OVER_4]))
+def test_a_flat_pd_scores_exactly_zero(value, k, measure):
+    values = np.full(k, value)
+    if value == 0:
+        values[::2] = -0.0  # signed zeros are still flat
+    assert spread(values, measure) == 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=40),
+                 st.lists(st.floats(-1e-140, 1e-140), min_size=2, max_size=40)),
+       st.sampled_from([SAMPLE_SD, RANGE_OVER_4]))
+def test_a_pd_whose_values_differ_by_1e_150_scores_above_zero(values, measure):
+    """Not every non-flat PD: below this gap the sd's squares can underflow
+    (the sd of [1e-200, 2e-200] is 0.0), and MAD is 0 whenever more than
+    half the values tie."""
+    values = np.array(values)
+    assume(values.max() - values.min() >= 1e-150)
+    assert spread(values, measure) > 0.0

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdimp import (
     Dataset,
@@ -19,6 +21,7 @@ from pdimp import (
     pd_interaction,
 )
 from pdimp.engine import Grid, ordered_mean
+from pdimp.expressions import FUNCTIONS
 
 
 def _expr(text, ds):
@@ -339,3 +342,40 @@ class TestHFromJointTable:
 
         monkeypatch.setattr(Grid, "points", refuse)
         assert h_statistic(model, features, ("a", "b"), GridStrategy.unique()) == want
+
+
+def _one_feature_term(name):
+    """A text term in ``name`` alone: a coefficient times a function or a power."""
+    coefficient = st.floats(-5, 5, allow_subnormal=False).map(lambda c: f"({c!r})")
+    shape = st.one_of(
+        st.sampled_from(sorted(FUNCTIONS)).map(lambda fn: f"{fn}(abs({name}) + 1)"),
+        st.integers(1, 4).map(lambda p: f"{name}^{p}"),
+    )
+    return st.tuples(coefficient, shape).map("*".join)
+
+
+@st.composite
+def _additive_surfaces(draw):
+    n = draw(st.integers(4, 15), label="rows")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    ds = Dataset.from_dict({name: rng.uniform(-2, 2, size=n) for name in ("a", "b", "c")})
+    terms = draw(st.lists(st.sampled_from(["a", "b", "c"]).flatmap(_one_feature_term),
+                          min_size=1, max_size=8), label="terms")
+    return ds, terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(_additive_surfaces())
+def test_an_additive_surface_scores_no_interaction(case):
+    """Exact arithmetic gives 0 for every pair; in floating point each PD
+    value carries rounding of about eps times the terms' magnitude, so the
+    statistic must stay within 1e-13 times the largest row sum of |term|."""
+    ds, terms = case
+    model = _expr(" + ".join(terms), ds)
+    scale = sum(np.abs(_expr(t, ds).predict(ds)) for t in terms).max()
+    report = interaction_matrix(model, ds, grid_strategy=GridStrategy.quantile(4))
+    assert len(report.pairs) == 3
+    for pair in report.pairs:
+        assert not pair.degenerate
+        assert pair.stat_pd <= 1e-13 * (1.0 + scale), pair
