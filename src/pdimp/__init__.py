@@ -24,7 +24,6 @@ from .engine import (
     PDResult,
     build_grid,
     ice_curves,
-    joint_partial_dependence,
     partial_dependence,
 )
 from .errors import (
@@ -123,7 +122,6 @@ __all__ = [
     "importance_from_pd",
     "infer_schema",
     "interaction_matrix",
-    "joint_partial_dependence",
     "load_csv",
     "load_model",
     "model_from_json",

@@ -33,7 +33,7 @@ import time
 import numpy as np
 
 from .data import Dataset
-from .errors import BridgeError, BridgeTimeoutError, ProtocolError, SpawnError
+from .errors import BridgeError, BridgeTimeoutError, ParameterError, ProtocolError, SpawnError
 from .models import PredictionModel
 
 PROTOCOL_VERSION = 1
@@ -186,8 +186,12 @@ class ExternalModel(PredictionModel):
 def spawn_external(command, timeout: float = 30.0) -> ExternalModel:
     """Launch a child model and complete the protocol handshake.
 
-    ``command`` is a program string (shlex rules) or an argument list.
+    ``command`` is a program string (shlex rules) or an argument list;
+    ``timeout``, in seconds, bounds the handshake and each request.
     """
+    if not 0 < timeout <= threading.TIMEOUT_MAX:
+        raise ParameterError(f"timeout must be a positive number of seconds, "
+                             f"at most {threading.TIMEOUT_MAX:g}; got {timeout}")
     argv = shlex.split(command) if isinstance(command, str) else list(command)
     try:
         process = subprocess.Popen(

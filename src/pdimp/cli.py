@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
 from .bridge import spawn_external
 from .data import Dataset, load_csv, write_json
-from .engine import GridStrategy, ICEResult, PDResult, build_grid, ice_curves, \
-    joint_partial_dependence, partial_dependence
+from .engine import GridStrategy, build_grid, ice_curves, partial_dependence
 from .errors import BridgeError, ParameterError, PdimpError, UsageError
 from .importance import MEASURES, ImportanceReport, importance_all
-from .interaction import InteractionReport, interaction_matrix
+from .interaction import interaction_matrix
 from .models import fit_knn, fit_linear
 from .serialize import load_model, save_model
 from .simulate import SimulationSpec, generate
@@ -222,57 +222,9 @@ def emit_plot_data(result, out_dir, basename: str, formats=("csv", "json")) -> l
             raise ParameterError(f"unsupported output format {fmt!r}")
         paths.append(path)
     sidecar = out_dir / f"{basename}.schema.json"
-    write_json(sidecar, _sidecar_schema(result))
+    write_json(sidecar, result.sidecar())
     paths.append(sidecar)
     return paths
-
-
-def _sidecar_schema(result) -> dict:
-    if isinstance(result, PDResult):
-        columns = [
-            {"name": axis.feature, "role": "grid", "kind": axis.kind}
-            for axis in result.grid.axes
-        ]
-        columns.append({"name": "pd", "role": "value"})
-        return {
-            "columns": columns,
-            "baseline": result.baseline,
-            "n_train": result.n_train,
-            "aggregator": result.aggregator,
-            "strategy": str(result.grid.strategy),
-        }
-    if isinstance(result, ICEResult):
-        axis = result.grid.axes[0]
-        return {
-            "columns": [
-                {"name": "row_id", "role": "series"},
-                {"name": "grid_value", "role": "grid", "kind": axis.kind},
-                {"name": "prediction", "role": "value"},
-            ],
-            "baseline": result.baseline,
-            "feature": axis.feature,
-            "strategy": str(result.grid.strategy),
-        }
-    if isinstance(result, ImportanceReport):
-        return {
-            "columns": [
-                {"name": "feature", "role": "label"},
-                {"name": "score", "role": "value"},
-            ],
-            "grid_strategy": result.grid_strategy,
-            "aggregator": result.aggregator,
-        }
-    if isinstance(result, InteractionReport):
-        return {
-            "columns": [
-                {"name": "feature_i", "role": "label"},
-                {"name": "feature_j", "role": "label"},
-                {"name": "stat_pd", "role": "value"},
-                {"name": "stat_h", "role": "value", "optional": True},
-            ],
-            "grid_strategy": result.grid_strategy,
-        }
-    raise ParameterError(f"{type(result).__name__} has no plot-data form")
 
 
 def _write_manifest(out_dir, config: RunConfig) -> None:
@@ -343,8 +295,8 @@ def _cmd_pdp(args) -> int:
 
     def analysis(model, features):
         grid = build_grid(features, names, GridStrategy.parse(args.grid))
-        pd = partial_dependence if len(names) == 1 else joint_partial_dependence
-        return pd(model, features, grid, workers=args.workers, aggregator=args.aggregator)
+        return partial_dependence(model, features, grid, workers=args.workers,
+                                  aggregator=args.aggregator)
 
     def summary(result):
         return (f"pd over {' x '.join(names)}: {result.grid.size} grid points, "
@@ -442,6 +394,9 @@ def run(argv=None) -> int:
         raise UsageError("a subcommand is required")
     if getattr(args, "workers", 1) < 1:
         raise UsageError("--workers must be at least 1")
+    if not 0 < getattr(args, "timeout", 1.0) <= threading.TIMEOUT_MAX:
+        raise UsageError(f"--timeout must be a positive number of seconds, "
+                         f"at most {threading.TIMEOUT_MAX:g}")
     return _DISPATCH[args.subcommand](args)
 
 

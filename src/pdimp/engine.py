@@ -7,6 +7,9 @@ use fixed left-to-right summation in row order so results are identical
 whether grid points run serially or on worker threads, and identical to a
 naive nested-loop evaluation.
 
+A grid point is one row of a float64 (points x pinned features) array, a
+categorical value stored as its level code: ``Grid.points`` builds it, and
+the statistics slice their axes' values or the cells they need into it.
 Predictions at grid points come from one place, ``_score_points``, and
 one model method, ``predict_grid``. The points go to the model in slabs of
 consecutive points, each slab's points x rows block within a private
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -97,10 +101,9 @@ class GridAxis:
     def __len__(self) -> int:
         return len(self.values)
 
-    def display(self, index: int):
-        if self.labels is not None:
-            return self.labels[index]
-        return float(self.values[index])
+    def shown(self) -> list:
+        """The values as results write them: level labels, or floats."""
+        return list(self.labels) if self.labels is not None else [float(v) for v in self.values]
 
 
 @dataclass(frozen=True)
@@ -120,12 +123,11 @@ class Grid:
     def size(self) -> int:
         return int(np.prod(self.shape))
 
-    def points(self) -> list[tuple]:
-        """Grid points as value tuples, row-major for a pair."""
-        if len(self.axes) == 1:
-            return [(v,) for v in self.axes[0].values.tolist()]
-        a, b = self.axes
-        return [(u, v) for u in a.values.tolist() for v in b.values.tolist()]
+    def points(self) -> np.ndarray:
+        """Grid points as rows of a float64 (size x features) array, row-major
+        for a pair; a categorical value is its level code."""
+        mesh = np.meshgrid(*(axis.values for axis in self.axes), indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1, dtype=np.float64)
 
 
 def build_grid(dataset: Dataset, features: Sequence[str], strategy: GridStrategy) -> Grid:
@@ -218,31 +220,29 @@ class PDResult:
         """Values reshaped to the grid shape (k_i x k_j for a pair)."""
         return self.values.reshape(self.grid.shape)
 
-    def rows(self):
-        """Iterate (grid point display values..., pd value)."""
-        for flat, value in enumerate(self.values):
-            coords = np.unravel_index(flat, self.grid.shape)
-            yield tuple(
-                axis.display(int(i)) for axis, i in zip(self.grid.axes, coords)
-            ) + (float(value),)
+    def sidecar(self) -> dict:
+        """The column schema written next to the plot data."""
+        return {
+            "columns": [{"name": axis.feature, "role": "grid", "kind": axis.kind}
+                        for axis in self.grid.axes] + [{"name": "pd", "role": "value"}],
+            "baseline": self.baseline,
+            "n_train": self.n_train,
+            "aggregator": self.aggregator,
+            "strategy": str(self.grid.strategy),
+        }
 
     def to_csv(self, target) -> None:
-        write_csv(target, list(self.grid.features) + ["pd"],
-                  ([_format_cell(v) for v in row] for row in self.rows()))
+        points = product(*(axis.shown() for axis in self.grid.axes))  # row-major
+        write_csv(target, column_names(self.sidecar()),
+                  ([_format_cell(v) for v in point + (value,)]
+                   for point, value in zip(points, self.values.tolist())))
 
     def to_json_dict(self) -> dict:
-        points = {
-            axis.feature: (
-                list(axis.labels) if axis.labels is not None else [float(v) for v in axis.values]
-            )
-            for axis in self.grid.axes
-        }
-        values = self.value_matrix()
         return {
             "features": list(self.grid.features),
             "strategy": str(self.grid.strategy),
-            "points": points,
-            "values": values.tolist(),
+            "points": {axis.feature: axis.shown() for axis in self.grid.axes},
+            "values": self.value_matrix().tolist(),
             "n_train": self.n_train,
             "baseline": self.baseline,
             "aggregator": self.aggregator,
@@ -261,21 +261,34 @@ class ICEResult:
     baseline: float
     pd_values: np.ndarray = field(repr=False)
 
-    def to_csv(self, target) -> None:
+    def sidecar(self) -> dict:
+        """The column schema written next to the plot data."""
         axis = self.grid.axes[0]
-        write_csv(target, ["row_id", "grid_value", "prediction"], (
-            [i, _format_cell(axis.display(j)), _format_cell(float(self.curves[i, j]))]
+        return {
+            "columns": [
+                {"name": "row_id", "role": "series"},
+                {"name": "grid_value", "role": "grid", "kind": axis.kind},
+                {"name": "prediction", "role": "value"},
+            ],
+            "baseline": self.baseline,
+            "feature": axis.feature,
+            "strategy": str(self.grid.strategy),
+        }
+
+    def to_csv(self, target) -> None:
+        shown = [_format_cell(v) for v in self.grid.axes[0].shown()]
+        write_csv(target, column_names(self.sidecar()), (
+            [i, shown[j], _format_cell(float(self.curves[i, j]))]
             for i in range(self.curves.shape[0])
             for j in range(self.curves.shape[1])
         ))
 
     def to_json_dict(self) -> dict:
         axis = self.grid.axes[0]
-        points = list(axis.labels) if axis.labels is not None else [float(v) for v in axis.values]
         return {
             "feature": axis.feature,
             "strategy": str(self.grid.strategy),
-            "points": points,
+            "points": axis.shown(),
             "curves": self.curves.tolist(),
             "pd": [float(v) for v in self.pd_values],
             "baseline": self.baseline,
@@ -287,6 +300,11 @@ class ICEResult:
 
 def _format_cell(value):
     return repr(value) if isinstance(value, float) else value
+
+
+def column_names(sidecar: dict) -> list[str]:
+    """The CSV header of a result: the names of its sidecar's columns."""
+    return [column["name"] for column in sidecar["columns"]]
 
 
 def ordered_mean(values: np.ndarray) -> float:
@@ -331,7 +349,7 @@ def _point_label(features, dataset, point) -> str:
     parts = []
     for name, value in zip(features, point):
         feat = dataset.schema_for(name)
-        shown = value if feat.is_continuous else feat.levels[int(value)]
+        shown = float(value) if feat.is_continuous else feat.levels[int(value)]
         parts.append(f"{name}={shown}")
     return ", ".join(parts)
 
@@ -383,9 +401,9 @@ def _score_points(model, dataset, features, points, workers, reduce) -> np.ndarr
 
 
 def pd_values_at(model: PredictionModel, dataset: Dataset, features: Sequence[str],
-                 points: Sequence[tuple], workers: int = 1,
+                 points: np.ndarray, workers: int = 1,
                  aggregator: str = "mean") -> np.ndarray:
-    """Partial dependence values at an explicit list of grid points.
+    """Partial dependence values at grid points, one row of ``points`` each.
 
     Each point's predictions are aggregated as soon as they are scored; a
     value that is not finite raises NonFiniteError.
@@ -409,24 +427,13 @@ def _baseline(model, dataset, aggregator) -> float:
 
 def partial_dependence(model: PredictionModel, dataset: Dataset, grid: Grid,
                        workers: int = 1, aggregator: str = "mean") -> PDResult:
-    """Estimated partial dependence of the model on a single feature.
+    """Estimated partial dependence of the model on the grid's feature or
+    pair; a pair's values are row-major over the grid.
 
-    For each grid value the feature column is overwritten with that
-    constant, the model scores all n training rows, and the aggregate
+    At each grid point the feature columns are overwritten with the point's
+    constants, the model scores all n training rows, and the aggregate
     (mean, by default) is recorded.
     """
-    if len(grid.axes) != 1:
-        raise ParameterError("partial_dependence takes a single-feature grid; "
-                             "use joint_partial_dependence for pairs")
-    values = pd_values_at(model, dataset, grid.features, grid.points(), workers, aggregator)
-    return PDResult(grid, values, dataset.n_rows, _baseline(model, dataset, aggregator), aggregator)
-
-
-def joint_partial_dependence(model: PredictionModel, dataset: Dataset, grid: Grid,
-                             workers: int = 1, aggregator: str = "mean") -> PDResult:
-    """Partial dependence on a feature pair; values are row-major over the grid."""
-    if len(grid.axes) != 2:
-        raise ParameterError("joint_partial_dependence takes a two-feature grid")
     values = pd_values_at(model, dataset, grid.features, grid.points(), workers, aggregator)
     return PDResult(grid, values, dataset.n_rows, _baseline(model, dataset, aggregator), aggregator)
 

@@ -41,7 +41,7 @@ _BINARY = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
-    "/": operator.truediv,
+    "/": np.divide,
     "^": np.power,
 }
 _BINARY_STEPS = frozenset(_BINARY.values())

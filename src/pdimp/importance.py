@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CATEGORICAL, Dataset, write_csv, write_json
-from .engine import GridStrategy, PDResult, feature_axis, pd_values_at
+from .engine import GridStrategy, PDResult, column_names, feature_axis, pd_values_at
 from .errors import DegenerateGridError, NonFiniteError, ParameterError
 from .models import PredictionModel
 
@@ -57,7 +57,7 @@ def spread(values: np.ndarray, measure: str) -> float:
     if not np.isfinite(values).all():
         raise NonFiniteError("a partial dependence value overflows float64")
     if values.max() == values.min():
-        return 0.0  # guarantee zero-iff-flat, immune to mean round-off
+        return 0.0  # a flat PD scores exactly 0.0, whatever the mean's round-off
     if measure == SAMPLE_SD:
         return sample_sd(values)
     if measure == MAD:
@@ -110,8 +110,20 @@ class ImportanceReport:
                 return entry.score
         raise KeyError(name)
 
+    def sidecar(self) -> dict:
+        """The column schema written next to the plot data."""
+        return {
+            "columns": [
+                {"name": "feature", "role": "label"},
+                {"name": "score", "role": "value"},
+            ],
+            "grid_strategy": self.grid_strategy,
+            "aggregator": self.aggregator,
+        }
+
     def to_csv(self, target) -> None:
-        write_csv(target, ["feature", "score"], ([e.name, repr(e.score)] for e in self.entries))
+        write_csv(target, column_names(self.sidecar()),
+                  ([e.name, repr(e.score)] for e in self.entries))
 
     def to_json_dict(self) -> dict:
         return {
@@ -165,8 +177,7 @@ def importance_all(model: PredictionModel, dataset: Dataset,
         if len(axis) < 2:
             entries.append(ImportanceEntry(name, 0.0, used, len(axis), degenerate=True))
             continue
-        points = [(v,) for v in axis.values.tolist()]
-        values = pd_values_at(model, dataset, [name], points, workers, aggregator)
+        values = pd_values_at(model, dataset, [name], axis.values[:, None], workers, aggregator)
         entries.append(ImportanceEntry(name, spread(values, used), used, len(axis)))
     ranked = sorted(entries, key=lambda e: -e.score)
     return ImportanceReport(tuple(ranked), str(grid_strategy), aggregator)

@@ -22,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import CATEGORICAL, Dataset, write_csv, write_json
-from .engine import Grid, GridAxis, GridStrategy, feature_axis, ordered_mean, pd_values_at
+from .engine import (Grid, GridAxis, GridStrategy, column_names, feature_axis, ordered_mean,
+                     pd_values_at)
 from .errors import DegenerateGridError, NonFiniteError, ParameterError
 from .importance import SAMPLE_SD, measure_for, sample_sd, spread
 from .models import PredictionModel
@@ -55,12 +56,24 @@ class InteractionReport:
                 return pair
         raise KeyError((a, b))
 
+    def sidecar(self) -> dict:
+        """The column schema written next to the plot data."""
+        return {
+            "columns": [
+                {"name": "feature_i", "role": "label"},
+                {"name": "feature_j", "role": "label"},
+                {"name": "stat_pd", "role": "value"},
+                {"name": "stat_h", "role": "value", "optional": True},
+            ],
+            "grid_strategy": self.grid_strategy,
+        }
+
     def to_csv(self, target) -> None:
         def row(pair):
             h = "" if pair.stat_h is None or math.isnan(pair.stat_h) else repr(pair.stat_h)
             return [pair.features[0], pair.features[1], repr(pair.stat_pd), h]
 
-        write_csv(target, ["feature_i", "feature_j", "stat_pd", "stat_h"], map(row, self.pairs))
+        write_csv(target, column_names(self.sidecar()), map(row, self.pairs))
 
     def to_json_dict(self) -> dict:
         def encode_h(h):
@@ -165,8 +178,7 @@ def _row_codes(dataset: Dataset, axis: GridAxis) -> np.ndarray:
 
 def _pd_by_row(model, dataset, axis: GridAxis, workers) -> np.ndarray:
     """Marginal PD evaluated at each training row's own (snapped) value."""
-    points = [(v,) for v in axis.values.tolist()]
-    values = pd_values_at(model, dataset, [axis.feature], points, workers=workers)
+    values = pd_values_at(model, dataset, [axis.feature], axis.values[:, None], workers=workers)
     return values[_row_codes(dataset, axis)]
 
 
@@ -219,9 +231,9 @@ def h_statistic(model: PredictionModel, dataset: Dataset, pair: Sequence[str],
         grid_strategy = GridStrategy.unique()
     grid = _pair_grid(dataset, tuple(pair), grid_strategy)
     needed, where = np.unique(_row_cells(dataset, grid), return_inverse=True)
-    k_b = grid.shape[1]
-    va, vb = (axis.values.tolist() for axis in grid.axes)
-    points = [(va[c // k_b], vb[c % k_b]) for c in needed.tolist()]
+    a, b = grid.axes
+    i, j = np.divmod(needed, grid.shape[1])
+    points = np.stack((a.values[i], b.values[j]), axis=1, dtype=np.float64)
     values = pd_values_at(model, dataset, grid.features, points, workers=workers)
     return _h(model, dataset, grid, values[where], {}, workers)
 

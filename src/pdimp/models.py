@@ -3,8 +3,11 @@
 Every model maps a batch of rows to one float64 prediction per row,
 deterministically and row-independently, which is all the partial
 dependence machinery requires of it. ``predict_grid`` scores the rows with
-one or two features pinned to each of a slab of grid points; a model that
-can share work between the points overrides it.
+one or two features pinned to each of a slab of grid points, the rows of a
+(points x pinned features) array, a categorical value as its level code.
+It checks its arguments once and hands ``_grid`` the pinned columns and a
+float64 copy of the points; a model that can share work between the points
+overrides ``_grid``, which never writes into the points it is given.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ class PredictionModel:
     order) and implement ``_predict_checked``. The engine scores grid points
     only through ``predict_grid``, one slab of consecutive points per call,
     and may make those calls from several threads at once; the default
-    ``predict_grid`` calls ``predict`` once per point, so a model that holds
+    ``_grid`` calls ``predict`` once per point, so a model that holds
     per-request state must serialise its calls itself.
     """
 
@@ -42,16 +45,29 @@ class PredictionModel:
         out = self._predict_checked(batch)
         return np.asarray(out, dtype=np.float64)
 
-    def predict_grid(self, batch: Dataset, features: Sequence[str],
-                     points: Sequence[tuple]) -> np.ndarray:
+    def predict_grid(self, batch: Dataset, features: Sequence[str], points) -> np.ndarray:
         """Predictions with ``features`` pinned to each point: one row per point.
 
-        Row ``g`` equals ``predict`` on ``batch`` with each named column
-        overwritten by the constant ``points[g]`` value, bit for bit. This
-        default makes exactly that ``predict`` call for each point in turn.
+        ``points`` holds one row of values per point, one value per named
+        feature (a categorical value as its level code). Row ``g`` equals
+        ``predict`` on ``batch`` with each named column overwritten by the
+        constant ``points[g]`` value, bit for bit.
         """
-        block = np.empty((len(points), batch.n_rows))
-        for g, point in enumerate(points):
+        self._validate_batch(batch)
+        cols = [self.feature_names.index(batch.schema_for(name).name) for name in features]
+        try:
+            pinned = np.array(points, dtype=np.float64).reshape(len(points), len(cols))
+        except ValueError:
+            raise ParameterError(f"each grid point must hold one number per pinned feature "
+                                 f"{list(features)}") from None
+        return self._grid(batch, cols, pinned)
+
+    def _grid(self, batch: Dataset, cols: list[int], pinned: np.ndarray) -> np.ndarray:
+        """Predictions with the columns ``cols`` set to each row of ``pinned``;
+        this default makes one ``predict`` call per point."""
+        features = [self.feature_names[j] for j in cols]
+        block = np.empty((len(pinned), batch.n_rows))
+        for g, point in enumerate(pinned):
             block[g] = self.predict(pin(batch, features, point))
         return block
 
@@ -146,7 +162,7 @@ class KnnModel(PredictionModel):
         self._scaled_train = self.train / self.scales
 
     def _predict_checked(self, batch: Dataset) -> np.ndarray:
-        return self._grid(batch, [], [()])[0]
+        return self._grid(batch, [], np.empty((1, 0)))[0]
 
     def _scores(self, query: np.ndarray) -> np.ndarray:
         """Predictions for scaled query rows by the full kernel, the fall-back
@@ -161,17 +177,8 @@ class KnnModel(PredictionModel):
             out[start:start + block] = np.mean(self.targets[nearest], axis=1)
         return out
 
-    def predict_grid(self, batch: Dataset, features: Sequence[str],
-                     points: Sequence[tuple]) -> np.ndarray:
-        """Predictions with ``features`` pinned to each point: one row per point.
-
-        Equal, bit for bit, to ``predict`` at each point.
-        """
-        self._validate_batch(batch)
-        return self._grid(batch, [self.feature_names.index(name) for name in features], points)
-
-    def _grid(self, batch: Dataset, cols: list[int], points: Sequence[tuple]) -> np.ndarray:
-        """Predictions with the columns ``cols`` set to each point.
+    def _grid(self, batch: Dataset, cols: list[int], pinned: np.ndarray) -> np.ndarray:
+        """Predictions with the columns ``cols`` set to each row of ``pinned``.
 
         Query rows go in blocks of at most ``_KNN_BLOCK_ELEMENTS`` query x
         training distances (one row at least); the candidates' exact
@@ -179,8 +186,7 @@ class KnnModel(PredictionModel):
         """
         query = np.column_stack([batch.column(f.name) for f in self._feature_schema])
         query /= self.scales
-        pinned = np.array(points, dtype=np.float64).reshape(len(points), len(cols))
-        pinned /= self.scales[cols]
+        pinned = pinned / self.scales[cols]
         train = self._scaled_train
         rows = max(1, _KNN_BLOCK_ELEMENTS // len(train))
         out = np.empty((len(pinned), batch.n_rows))
@@ -262,7 +268,7 @@ class KnnModel(PredictionModel):
         return np.mean(self.targets[cand[first[:, None] + order]], axis=1)
 
 
-def pin(batch: Dataset, features: Sequence[str], point: tuple) -> Dataset:
+def pin(batch: Dataset, features: Sequence[str], point) -> Dataset:
     """``batch`` with each named column overwritten by the matching ``point`` value."""
     for name, value in zip(features, point):
         if batch.schema_for(name).is_continuous:

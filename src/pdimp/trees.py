@@ -1,15 +1,16 @@
 """Bagged binary regression trees with exhaustive least-squares splits.
 
 Splits on continuous features compare against midpoint thresholds between
-consecutive sorted unique values; splits on categorical features send a
-subset of levels left, found by ordering levels by mean response (optimal
-for squared error). Everything is deterministic given the seed: each tree
+consecutive sorted unique values (the lower value where the midpoint would
+not separate them); splits on categorical features send a subset of levels
+left, found by ordering levels by mean response (optimal for squared
+error). Everything is deterministic given the seed: each tree
 draws its bootstrap from a Philox stream keyed by (seed, tree index), so
 results do not depend on fitting order or worker scheduling.
 
 Prediction averages the leaf values tree by tree in a fixed order.
-``predict_grid`` scores the rows with one or two features pinned to each
-point of a slab of grid points, by the exact form of Friedman's 2001
+``_grid``, under ``predict_grid``, scores the rows with one or two features
+pinned to each point of a slab of grid points, by the exact form of Friedman's 2001
 weighted traversal. Within one tree, points that take the same branch at
 every split on the pinned features (one "split cell") reach the same
 leaves. Each row descends each tree once, following both children at a
@@ -72,8 +73,10 @@ def _best_split(columns, schema, rows, y, min_leaf):
             )
             t = int(np.argmax(gain))  # first max: lowest threshold wins ties
             if gain[t] > 0 and (best is None or gain[t] > best[0]):
-                threshold = (sv[t] + sv[t + 1]) / 2.0
-                best = (float(gain[t]), j, threshold)
+                # the midpoint, unless it rounds onto the upper value or overflows
+                low, high = float(sv[t]), float(sv[t + 1])
+                mid = (low + high) / 2.0
+                best = (float(gain[t]), j, mid if low <= mid < high else low)
         else:
             n_levels = len(feat.levels)
             if n_levels < 2:
@@ -194,37 +197,8 @@ class BaggedTreesModel(PredictionModel):
         self.seed = seed
         self._flat = forest
 
-    def _matrix(self, batch: Dataset) -> np.ndarray:
-        return np.ascontiguousarray(
-            np.vstack([batch.column(f.name).astype(np.float64) for f in self._feature_schema])
-        )
-
     def _predict_checked(self, batch: Dataset) -> np.ndarray:
-        out = np.empty((1, batch.n_rows))
-        self._fold_trees(self._matrix(batch), [], np.empty((1, 0)), out)
-        return out[0]
-
-    def predict_grid(self, batch: Dataset, features: Sequence[str],
-                     points: Sequence[tuple]) -> np.ndarray:
-        """Predictions with ``features`` pinned to each point: one row per point.
-
-        Row ``g`` equals, bit for bit, ``predict`` on ``batch`` with each
-        named column overwritten by the constant ``points[g]`` value. Each
-        row descends each tree once, each split cell of ``points`` once,
-        and the two meet at the leaves. Besides the returned block, the
-        per-tree labels of the points and one tree's (cell, leaf) pairs,
-        temporaries stay within a small multiple of ``_GRID_CHUNK_ELEMENTS``
-        elements.
-        """
-        self._validate_batch(batch)
-        cols = [self.feature_names.index(batch.schema_for(name).name) for name in features]
-        pinned = np.empty((len(points), len(cols)))
-        for s, j in enumerate(cols):
-            cast = float if self._feature_schema[j].is_continuous else int
-            pinned[:, s] = [cast(p[s]) for p in points]
-        out = np.empty((len(points), batch.n_rows))
-        self._fold_trees(self._matrix(batch), cols, pinned, out)
-        return out
+        return self._grid(batch, [], np.empty((1, 0)))[0]
 
     def _tree_cells(self, cols: list[int], pinned: np.ndarray):
         """Per tree, in order: (cell of each point, one point of each cell).
@@ -268,17 +242,24 @@ class BaggedTreesModel(PredictionModel):
             member[code] = every  # any member will do: a cell's points share every leaf
             yield cell[code], member[present]
 
-    def _fold_trees(self, matrix: np.ndarray, cols: list[int], pinned: np.ndarray,
-                    out: np.ndarray) -> None:
-        """Write into ``out`` the mean over trees for each row of ``pinned``.
+    def _grid(self, batch: Dataset, cols: list[int], pinned: np.ndarray) -> np.ndarray:
+        """Predictions with the columns ``cols`` set to each row of ``pinned``:
+        the mean over trees.
 
-        A block of trees is folded in one pass, or in passes over slices of
-        the rows when one tree alone exceeds the cap. Leaf values are summed
-        tree by tree from +0.0, then divided by the tree count: the order of
-        ``np.mean(values, axis=0)`` over a (trees x rows) block.
+        Each row descends each tree once, each split cell of the points
+        once, and the two meet at the leaves. A block of trees is folded in
+        one pass, or in passes over slices of the rows when one tree alone
+        exceeds the cap. Leaf values are summed tree by tree from +0.0, then
+        divided by the tree count: the order of ``np.mean(values, axis=0)``
+        over a (trees x rows) block. Besides the returned block, the
+        per-tree labels of the points and one tree's (cell, leaf) pairs,
+        temporaries stay within a small multiple of ``_GRID_CHUNK_ELEMENTS``
+        elements.
         """
+        matrix = np.vstack([batch.column(f.name) for f in self._feature_schema], dtype=np.float64)
         flat = self._flat
-        n = matrix.shape[1]
+        n = batch.n_rows
+        out = np.empty((len(pinned), n))
         # per node: 0 a split the rows follow by value, 1 a pinned split, 2 a leaf
         kind = np.where(flat.internal, 0, 2)
         for col in cols:
@@ -291,6 +272,7 @@ class BaggedTreesModel(PredictionModel):
                 self._fold_block(matrix[:, r: r + width], cols, pinned, kind, block,
                                  out[:, r: r + width])
         out /= len(flat.root)
+        return out
 
     def _tree_blocks(self, cols: list[int], pinned: np.ndarray, n: int):
         """Consecutive trees' cells, grouped while the sum of cells times

@@ -259,7 +259,7 @@ def test_criterion_08_joint_pd_converges_to_closed_form():
         (GridAxis("x1", "continuous", points), GridAxis("x2", "continuous", points)),
         GridStrategy.equidistant(11),
     )
-    estimated = __import__("pdimp").joint_partial_dependence(model, ds, grid).value_matrix()
+    estimated = __import__("pdimp").partial_dependence(model, ds, grid).value_matrix()
     truth = np.array([
         [true_pd_friedman_pair(("x1", "x2"), u, v) for v in points] for u in points
     ])

@@ -14,6 +14,7 @@ from pdimp import (
     FeatureSchema,
     GridStrategy,
     LinearModel,
+    ParameterError,
     ProtocolError,
     SpawnError,
     build_grid,
@@ -131,6 +132,13 @@ class TestHandshake:
     def test_unlaunchable_command(self):
         with pytest.raises(SpawnError, match="cannot launch"):
             spawn_external(["/no/such/binary-zzz"])
+
+    @pytest.mark.parametrize("timeout", [float("inf"), 1e300, float("nan"), -1.0, 0.0])
+    def test_timeout_must_be_positive_and_finite(self, tmp_path, timeout):
+        marker = tmp_path / "spawned"
+        with pytest.raises(ParameterError, match="timeout must be a positive number"):
+            spawn_external([PYTHON, "-c", f"open({str(marker)!r}, 'w')"], timeout=timeout)
+        assert not marker.exists()
 
 
 class TestPredict:

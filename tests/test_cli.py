@@ -165,6 +165,45 @@ class TestInteract:
         assert lines[0] == "feature_i,feature_j,stat_pd,stat_h" and len(lines) == 4
 
 
+def _grid(name, kind):
+    return {"name": name, "role": "grid", "kind": kind}
+
+
+_SIDECARS = [
+    (["pdp", "--features", "a,g"], "pd", {
+        "columns": [_grid("a", "continuous"), _grid("g", "categorical"),
+                    {"name": "pd", "role": "value"}],
+        "baseline": 3.0, "n_train": 4, "aggregator": "mean", "strategy": "unique"}),
+    (["ice", "--feature", "g"], "ice", {
+        "columns": [{"name": "row_id", "role": "series"},
+                    {"name": "grid_value", "role": "grid", "kind": "categorical"},
+                    {"name": "prediction", "role": "value"}],
+        "baseline": 3.0, "feature": "g", "strategy": "unique"}),
+    (["importance"], "importance", {
+        "columns": [{"name": "feature", "role": "label"}, {"name": "score", "role": "value"}],
+        "grid_strategy": "unique", "aggregator": "mean"}),
+    (["interact", "--grid", "unique"], "interactions", {
+        "columns": [{"name": "feature_i", "role": "label"},
+                    {"name": "feature_j", "role": "label"},
+                    {"name": "stat_pd", "role": "value"},
+                    {"name": "stat_h", "role": "value", "optional": True}],
+        "grid_strategy": "unique"}),
+]
+
+
+@pytest.mark.parametrize("argv,basename,sidecar", _SIDECARS, ids=[s[1] for s in _SIDECARS])
+def test_sidecar_bytes_and_csv_header(tmp_path, capsys, argv, basename, sidecar):
+    data = tmp_path / "mixed.csv"
+    data.write_text("a,g,y\n0,p,1\n1,q,2\n2,p,3\n3,r,4\n")
+    out = tmp_path / "out"
+    assert _run(*argv, "--data", data, "--target", "y", "--expr", "2*a", "--out-dir", out) == 0
+    capsys.readouterr()
+    assert ((out / f"{basename}.schema.json").read_text()
+            == json.dumps(sidecar, indent=2) + "\n")
+    header = (out / f"{basename}.csv").read_text().splitlines()[0]
+    assert header == ",".join(column["name"] for column in sidecar["columns"])
+
+
 class TestFitAndReuse:
     def test_fit_then_model_file(self, friedman_csv, tmp_path):
         fit_dir = tmp_path / "fitted"
@@ -354,6 +393,14 @@ class TestExitCodes:
             (tmp_path / "expr" / "importance.csv").read_bytes()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("expr", ["x1+1/0", "x1+0/0"])
+    def test_constant_divided_by_zero_exits_2(self, friedman_csv, tmp_path, capsys, expr):
+        assert _run("importance", "--data", friedman_csv, "--target", "y", "--expr", expr,
+                    "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model produced a non-finite prediction at grid point")
+        assert not (tmp_path / "out" / "importance.csv").exists()
+
     @pytest.mark.parametrize("deep", ["(" * 300 + "x1" + ")" * 300, "-" * 3000 + "x1"],
                              ids=["parentheses", "unary minuses"])
     def test_expression_nested_too_deeply_exits_2(self, friedman_csv, tmp_path, capsys, deep):
@@ -448,6 +495,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: feature 'a'") and "Traceback" not in err
 
+
+    @pytest.mark.parametrize("source,timeout", [
+        ("external", "inf"), ("external", "1e300"),  # past what a thread can wait for
+        ("model", "nan"), ("model", "inf"), ("model", "-1"), ("model", "0"),
+    ])
+    def test_timeout_must_be_positive_and_finite(self, friedman_csv, tmp_path, capsys,
+                                                 source, timeout):
+        marker = tmp_path / "spawned"
+        child = shlex.join([sys.executable, "-c", f"open({str(marker)!r}, 'w')"])
+        model = ["--external", child] if source == "external" else ["--model", "linear"]
+        out = tmp_path / "out"
+        assert _run("importance", "--data", friedman_csv, "--target", "y", *model,
+                    "--timeout", timeout, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --timeout must be a positive number")
+        assert not marker.exists() and not (out / "manifest.json").exists()
 
     def test_manifest_records_the_given_timeout(self, friedman_csv, tmp_path, capsys):
         out = tmp_path / "imp"

@@ -25,7 +25,6 @@ from pdimp import (
     fit_knn,
     fit_linear,
     ice_curves,
-    joint_partial_dependence,
     parse_expression,
     partial_dependence,
 )
@@ -203,12 +202,6 @@ class TestPartialDependence:
         with pytest.raises(NonFiniteError, match="x1=0"):
             partial_dependence(model, ds, grid)
 
-    def test_two_feature_grid_is_rejected(self):
-        ds = Dataset.from_dict({"a": [1.0, 2.0], "b": [1.0, 2.0]})
-        grid = build_grid(ds, ["a", "b"], GridStrategy.unique())
-        with pytest.raises(ParameterError):
-            partial_dependence(_expr("a", ds), ds, grid)
-
     @pytest.mark.parametrize("estimate", [partial_dependence, ice_curves])
     def test_overflowing_mean_names_the_grid_point(self, estimate):
         ds = Dataset.from_dict({"x1": [0.5, 1.0], "x2": [1.0, 1.0]})
@@ -302,7 +295,7 @@ class TestJointPartialDependence:
         ds = Dataset.from_dict({"x1": [0.0, 1.0], "x2": [0.0, 1.0]})
         model = _expr("x1*x2", ds)
         grid = build_grid(ds, ["x1", "x2"], GridStrategy.unique())
-        joint = joint_partial_dependence(model, ds, grid)
+        joint = partial_dependence(model, ds, grid)
         np.testing.assert_allclose(joint.value_matrix(), [[0.0, 0.0], [0.0, 1.0]], atol=1e-15)
 
     def test_single_row_product_table(self):
@@ -313,7 +306,7 @@ class TestJointPartialDependence:
             GridAxis("x1", "continuous", np.array([0.0, 1.0])),
             GridAxis("x2", "continuous", np.array([0.0, 1.0])),
         )
-        joint = joint_partial_dependence(model, ds, Grid(axes, GridStrategy.unique()))
+        joint = partial_dependence(model, ds, Grid(axes, GridStrategy.unique()))
         np.testing.assert_array_equal(joint.value_matrix(), [[0.0, 0.0], [0.0, 1.0]])
 
     def test_additive_identity(self):
@@ -324,7 +317,7 @@ class TestJointPartialDependence:
         })
         model = _expr("sin(3*a) + b^2 + exp(c)", ds)
         grid = build_grid(ds, ["a", "b"], GridStrategy.quantile(5))
-        joint = joint_partial_dependence(model, ds, grid)
+        joint = partial_dependence(model, ds, grid)
         pd_a = partial_dependence(model, ds, build_grid(ds, ["a"], GridStrategy.quantile(5)))
         pd_b = partial_dependence(model, ds, build_grid(ds, ["b"], GridStrategy.quantile(5)))
         want = pd_a.values[:, None] + pd_b.values[None, :] - joint.baseline
@@ -338,16 +331,10 @@ class TestJointPartialDependence:
         model = fit_bagged_trees(ds, "y", n_trees=3, max_depth=2, min_leaf=1, seed=2)
         features = ds.drop("y")
         grid = build_grid(features, ["a", "b"], GridStrategy.quantile(3))
-        joint = joint_partial_dependence(model, features, grid)
+        joint = partial_dependence(model, features, grid)
         points = [(u, v) for u in grid.axes[0].values for v in grid.axes[1].values]
         oracle = _brute_force_pd(model, features, ["a", "b"], points)
         assert np.array_equal(joint.values, oracle)
-
-    def test_single_feature_grid_is_rejected(self):
-        ds = Dataset.from_dict({"a": [1.0, 2.0]})
-        grid = build_grid(ds, ["a"], GridStrategy.unique())
-        with pytest.raises(ParameterError):
-            joint_partial_dependence(_expr("a", ds), ds, grid)
 
 
 class TestSerialization:
@@ -438,7 +425,7 @@ def test_slab_size_does_not_change_any_model(monkeypatch):
         runs = []
         for cap in (1, 100, 1 << 16):
             monkeypatch.setattr(engine_module, "_SLAB_ELEMENTS", cap)
-            runs.append(joint_partial_dependence(model, features, grid, workers=2).values)
+            runs.append(partial_dependence(model, features, grid, workers=2).values)
         assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
 
 

@@ -80,9 +80,9 @@ class TestPdInteraction:
             "b": rng.integers(0, 3, 20).astype(float),
         })
         model = _expr("a*b + sin(a) + b^2", ds)
-        from pdimp.engine import build_grid, joint_partial_dependence
+        from pdimp.engine import build_grid, partial_dependence
         grid = build_grid(ds, ["a", "b"], GridStrategy.unique())
-        table = joint_partial_dependence(model, ds, grid).value_matrix()
+        table = partial_dependence(model, ds, grid).value_matrix()
 
         def sd(vals):
             m = sum(vals) / len(vals)

@@ -14,8 +14,10 @@ from pdimp import (
     ParameterError,
     SingularDesignError,
     UnknownFeatureError,
+    fit_bagged_trees,
     fit_knn,
     fit_linear,
+    parse_expression,
 )
 from pdimp.models import pin
 from pdimp.simulate import SimulationSpec, generate
@@ -374,3 +376,61 @@ def test_knn_blocks_equal_the_row_loop_on_friedman_data():
     model = fit_knn(ds, "y", k=10)
     batch = generate(SimulationSpec("friedman", 500, 8, 1.0)).drop("y")
     assert model.predict(batch).tobytes() == _knn_row_loop(model, batch).tobytes()
+
+
+# --- predict_grid: one entry point for every model kind ----------------------
+
+_KINDS = ("linear", "knn", "bagged", "expression")
+_POINT_VALUES = {"a": st.floats(-1.0, 2.0), "b": st.sampled_from([0.0, 0.5, 1.5, 3.0]),
+                 "g": st.integers(0, 2)}
+
+
+def _model_and_batch(kind, n, seed):
+    """A model of ``kind`` fitted on ``n`` rows with a categorical ``g`` (dropped
+    for k-NN, which takes continuous features only), and its feature batch."""
+    rng = np.random.default_rng(seed)
+    ds = Dataset(
+        (FeatureSchema("a", "continuous"), FeatureSchema("b", "continuous"),
+         FeatureSchema("g", "categorical", ("p", "q", "r")), FeatureSchema("y", "continuous")),
+        {"a": rng.uniform(size=n), "b": rng.uniform(size=n) * 3,
+         "g": rng.permutation(np.arange(n) % 3), "y": rng.normal(size=n)},
+    )
+    if kind == "knn":
+        ds = ds.drop("g")
+    if kind == "linear":
+        model = fit_linear(ds, "y")
+    elif kind == "knn":
+        model = fit_knn(ds, "y", k=3)
+    elif kind == "bagged":
+        model = fit_bagged_trees(ds, "y", n_trees=4, max_depth=3, min_leaf=1, seed=seed)
+    else:
+        model = parse_expression("a*b - 3*sin(a) + b^2/7", ds.drop("y").schema)
+    return model, ds.drop("y")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_predict_grid_takes_tuples_or_an_array_and_equals_predict(data):
+    kind = data.draw(st.sampled_from(_KINDS), label="model")
+    model, batch = _model_and_batch(kind, data.draw(st.integers(8, 16), label="rows"),
+                                    data.draw(st.integers(0, 99), label="seed"))
+    pinned = data.draw(st.lists(st.sampled_from(batch.feature_names), min_size=1, max_size=2,
+                                unique=True), label="pinned")
+    points = data.draw(st.lists(st.tuples(*(_POINT_VALUES[name] for name in pinned)),
+                                min_size=1, max_size=6), label="points")
+    array = np.array(points, dtype=np.float64)
+    block = model.predict_grid(batch, pinned, array)
+    assert array.tobytes() == np.array(points, dtype=np.float64).tobytes()  # left unchanged
+    assert block.tobytes() == model.predict_grid(batch, pinned, points).tobytes()
+    for row, point in zip(block, points):
+        assert row.tobytes() == model.predict(pin(batch, pinned, point)).tobytes()
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_predict_grid_raises_typed_errors(kind):
+    model, batch = _model_and_batch(kind, 9, seed=4)
+    with pytest.raises(UnknownFeatureError):
+        model.predict_grid(batch, ["zz"], [(1.0,)])
+    for points in ([(1.0, 2.0)], [(1.0,), (1.0, 2.0)], np.zeros((2, 3)), [()]):
+        with pytest.raises(ParameterError, match="one number per pinned feature"):
+            model.predict_grid(batch, ["a"], points)

@@ -14,8 +14,8 @@ from pdimp import (
     build_grid,
     generate,
     importance_all,
-    joint_partial_dependence,
     parse_expression,
+    partial_dependence,
     true_pd_friedman_pair,
     true_pd_linear,
 )
@@ -178,7 +178,7 @@ class TestOracleProperties:
                 (GridAxis("x1", "continuous", points), GridAxis("x2", "continuous", points)),
                 GridStrategy.equidistant(11),
             )
-            joint = joint_partial_dependence(model, ds, grid)
+            joint = partial_dependence(model, ds, grid)
             truth = np.array([
                 [true_pd_friedman_pair(("x1", "x2"), u, v) for v in points] for u in points
             ])

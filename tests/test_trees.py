@@ -18,6 +18,7 @@ from pdimp import (
     build_grid,
     fit_bagged_trees,
     generate,
+    load_model,
     model_from_json,
     model_to_json,
     save_model,
@@ -85,6 +86,21 @@ class TestFitting:
         assert -1.0 < root["threshold"] < 1.0
         preds = model.predict(Dataset.from_dict({"a": [-10.0, 10.0]}))
         np.testing.assert_array_equal(preds, [0.0, 1.0])
+
+    @pytest.mark.parametrize("low,high", [
+        (np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)),  # mid rounds up
+        (1e308, 1.7e308),  # the sum overflows
+    ], ids=["adjacent-floats", "overflow"])
+    def test_threshold_separates_its_two_values(self, tmp_path, low, high):
+        ds = Dataset.from_dict({"a": [low] * 3 + [high] * 3, "y": [0.0] * 3 + [1.0] * 3})
+        model = fit_bagged_trees(ds, "y", n_trees=1, max_depth=1, min_leaf=1,
+                                 seed=0, bootstrap=False)
+        root = model_to_json(model)["trees"][0]
+        assert low <= root["threshold"] < high
+        assert (root["left"]["value"], root["right"]["value"]) == (0.0, 1.0)
+        save_model(model, tmp_path / "model.json")
+        back = load_model(tmp_path / "model.json")
+        assert back.predict(ds.drop("y")).tolist() == [0.0] * 3 + [1.0] * 3
 
     def test_depth2_tree_matches_exhaustive_search_oracle(self):
         rng = np.random.default_rng(13)
