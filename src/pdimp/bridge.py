@@ -192,7 +192,12 @@ def spawn_external(command, timeout: float = 30.0) -> ExternalModel:
     if not 0 < timeout <= threading.TIMEOUT_MAX:
         raise ParameterError(f"timeout must be a positive number of seconds, "
                              f"at most {threading.TIMEOUT_MAX:g}; got {timeout}")
-    argv = shlex.split(command) if isinstance(command, str) else list(command)
+    try:
+        argv = shlex.split(command) if isinstance(command, str) else list(command)
+    except ValueError as exc:  # an unterminated quote or escape
+        raise SpawnError(f"cannot parse the command {command!r}: {exc}") from None
+    if not argv:
+        raise SpawnError("the external command is empty")
     try:
         process = subprocess.Popen(
             argv,

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .bridge import spawn_external
 from .data import Dataset, load_csv, write_json
-from .engine import GridStrategy, build_grid, ice_curves, partial_dependence
+from .engine import MAX_GRID_COUNT, GridStrategy, build_grid, ice_curves, partial_dependence
 from .errors import BridgeError, ParameterError, PdimpError, UsageError
 from .importance import MEASURES, ImportanceReport, importance_all
 from .interaction import interaction_matrix
@@ -72,7 +72,8 @@ def _common_flags(parser: _Parser, grid_default: str):
     parser.add_argument("--target", help="target column (required to fit builtin learners; "
                                          "otherwise dropped from the feature set if present)")
     parser.add_argument("--grid", default=grid_default,
-                        help="unique | quantile:Q | equidistant:K (default %(default)s)")
+                        help="unique | quantile:Q | equidistant:K, Q and K at most "
+                             f"{MAX_GRID_COUNT} (default %(default)s)")
     parser.add_argument("--aggregator", default="mean",
                         help="mean | median | trimmed:ALPHA (default %(default)s)")
     parser.add_argument("--workers", type=int, default=1,

@@ -44,9 +44,18 @@ from .models import PredictionModel
 _SLAB_ELEMENTS = 1 << 16
 
 
+# the largest count a quantile or equidistant grid may ask for; an axis
+# allocates about count + 1 floats before duplicate points collapse
+MAX_GRID_COUNT = 1_000_000
+
+
 @dataclass(frozen=True)
 class GridStrategy:
-    """How evaluation points are chosen for a continuous feature."""
+    """How evaluation points are chosen for a continuous feature.
+
+    A quantile or equidistant count above ``MAX_GRID_COUNT`` is refused
+    before anything is allocated.
+    """
 
     kind: str
     count: int | None = None
@@ -57,14 +66,14 @@ class GridStrategy:
 
     @classmethod
     def quantile(cls, count: int) -> "GridStrategy":
-        if count < 1:
-            raise ParameterError("quantile grid needs count >= 1")
+        if not 1 <= count <= MAX_GRID_COUNT:
+            raise ParameterError(f"quantile grid needs 1 <= count <= {MAX_GRID_COUNT}")
         return cls("quantile", count)
 
     @classmethod
     def equidistant(cls, count: int) -> "GridStrategy":
-        if count < 2:
-            raise ParameterError("equidistant grid needs count >= 2")
+        if not 2 <= count <= MAX_GRID_COUNT:
+            raise ParameterError(f"equidistant grid needs 2 <= count <= {MAX_GRID_COUNT}")
         return cls("equidistant", count)
 
     @classmethod

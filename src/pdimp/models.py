@@ -49,17 +49,24 @@ class PredictionModel:
         """Predictions with ``features`` pinned to each point: one row per point.
 
         ``points`` holds one row of values per point, one value per named
-        feature (a categorical value as its level code). Row ``g`` equals
-        ``predict`` on ``batch`` with each named column overwritten by the
-        constant ``points[g]`` value, bit for bit.
+        feature (a categorical value as its level code, a whole number in
+        [0, levels)). Row ``g`` equals ``predict`` on ``batch`` with each
+        named column overwritten by the constant ``points[g]`` value, bit
+        for bit.
         """
         self._validate_batch(batch)
-        cols = [self.feature_names.index(batch.schema_for(name).name) for name in features]
+        schemas = [batch.schema_for(name) for name in features]
+        cols = [self.feature_names.index(feat.name) for feat in schemas]
         try:
             pinned = np.array(points, dtype=np.float64).reshape(len(points), len(cols))
         except ValueError:
             raise ParameterError(f"each grid point must hold one number per pinned feature "
                                  f"{list(features)}") from None
+        for codes, feat in zip(pinned.T, schemas):
+            if not feat.is_continuous and not np.all(
+                    (codes >= 0) & (codes < len(feat.levels)) & (np.floor(codes) == codes)):
+                raise ParameterError(f"grid values of categorical feature {feat.name!r} must be "
+                                     f"level codes 0 to {len(feat.levels) - 1}")
         return self._grid(batch, cols, pinned)
 
     def _grid(self, batch: Dataset, cols: list[int], pinned: np.ndarray) -> np.ndarray:

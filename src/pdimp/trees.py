@@ -8,6 +8,25 @@ error). Everything is deterministic given the seed: each tree
 draws its bootstrap from a Philox stream keyed by (seed, tree index), so
 results do not depend on fitting order or worker scheduling.
 
+Fitting grows a block of trees together, a level at a time, over presorted
+attribute lists (Mehta, Agrawal and Rissanen 1996, SLIQ; Shafer, Agrawal
+and Mehta 1996, SPRINT). Each continuous column of a tree's sample is
+sorted once, stably, so its order is (value, row). At each level one
+stable argsort of the live rows' node ids regroups every list by node, and
+each node keeps the (value, row) order a stable sort of its own rows
+gives, so tied values split as they would node by node. The cuts of all
+nodes of a level are scored together in padded (features x nodes x longest
+node) blocks: left sums by a cumsum along the last axis, equal to each
+node's own cumsum; gains elementwise by the formula and in the operation
+order of a one-node scan; the first maximum in feature-major order, so the
+lower feature wins a tie, then the lower threshold. A categorical feature's
+level sums are one weighted bincount over (node, level) codes, which adds
+in row order within a node. A node's total stays one contiguous ``sum()``
+of its targets in row order, the sum ``np.mean`` takes: ``np.add.reduceat``
+or a sum over a zero-padded block would group the pairwise additions
+differently and move the last bits. The trees are therefore those of the
+one-node-at-a-time scan in ``tests/reference.py``, bit for bit.
+
 Prediction averages the leaf values tree by tree in a fixed order.
 ``_grid``, under ``predict_grid``, scores the rows with one or two features
 pinned to each point of a slab of grid points, by the exact form of Friedman's 2001
@@ -20,8 +39,8 @@ value is that leaf's. The result equals ``predict`` point by point, bit for
 bit; ``predict`` is the case of no pinned feature, one cell per tree.
 
 A forest has one form, ``_FlatForest``: every node of every tree in shared
-arrays, each tree's nodes in level order. Fitting grows each tree one level
-at a time straight into it, and ``serialize`` reads and writes it.
+arrays, each tree's nodes in level order. Fitting lays its levels straight
+into it, and ``serialize`` reads and writes it.
 """
 
 from __future__ import annotations
@@ -34,77 +53,18 @@ from .data import Dataset, FeatureSchema
 from .errors import ParameterError
 from .models import PredictionModel
 
+# fitting grows trees together while their sample positions times (features
+# + 1) stay within this many elements, and scores each level's cuts in
+# blocks of at most this many (one tree, one node at least); a memory cap
+# only, the trees do not depend on it
+_FIT_BLOCK_ELEMENTS = 1 << 18
+
 # trees are taken a block at a time while their cells x max(rows, leaves)
 # stay within this many elements (a tree alone over it, a slice of the rows
 # at a time): it bounds the block's (cell, row) table, its descent, its
 # join and each slab of the table gathered to the points; a memory cap
 # only, results do not depend on it
 _GRID_CHUNK_ELEMENTS = 16384
-
-
-def _best_split(columns, schema, rows, y, min_leaf):
-    """Return (gain, feature index, split) or None, where the split is a
-    threshold or, for a categorical feature, a bool mask of the levels sent left.
-
-    Gain is the reduction in summed squared error. Ties resolve to the
-    lower feature index, then the lower threshold.
-    """
-    n = rows.size
-    total = float(y.sum())
-    base = total * total / n
-    best = None
-    for j, feat in enumerate(schema):
-        vals = columns[j][rows]
-        if feat.is_continuous:
-            order = np.argsort(vals, kind="stable")
-            sv = vals[order]
-            sy = y[order]
-            left_sum = np.cumsum(sy)[:-1]
-            left_cnt = np.arange(1, n)
-            right_cnt = n - left_cnt
-            boundary = sv[1:] != sv[:-1]
-            valid = boundary & (left_cnt >= min_leaf) & (right_cnt >= min_leaf)
-            if not valid.any():
-                continue
-            gain = np.where(
-                valid,
-                left_sum**2 / left_cnt + (total - left_sum) ** 2 / right_cnt - base,
-                -np.inf,
-            )
-            t = int(np.argmax(gain))  # first max: lowest threshold wins ties
-            if gain[t] > 0 and (best is None or gain[t] > best[0]):
-                # the midpoint, unless it rounds onto the upper value or overflows
-                low, high = float(sv[t]), float(sv[t + 1])
-                mid = (low + high) / 2.0
-                best = (float(gain[t]), j, mid if low <= mid < high else low)
-        else:
-            n_levels = len(feat.levels)
-            if n_levels < 2:
-                continue
-            sums = np.bincount(vals, weights=y, minlength=n_levels)
-            counts = np.bincount(vals, minlength=n_levels)
-            present = np.flatnonzero(counts)
-            if present.size < 2:
-                continue
-            means = sums[present] / counts[present]
-            order = present[np.argsort(means, kind="stable")]
-            left_sum = np.cumsum(sums[order])[:-1]
-            left_cnt = np.cumsum(counts[order])[:-1]
-            right_cnt = n - left_cnt
-            valid = (left_cnt >= min_leaf) & (right_cnt >= min_leaf)
-            if not valid.any():
-                continue
-            gain = np.where(
-                valid,
-                left_sum**2 / left_cnt + (total - left_sum) ** 2 / right_cnt - base,
-                -np.inf,
-            )
-            t = int(np.argmax(gain))  # first max: shortest level prefix wins ties
-            if gain[t] > 0 and (best is None or gain[t] > best[0]):
-                mask = np.zeros(n_levels, dtype=bool)
-                mask[order[: t + 1]] = True
-                best = (float(gain[t]), j, mask)
-    return best
 
 
 class _FlatForest:
@@ -370,6 +330,172 @@ class BaggedTreesModel(PredictionModel):
         table.ravel()[dest] = np.repeat(self._flat.value[node[~is_cell]], meets)
 
 
+def _grow_levels(schema, columns, y, sample, max_depth, min_leaf) -> list[list[tuple]]:
+    """Grow one tree per row of ``sample`` (trees x n row indices), all of
+    them a level at a time.
+
+    Returns, per level, the nodes of every tree in tree order as
+    ``_FlatForest`` visits them, each child as the item (levels, index in
+    its level).
+    """
+    n_trees, n = sample.shape
+    rows = sample.ravel()
+    targets = y[rows]
+    values = np.stack([column[rows] for column in columns], dtype=np.float64)
+    cont = [j for j, f in enumerate(schema) if f.is_continuous]
+    cats = [j for j, f in enumerate(schema) if not f.is_continuous and len(f.levels) > 1]
+    n_levels = max((len(schema[j].levels) for j in cats), default=1)
+    row_of = {j: 1 + i for i, j in enumerate(cont)}
+    cont_values = values[cont]
+    # the live nodes' sample positions, node after node: row 0 in position
+    # order, row 1 + i in (value, position) order of continuous feature cont[i]
+    order = np.empty((1 + len(cont), n_trees * n), dtype=np.intp)
+    order[0] = np.arange(n_trees * n)
+    by_value = np.argsort(cont_values.reshape(len(cont), n_trees, n), axis=-1, kind="stable")
+    order[1:] = (by_value + np.arange(0, n_trees * n, n)[:, None]).reshape(len(cont), n_trees * n)
+    count = np.full(n_trees, n)
+    levels = []
+    while True:
+        k_nodes = len(count)
+        start = np.cumsum(count) - count
+        node = np.repeat(np.arange(k_nodes), count)
+        grouped = targets[order[0]]
+        # one contiguous sum per node: the sum np.mean takes, not a regrouped one
+        total = np.array([grouped[s: s + c].sum() for s, c in zip(start.tolist(), count.tolist())])
+        gain = np.full((len(schema), k_nodes), -np.inf)
+        cut = np.zeros((len(schema), k_nodes), dtype=np.intp)
+        ranks = {}
+        live = (count >= 2 * min_leaf) & (len(levels) < max_depth)
+        if live.any():
+            base = total * total / count
+            if cont:
+                gain[cont], cut[cont] = _continuous_gains(cont_values, targets, order[1:], start,
+                                                          count, total, base, live, min_leaf)
+            for j in cats:
+                gain[j], cut[j], ranks[j] = _categorical_gains(
+                    values[j, order[0]], grouped, node, count, total, base, live, min_leaf,
+                    len(schema[j].levels))
+        feature = np.argmax(gain, axis=0)  # first max: the lower feature wins ties
+        split = gain[feature, np.arange(k_nodes)] > 0
+        threshold = np.full(k_nodes, np.inf)
+        left_levels = np.zeros((k_nodes, n_levels), dtype=bool)
+        nodes, left = [], 0  # the next level's nodes so far
+        for k, (value, j, t, is_split) in enumerate(zip(
+                (total / count).tolist(), feature.tolist(),
+                cut[feature, np.arange(k_nodes)].tolist(), split.tolist())):
+            if not is_split:
+                nodes.append((value, -1, None, ()))
+                continue
+            if j in ranks:
+                left_levels[k, ranks[j][k, : t + 1]] = True
+                rule = left_levels[k, : len(schema[j].levels)].copy()
+            else:
+                low, high = values[j, order[row_of[j], start[k] + t: start[k] + t + 2]].tolist()
+                # the midpoint, unless it rounds onto the upper value or overflows
+                mid = (low + high) / 2.0
+                threshold[k] = rule = mid if low <= mid < high else low
+            nodes.append((value, j, rule, ((levels, left), (levels, left + 1))))
+            left += 2
+        levels.append(nodes)
+        if not left:
+            return levels
+        # each position's child, gathering every live position's split value at once
+        splitting = split[node]
+        node, here = node[splitting], order[0][splitting]
+        vals = values[feature[node], here]
+        go_right = vals > threshold[node]
+        categorical = np.flatnonzero(left_levels.any(axis=1)[node])
+        go_right[categorical] = ~left_levels[node[categorical], vals[categorical].astype(np.intp)]
+        child = np.full(n_trees * n, -1)
+        child[here] = 2 * (np.cumsum(split) - 1)[node] + go_right
+        count = np.bincount(child[here], minlength=left)
+        if len(levels) == max_depth or not (count >= 2 * min_leaf).any():
+            order = order[:1]  # the next level splits no node: it needs only its sums
+        # regroup by child: a stable sort keeps each node's orders (a radix
+        # sort for keys of 16 bits or less)
+        keys = child[order]
+        kept = keys >= 0
+        keys = keys[kept].reshape(len(order), -1).astype(np.min_scalar_type(left))
+        order = np.take_along_axis(order[kept].reshape(len(order), -1),
+                                   np.argsort(keys, axis=1, kind="stable"), axis=1)
+
+
+def _continuous_gains(values, targets, order, start, count, total, base, live, min_leaf):
+    """Best cut of each continuous feature for each node: (gain, index of
+    the cut in the node's sorted values), each (features x nodes), gain
+    -inf where no cut is valid or the node is not ``live``.
+
+    The nodes are scored longest first in padded (features x nodes x
+    longest node) blocks of at most ``_FIT_BLOCK_ELEMENTS`` elements; a
+    node's padding repeats its last position and lies past its last cut.
+    """
+    n_features = len(order)
+    gain = np.full((n_features, len(count)), -np.inf)
+    cut = np.zeros((n_features, len(count)), dtype=np.intp)
+    live = np.flatnonzero(live)
+    live = live[np.argsort(-count[live], kind="stable")]
+    longest_first = -count[live]
+    flat = values.ravel()
+    row = (np.arange(n_features) * values.shape[1])[:, None, None]
+    i = 0
+    while i < len(live):
+        width = int(count[live[i]])
+        # down to 3/4 of the longest node: padding stays below a third
+        end = np.searchsorted(longest_first, -(3 * width // 4), side="right")
+        nodes = live[i: min(end, i + max(1, _FIT_BLOCK_ELEMENTS // (n_features * width)))]
+        i += len(nodes)
+        at = np.minimum(start[nodes, None] + np.arange(width), (start + count - 1)[nodes, None])
+        positions = order[:, at]
+        sv = np.take(flat, positions + row)
+        left_sum = np.cumsum(np.take(targets, positions), axis=-1)[..., :-1]
+        left_cnt = np.arange(1, width)
+        right_cnt = count[nodes, None] - left_cnt
+        valid = (sv[..., 1:] != sv[..., :-1]) & (left_cnt >= min_leaf) & (right_cnt >= min_leaf)
+        block = _gain(left_sum, left_cnt, right_cnt, total[nodes, None], base[nodes, None], valid)
+        best = np.argmax(block, axis=-1)  # first max: the lowest threshold wins ties
+        gain[:, nodes] = np.take_along_axis(block, best[..., None], axis=-1)[..., 0]
+        cut[:, nodes] = best
+    return gain, cut
+
+
+def _categorical_gains(codes, grouped, node, count, total, base, live, min_leaf, n_levels):
+    """Best level subset of one categorical feature for each node: (gain,
+    index of the last level sent left, levels in order of mean response),
+    gain -inf where no subset is valid or the node is not ``live``.
+
+    ``codes`` and ``grouped`` are the feature and the target at each
+    position, node after node in position order, as ``node`` labels them.
+    """
+    k_nodes = len(count)
+    key = node * n_levels + codes.astype(np.intp)
+    sums = np.bincount(key, weights=grouped, minlength=k_nodes * n_levels).reshape(k_nodes, -1)
+    counts = np.bincount(key, minlength=k_nodes * n_levels).reshape(k_nodes, -1)
+    present = counts > 0
+    means = np.full(sums.shape, np.inf)  # absent levels rank last
+    means[present] = sums[present] / counts[present]
+    rank = np.argsort(means, axis=1, kind="stable")
+    left_sum = np.cumsum(np.take_along_axis(sums, rank, axis=1), axis=1)[:, :-1]
+    left_cnt = np.cumsum(np.take_along_axis(counts, rank, axis=1), axis=1)[:, :-1]
+    right_cnt = count[:, None] - left_cnt
+    valid = live[:, None] & (left_cnt >= min_leaf) & (right_cnt >= min_leaf)
+    block = _gain(left_sum, left_cnt, right_cnt, total[:, None], base[:, None], valid)
+    best = np.argmax(block, axis=1)  # first max: the shortest level prefix wins ties
+    return block[np.arange(k_nodes), best], best, rank
+
+
+def _gain(left_sum, left_cnt, right_cnt, total, base, valid):
+    """Reduction in summed squared error at each ``valid`` cut, -inf at the others.
+
+    Like the node-by-node scan, this evaluates every cut, broadcast. An
+    invalid cut's right count, 0 or less past a node's end, is masked to 1
+    first, so no cut divides by zero; ``fit_bagged_trees``'s bound on the
+    target keeps every sum, padded or not, far from overflow.
+    """
+    right_cnt = np.where(valid, right_cnt, 1)
+    return np.where(valid, left_sum**2 / left_cnt + (total - left_sum) ** 2 / right_cnt - base,
+                    -np.inf)
+
+
 def fit_bagged_trees(dataset: Dataset, target_name: str, n_trees: int = 100,
                      max_depth: int = 6, min_leaf: int = 5, seed: int = 0,
                      bootstrap: bool = True) -> BaggedTreesModel:
@@ -395,23 +521,17 @@ def fit_bagged_trees(dataset: Dataset, target_name: str, n_trees: int = 100,
                              f"{n} rows times its largest magnitude exceed 2**510")
     schema = features.schema
     columns = [features.column(f.name) for f in schema]
+    per_block = max(1, _FIT_BLOCK_ELEMENTS // (n * (len(schema) + 1)))
 
-    def samples():
-        for t in range(n_trees):
-            rows = np.sort(_tree_rng(seed, t).integers(0, n, size=n)) if bootstrap else np.arange(n)
-            yield [c[rows] for c in columns], y[rows], np.arange(n)
+    def roots():
+        for first in range(0, n_trees, per_block):
+            sample = np.array([
+                np.sort(_tree_rng(seed, t).integers(0, n, size=n)) if bootstrap else np.arange(n)
+                for t in range(first, min(first + per_block, n_trees))
+            ])
+            levels = _grow_levels(schema, columns, y, sample, max_depth, min_leaf)
+            for t in range(len(sample)):
+                yield levels, t
 
-    def grow(item, level):
-        cols, targets, rows = item
-        value = float(np.mean(targets[rows]))
-        found = None
-        if level < max_depth and rows.size >= 2 * min_leaf:
-            found = _best_split(cols, schema, rows, targets[rows], min_leaf)
-        if found is None:
-            return value, -1, None, ()
-        _, j, split = found
-        go_left = split[cols[j][rows]] if isinstance(split, np.ndarray) else cols[j][rows] <= split
-        return value, j, split, ((cols, targets, rows[go_left]), (cols, targets, rows[~go_left]))
-
-    forest = _FlatForest(schema, samples(), grow)
+    forest = _FlatForest(schema, roots(), lambda item, depth: item[0][depth][item[1]])
     return BaggedTreesModel(schema, forest, n_trees, max_depth, min_leaf, seed)

@@ -201,6 +201,14 @@ time.sleep(60)
             })
             np.testing.assert_array_equal(model.predict(batch), [11.0, 22.0, 13.0])
 
+    def test_grid_value_that_is_no_level_code_is_refused(self, tmp_path):
+        with spawn_external(_stub(tmp_path, LABEL_AWARE)) as model:
+            batch = Dataset.from_dict({"g": ["low", "high", "low"], "x": [1.0, 2.0, 3.0]})
+            assert model.predict_grid(batch, ["g"], [(1.0,)]).tolist() == [[21.0, 22.0, 23.0]]
+            for code in (2.0, 0.5, -1.0, np.nan):
+                with pytest.raises(ParameterError, match="level codes 0 to 1"):
+                    model.predict_grid(batch, ["g"], [(code,)])
+
     def test_contract_error_on_wrong_features(self, tmp_path):
         from pdimp import ContractError
         with spawn_external(_stub(tmp_path, CONSTANT_7)) as model:

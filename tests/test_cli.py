@@ -456,6 +456,26 @@ class TestExitCodes:
                     "--external", "/no/such/child-zzz", "--out-dir", tmp_path) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["", "'unterminated", "child \\"])
+    def test_unparsable_external_command_exits_3(self, friedman_csv, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert _run("bridge-check", "--external", command) == 3
+        assert "bridge error:" in capsys.readouterr().err
+        if command:  # an empty --external names no model source: a usage error
+            assert _run("importance", "--data", friedman_csv, "--target", "y",
+                        "--external", command, "--out-dir", out) == 3
+            assert "cannot parse the command" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["quantile:99999999999999999999", "quantile:3000000000",
+                                      "equidistant:99999999999999999999"])
+    def test_huge_grid_count_exits_2(self, friedman_csv, tmp_path, capsys, grid):
+        out = tmp_path / "out"
+        assert _run("importance", "--data", friedman_csv, "--target", "y", "--expr", "x1",
+                    "--grid", grid, "--out-dir", out) == 2
+        assert "count <= 1000000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert _run("--help") == 0
         capsys.readouterr()

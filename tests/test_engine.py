@@ -28,7 +28,7 @@ from pdimp import (
     parse_expression,
     partial_dependence,
 )
-from pdimp.engine import _distinct, _quantiles, ordered_mean, pd_values_at
+from pdimp.engine import MAX_GRID_COUNT, _distinct, _quantiles, ordered_mean, pd_values_at
 from pdimp.models import PredictionModel
 
 
@@ -113,6 +113,14 @@ class TestBuildGrid:
             assert str(GridStrategy.parse(text)) == text
         for bad in ("quantile", "unique:3", "nope", "quantile:x"):
             with pytest.raises(ParameterError):
+                GridStrategy.parse(bad)
+
+    def test_counts_past_the_maximum_are_refused_before_any_allocation(self):
+        assert GridStrategy.parse(f"quantile:{MAX_GRID_COUNT}").count == MAX_GRID_COUNT
+        assert GridStrategy.equidistant(MAX_GRID_COUNT).count == MAX_GRID_COUNT
+        for bad in (f"quantile:{MAX_GRID_COUNT + 1}", "quantile:99999999999999999999",
+                    f"equidistant:{MAX_GRID_COUNT + 1}", "equidistant:99999999999999999999"):
+            with pytest.raises(ParameterError, match=f"count <= {MAX_GRID_COUNT}"):
                 GridStrategy.parse(bad)
 
     def test_grid_points_ascending_and_distinct(self):

@@ -434,3 +434,13 @@ def test_predict_grid_raises_typed_errors(kind):
     for points in ([(1.0, 2.0)], [(1.0,), (1.0, 2.0)], np.zeros((2, 3)), [()]):
         with pytest.raises(ParameterError, match="one number per pinned feature"):
             model.predict_grid(batch, ["a"], points)
+
+
+@pytest.mark.parametrize("kind", [kind for kind in _KINDS if kind != "knn"])  # k-NN: no "g"
+@pytest.mark.parametrize("code", [7.0, 3.0, -1.0, 1.5, np.nan, np.inf])
+def test_predict_grid_rejects_a_value_that_is_no_level_code(kind, code):
+    model, batch = _model_and_batch(kind, 9, seed=4)
+    with pytest.raises(ParameterError, match="level codes 0 to 2"):
+        model.predict_grid(batch, ["g"], [(0.0,), (code,)])
+    with pytest.raises(ParameterError, match="level codes 0 to 2"):
+        model.predict_grid(batch, ["a", "g"], [(0.5, code)])
