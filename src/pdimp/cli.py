@@ -24,11 +24,12 @@ from .importance import MEASURES, ImportanceReport, importance_all
 from .interaction import interaction_matrix
 from .models import fit_knn, fit_linear
 from .serialize import load_model, save_model
-from .simulate import SimulationSpec, generate
+from .simulate import MAX_SIMULATION_ROWS, SimulationSpec, generate
 from .expressions import parse_expression
 from .trees import fit_bagged_trees
 
 SUBCOMMANDS = ("fit", "importance", "pdp", "ice", "interact", "simulate", "bridge-check")
+_AGGREGATOR_HELP = "mean | median | trimmed:ALPHA (default %(default)s)"
 
 
 @dataclass
@@ -74,8 +75,6 @@ def _common_flags(parser: _Parser, grid_default: str):
     parser.add_argument("--grid", default=grid_default,
                         help="unique | quantile:Q | equidistant:K, Q and K at most "
                              f"{MAX_GRID_COUNT} (default %(default)s)")
-    parser.add_argument("--aggregator", default="mean",
-                        help="mean | median | trimmed:ALPHA (default %(default)s)")
     parser.add_argument("--workers", type=int, default=1,
                         help="threads scoring slabs of grid points; "
                              "results do not depend on this")
@@ -98,11 +97,13 @@ def build_parser() -> _Parser:
     _common_flags(p, grid_default="unique")
     _model_flags(p)
     p.add_argument("--measure", default="sd", choices=MEASURES)
+    p.add_argument("--aggregator", default="mean", help=_AGGREGATOR_HELP)
 
     p = sub.add_parser("pdp", help="partial dependence of one feature or a pair")
     _common_flags(p, grid_default="unique")
     _model_flags(p)
     p.add_argument("--features", required=True, help="one name, or two comma-separated")
+    p.add_argument("--aggregator", default="mean", help=_AGGREGATOR_HELP)
 
     p = sub.add_parser("ice", help="individual conditional expectation curves")
     _common_flags(p, grid_default="unique")
@@ -118,7 +119,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="generate a synthetic benchmark dataset")
     p.add_argument("--kind", required=True, choices=("linear", "friedman"))
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--n", required=True, type=int,
+                   help=f"rows, 1 to {MAX_SIMULATION_ROWS}")
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--beta0", type=float, default=1.0)
@@ -393,8 +395,9 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.subcommand is None:
         raise UsageError("a subcommand is required")
-    if getattr(args, "workers", 1) < 1:
-        raise UsageError("--workers must be at least 1")
+    for count in ("workers", "top", "rows"):
+        if getattr(args, count, 1) < 1:
+            raise UsageError(f"--{count} must be at least 1")
     if not 0 < getattr(args, "timeout", 1.0) <= threading.TIMEOUT_MAX:
         raise UsageError(f"--timeout must be a positive number of seconds, "
                          f"at most {threading.TIMEOUT_MAX:g}")

@@ -18,7 +18,9 @@ slab is done; slabs run on the ``workers`` threads. A model's
 ``predict_grid`` gives the same predictions as a per-point ``predict``, so
 neither the slab size nor the worker count changes a result. Only
 ``ice_curves``, which returns every prediction, holds a rows x points
-matrix.
+matrix. The baseline that ``pdp`` and ``ice`` report, the aggregate
+prediction on the training data, is the grid point that pins nothing,
+scored and checked like any other.
 """
 
 from __future__ import annotations
@@ -360,7 +362,7 @@ def _point_label(features, dataset, point) -> str:
         feat = dataset.schema_for(name)
         shown = float(value) if feat.is_continuous else feat.levels[int(value)]
         parts.append(f"{name}={shown}")
-    return ", ".join(parts)
+    return ", ".join(parts) or "the baseline with no feature pinned"
 
 
 def _check_finite(values: np.ndarray, dataset, features, points, message: str) -> None:
@@ -424,14 +426,9 @@ def pd_values_at(model: PredictionModel, dataset: Dataset, features: Sequence[st
 
 
 def _baseline(model, dataset, aggregator) -> float:
-    preds = model.predict(dataset)
-    if not np.all(np.isfinite(preds)):
-        raise NonFiniteError("model produced a non-finite prediction on the training data")
-    baseline = aggregate(preds, aggregator)
-    if not np.isfinite(baseline):
-        raise NonFiniteError("the baseline (the aggregate prediction on the training data) "
-                             "overflows float64")
-    return baseline
+    """The aggregate prediction on the training data: the PD value at the
+    grid point that pins nothing."""
+    return float(pd_values_at(model, dataset, [], np.empty((1, 0)), aggregator=aggregator)[0])
 
 
 def partial_dependence(model: PredictionModel, dataset: Dataset, grid: Grid,

@@ -6,8 +6,10 @@ dependence machinery requires of it. ``predict_grid`` scores the rows with
 one or two features pinned to each of a slab of grid points, the rows of a
 (points x pinned features) array, a categorical value as its level code.
 It checks its arguments once and hands ``_grid`` the pinned columns and a
-float64 copy of the points; a model that can share work between the points
-overrides ``_grid``, which never writes into the points it is given.
+float64 copy of the points; ``_grid`` never writes into the points it is
+given. A model implements one kernel: ``_predict_checked``, which scores a
+batch and which the default ``_grid`` calls once per point, or ``_grid``,
+whose point that pins nothing is then ``predict``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 from .data import CATEGORICAL, Dataset, FeatureSchema
 from .errors import ContractError, ParameterError, SingularDesignError
 
-# query x training x feature differences held per k-NN distance block
+# query x training distances held per block of k-NN query rows, and
+# differences per piece of the candidates' exact distances
 _KNN_BLOCK_ELEMENTS = 65536
 
 
@@ -27,11 +30,12 @@ class PredictionModel:
     """Abstract scoring contract.
 
     Subclasses set ``_feature_schema`` (the features the model expects, in
-    order) and implement ``_predict_checked``. The engine scores grid points
-    only through ``predict_grid``, one slab of consecutive points per call,
-    and may make those calls from several threads at once; the default
-    ``_grid`` calls ``predict`` once per point, so a model that holds
-    per-request state must serialise its calls itself.
+    order) and implement either ``_predict_checked`` or ``_grid``, never
+    both. The engine scores grid points only through ``predict_grid``, one
+    slab of consecutive points per call, and may make those calls from
+    several threads at once; the default ``_grid`` calls ``predict`` once
+    per point, so a model that holds per-request state must serialise its
+    calls itself.
     """
 
     _feature_schema: tuple[FeatureSchema, ...] = ()
@@ -79,7 +83,9 @@ class PredictionModel:
         return block
 
     def _predict_checked(self, batch: Dataset) -> np.ndarray:
-        raise NotImplementedError
+        """Predictions for a checked batch; this default is ``_grid`` at the
+        one point that pins nothing."""
+        return self._grid(batch, [], np.empty((1, 0)))[0]
 
     def _validate_batch(self, batch: Dataset) -> None:
         expected = set(self.feature_names)
@@ -146,13 +152,14 @@ class KnnModel(PredictionModel):
     prediction is bit-identical to scoring the rows one by one with a stable
     argsort of their exact distances.
 
-    ``predict`` and ``predict_grid`` share one pruned kernel; ``predict`` is
-    the case of no pinned feature. The distance over the unpinned features
-    is the same at every grid point, so it is summed once per block of
-    rows. Adding the pinned terms of a point gives each training row a
-    distance that differs from the exact one by rounding only; the training
-    rows within a proven margin of the k-th smallest of those are the only
-    ones whose exact distance is computed.
+    ``_grid`` is the one kernel; ``predict`` is its case of no pinned
+    feature. The distance over the unpinned features is the same at every
+    grid point, so it is summed once per block of rows. Adding the pinned
+    terms of a point gives each training row a distance that differs from
+    the exact one by rounding only; the training rows within a proven
+    margin of the k-th smallest of those are the only ones whose exact
+    distance is computed. A query row with no provable margin (an inf or
+    NaN distance, or one near overflow) keeps every training row.
     """
 
     def __init__(self, k: int, schema: Sequence[FeatureSchema], train: np.ndarray,
@@ -167,22 +174,6 @@ class KnnModel(PredictionModel):
         if not np.all(np.isfinite(self.scales) & (self.scales > 0)):
             raise ParameterError("scale factors must be finite and strictly positive")
         self._scaled_train = self.train / self.scales
-
-    def _predict_checked(self, batch: Dataset) -> np.ndarray:
-        return self._grid(batch, [], np.empty((1, 0)))[0]
-
-    def _scores(self, query: np.ndarray) -> np.ndarray:
-        """Predictions for scaled query rows by the full kernel, the fall-back
-        where ``_pruned`` proves no margin: a stable argsort of all distances."""
-        block = max(1, _KNN_BLOCK_ELEMENTS // self._scaled_train.size)
-        out = np.empty(len(query), dtype=np.float64)
-        for start in range(0, len(query), block):
-            diff = self._scaled_train - query[start:start + block, None]
-            diff *= diff
-            dist = np.sqrt(np.sum(diff, axis=2))
-            nearest = np.argsort(dist, axis=1, kind="stable")[:, :self.k]
-            out[start:start + block] = np.mean(self.targets[nearest], axis=1)
-        return out
 
     def _grid(self, batch: Dataset, cols: list[int], pinned: np.ndarray) -> np.ndarray:
         """Predictions with the columns ``cols`` set to each row of ``pinned``.
@@ -208,16 +199,13 @@ class KnnModel(PredictionModel):
             for g, values in enumerate(pinned):
                 at_point = block.copy()
                 at_point[:, cols] = values
-                scores = self._pruned(rest, cols, values, at_point)
-                if scores is None:  # an inf or NaN distance: no margin holds
-                    scores = self._scores(at_point)
-                out[g, start:start + rows] = scores
+                out[g, start:start + rows] = self._pruned(rest, cols, values, at_point)
         return out
 
-    def _pruned(self, rest, cols, values, at_point) -> np.ndarray | None:
+    def _pruned(self, rest, cols, values, at_point) -> np.ndarray:
         """Predictions for the scaled query rows ``at_point``, whose
         unpinned distance terms sum to ``rest`` and whose ``cols`` hold
-        ``values``; None where no margin can be proven.
+        ``values``.
 
         Why the margin is safe. For one query row and training row, the
         exact squared distance ``e`` and the approximate one ``a`` (``rest``
@@ -239,11 +227,13 @@ class KnnModel(PredictionModel):
         rounding. Kept rows are rescored exactly, so extra ones change
         nothing.
 
-        Inf and NaN void the bound, so the caller runs the full kernel
-        unless every A * margin is at most 2**1000. Then no sum that the
-        argument uses comes near overflow, every kept row's exact distance
-        is finite, and a row whose ``a`` is inf or NaN (a NaN term, so a
-        NaN distance, which sorts last) is rightly never kept.
+        Inf and NaN void the bound, so a query row whose A * margin is not
+        at most 2**1000 keeps every training row: its stable sort then runs
+        over all of its exact distances in training-row order, with no
+        padding, as a sort of the whole row does (NaN sorts last). For
+        every other row no sum that the argument uses comes near overflow, every kept
+        row's exact distance is finite, and a row whose ``a`` is inf or NaN
+        (a NaN term, so a NaN distance) is rightly never kept.
         """
         k, train = self.k, self._scaled_train
         n_train, p = train.shape
@@ -252,9 +242,9 @@ class KnnModel(PredictionModel):
         approx = rest + np.sum(term, axis=1)
         limit = np.partition(approx, k - 1, axis=1)[:, k - 1:k]
         limit *= 1.0 + (p + 2) * 2.0**-50
-        if not (limit <= 2.0**1000).all():
-            return None
-        row, cand = np.divmod(np.flatnonzero(approx <= limit), n_train)
+        keep = approx <= limit
+        keep[~(limit[:, 0] <= 2.0**1000)] = True  # no margin: every training row
+        row, cand = np.divmod(np.flatnonzero(keep), n_train)
         dist = np.empty(len(cand))
         step = max(1, _KNN_BLOCK_ELEMENTS // p)
         for a in range(0, len(cand), step):
@@ -264,8 +254,9 @@ class KnnModel(PredictionModel):
             dist[a:a + step] = np.sum(diff, axis=1)
         np.sqrt(dist, out=dist)
         # each query row's candidates, in training-row order, padded with
-        # inf (every candidate's distance is finite); a stable sort of each
-        # row then picks the k nearest in (distance, row) order
+        # inf (a row that keeps every training row has no padding, and in
+        # every other row each candidate's distance is finite); a stable
+        # sort of each row then picks the k nearest in (distance, row) order
         counts = np.bincount(row, minlength=len(at_point))
         first = np.cumsum(counts) - counts
         slot = np.arange(len(cand)) - first[row]

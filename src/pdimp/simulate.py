@@ -26,6 +26,10 @@ from .errors import ParameterError
 LINEAR = "linear"
 FRIEDMAN = "friedman"
 
+# the most rows a simulation may ask for; a Friedman dataset of this many
+# rows holds 11 float64 columns, 0.88 GB
+MAX_SIMULATION_ROWS = 10_000_000
+
 
 @dataclass(frozen=True)
 class SimulationSpec:
@@ -40,8 +44,8 @@ class SimulationSpec:
     def __post_init__(self):
         if self.kind not in (LINEAR, FRIEDMAN):
             raise ParameterError(f"unknown simulation kind {self.kind!r}")
-        if self.n < 1:
-            raise ParameterError("n must be at least 1")
+        if not 1 <= self.n <= MAX_SIMULATION_ROWS:
+            raise ParameterError(f"n must be in [1, {MAX_SIMULATION_ROWS}]")
         if self.sigma < 0:
             raise ParameterError("sigma must be nonnegative")
 

@@ -157,9 +157,6 @@ class BaggedTreesModel(PredictionModel):
         self.seed = seed
         self._flat = forest
 
-    def _predict_checked(self, batch: Dataset) -> np.ndarray:
-        return self._grid(batch, [], np.empty((1, 0)))[0]
-
     def _tree_cells(self, cols: list[int], pinned: np.ndarray):
         """Per tree, in order: (cell of each point, one point of each cell).
 

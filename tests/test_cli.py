@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import pdimp
+import pdimp.cli as cli_module
 from pdimp.cli import main
+from pdimp.simulate import MAX_SIMULATION_ROWS
 
 
 def _run(*argv):
@@ -28,6 +30,25 @@ def friedman_csv(tmp_path_factory):
 
 
 ORACLE = "10*sin(pi*x1*x2)+20*(x3-0.5)^2+10*x4+5*x5"
+_TARGET = ("--target", "y")
+
+# an external model of 1 + 3*x1 - 5*x2, summed in the order the expression sums it
+LINEAR_CHILD = """\
+import json, sys
+print(json.dumps({"protocol": 1, "features": ["x1", "x2"]}), flush=True)
+for line in sys.stdin:
+    n = json.loads(line)["n"]
+    for _ in range(n):
+        x1, x2 = map(float, sys.stdin.readline().strip().split(","))
+        print("%.17g" % (1.0 + 3.0 * x1 - 5.0 * x2))
+    sys.stdout.flush()
+"""
+
+
+def _linear_child(tmp_path):
+    path = tmp_path / "linear_child.py"
+    path.write_text(LINEAR_CHILD)
+    return f"{shlex.quote(sys.executable)} {shlex.quote(str(path))}"
 
 
 class TestSimulate:
@@ -204,6 +225,35 @@ def test_sidecar_bytes_and_csv_header(tmp_path, capsys, argv, basename, sidecar)
     assert header == ",".join(column["name"] for column in sidecar["columns"])
 
 
+class TestExternalAnalysis:
+    def test_importance_through_a_child_equals_the_expression(self, tmp_path, monkeypatch,
+                                                              capsys):
+        data = tmp_path / "linear.csv"
+        assert _run("simulate", "--kind", "linear", "--n", "60", "--seed", "3",
+                    "--out", data) == 0
+        spawned, spawn_external = [], cli_module.spawn_external
+
+        def spawn(*args, **kwargs):
+            spawned.append(spawn_external(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(cli_module, "spawn_external", spawn)
+        outs = {}
+        for source in (["--external", _linear_child(tmp_path)],
+                       ["--expr", "1 + 3*x1 - 5*x2"]):
+            outs[source[0]] = tmp_path / source[0].strip("-")
+            assert _run("importance", "--data", data, "--target", "y", *source,
+                        "--out-dir", outs[source[0]]) == 0
+        for name in ("importance.csv", "importance.json", "importance.schema.json"):
+            assert ((outs["--external"] / name).read_bytes()
+                    == (outs["--expr"] / name).read_bytes()), name
+        (model,) = spawned
+        process = model._process
+        assert process.returncode is not None  # closed and reaped
+        assert process.stdin.closed and process.stdout.closed and process.stderr.closed
+        capsys.readouterr()
+
+
 class TestFitAndReuse:
     def test_fit_then_model_file(self, friedman_csv, tmp_path):
         fit_dir = tmp_path / "fitted"
@@ -235,6 +285,19 @@ class TestBridgeCheck:
         assert _run("bridge-check", "--external", f"{sys.executable} {stub}") == 0
         assert "handshake ok" in capsys.readouterr().out
 
+    def test_probe_rows_come_from_the_data(self, tmp_path, capsys):
+        data = tmp_path / "probe.csv"
+        data.write_text("x2,y,x1\n1,9,2\n0,9,0\n3,9,1\n")  # columns picked by name
+        assert _run("bridge-check", "--external", _linear_child(tmp_path),
+                    "--data", data, "--rows", "2") == 0
+        assert "probe ok: 2 predictions, first [2. 1.]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rows", ["0", "-5"])
+    def test_probe_of_no_rows_is_a_usage_error(self, tmp_path, capsys, rows):
+        assert _run("bridge-check", "--external", _linear_child(tmp_path), "--rows", rows) == 1
+        captured = capsys.readouterr()
+        assert "--rows must be at least 1" in captured.err and "probe ok" not in captured.out
+
     def test_broken_child_exits_3(self, tmp_path, capsys):
         stub = tmp_path / "c.py"
         stub.write_text("print('garbage')\nimport time\ntime.sleep(3)\n")
@@ -260,6 +323,54 @@ class TestExitCodes:
                     "--model", "teapot") == 1
         assert _run("frobnicate") == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["interact", *_TARGET, "--expr", ORACLE, "--pairs", "x1:x2", "--aggregator", "median"],
+         "unrecognized arguments: --aggregator"),
+        (["ice", *_TARGET, "--expr", ORACLE, "--feature", "x1", "--aggregator", "median"],
+         "unrecognized arguments: --aggregator"),
+        (["interact", *_TARGET, "--expr", ORACLE, "--pairs", "x1:x2,x1:x4,x3:x4", "--top", "0"],
+         "--top must be at least 1"),
+        (["interact", *_TARGET, "--expr", ORACLE, "--pairs", "x1:x2,x1:x4,x3:x4", "--top", "-1"],
+         "--top must be at least 1"),
+        (["importance", *_TARGET, "--expr", ORACLE, "--workers", "0"],
+         "--workers must be at least 1"),
+        (["importance", *_TARGET, "--model", "knn:k"], "bad model parameter 'k'"),
+        (["importance", *_TARGET, "--model", "knn:k=five"], "must be an integer"),
+        (["importance", *_TARGET, "--model", "knn:k=5,depth=2"], "unknown model parameters"),
+        (["importance", "--model", "linear"], "--target is required"),
+        (["pdp", *_TARGET, "--expr", ORACLE, "--features", "x1,x2,x3"], "one name or two"),
+        (["interact", *_TARGET, "--expr", ORACLE, "--pairs", "x1-x2"], "bad pair 'x1-x2'"),
+    ], ids=["interact-aggregator", "ice-aggregator", "top-0", "top-negative", "workers-0",
+            "param-without-equals", "param-not-integer", "unknown-param", "no-target",
+            "three-features", "pair-without-colon"])
+    def test_bad_arguments_exit_1_and_write_nothing(self, friedman_csv, tmp_path, capsys,
+                                                    argv, message):
+        out = tmp_path / "out"
+        assert _run(*argv, "--data", friedman_csv, "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err
+        assert not out.exists()
+
+    def test_non_finite_baseline_prediction_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # the grid 0, 5, 10 misses the pole at 3.3, so every PD value is
+        # finite, but the training row at 3.3 predicts inf
+        data = tmp_path / "pole.csv"
+        data.write_text("x1\n0\n1\n2\n3.3\n10\n")
+        out = tmp_path / "out"
+        assert _run("pdp", "--data", data, "--expr", "1/(x1 - 3.3)", "--features", "x1",
+                    "--grid", "equidistant:3", "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: model produced a non-finite prediction at grid point "
+                              "(the baseline ")
+        assert not out.exists()
+
+    def test_absurd_simulation_size_exits_2_before_drawing(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        assert _run("simulate", "--kind", "linear", "--n", "1000000000000000",
+                    "--out", out) == 2
+        assert f"n must be in [1, {MAX_SIMULATION_ROWS}]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_data_errors_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "nope.csv"

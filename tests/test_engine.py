@@ -228,6 +228,16 @@ class TestPartialDependence:
         with pytest.raises(NonFiniteError, match="baseline .* overflows float64"):
             estimate(model, ds, grid)
 
+    @pytest.mark.parametrize("estimate", [partial_dependence, ice_curves])
+    def test_non_finite_baseline_prediction_names_the_baseline(self, estimate):
+        # the grid 0, 5, 10 misses the pole at 3.3; the training row at 3.3 does not
+        ds = Dataset.from_dict({"x1": [0.0, 1.0, 2.0, 3.3, 10.0]})
+        grid = build_grid(ds, ["x1"], GridStrategy.equidistant(3))
+        model = _expr("1/(x1 - 3.3)", ds)
+        assert np.isfinite(pd_values_at(model, ds, ["x1"], grid.points())).all()
+        with pytest.raises(NonFiniteError, match=r"prediction at grid point \(the baseline "):
+            estimate(model, ds, grid)
+
     def test_median_aggregator(self):
         ds = Dataset.from_dict({"a": [0.0, 0.0, 0.0], "b": [1.0, 2.0, 10.0]})
         model = _expr("a + b", ds)

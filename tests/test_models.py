@@ -378,6 +378,25 @@ def test_knn_blocks_equal_the_row_loop_on_friedman_data():
     assert model.predict(batch).tobytes() == _knn_row_loop(model, batch).tobytes()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_knn_rows_without_a_margin_keep_every_training_row():
+    # at unit scale the query row at a=1e200 is at a finite distance from the
+    # three training rows at 1e200 and at inf from the rest, so its k-th
+    # distance is inf and no margin holds; the other rows of the same block
+    # have margins. Distinct targets make every choice of neighbours show.
+    schema = [FeatureSchema("a", "continuous"), FeatureSchema("b", "continuous")]
+    train = np.array([[0.0, 0.1], [1e200, 0.4], [0.5, 0.2], [1e200, 0.9],
+                      [1.0, 0.3], [0.2, 0.7], [1e200, 0.5], [0.7, 0.6]])
+    model = models_module.KnnModel(4, schema, train, np.arange(8.0) ** 2, np.ones(2))
+    query = np.array([[0.3, 0.1], [1e200, 0.4], [0.6, 0.9], [0.1, 0.5]])
+    batch = Dataset(schema, {"a": query[:, 0], "b": query[:, 1]})
+    assert model.predict(batch).tobytes() == _knn_row_loop(model, batch).tobytes()
+    points = [(0.4,), (1e200,), (np.nan,)]  # inf or NaN distances in every row at the last two
+    block = model.predict_grid(batch, ["b"], points)
+    for row, point in zip(block, points):
+        assert row.tobytes() == _knn_row_loop(model, pin(batch, ["b"], point)).tobytes()
+
+
 # --- predict_grid: one entry point for every model kind ----------------------
 
 _KINDS = ("linear", "knn", "bagged", "expression")

@@ -19,10 +19,17 @@ from pdimp import (
     true_pd_friedman_pair,
     true_pd_linear,
 )
-from pdimp.simulate import FRIEDMAN_EXPRESSION
+from pdimp.simulate import FRIEDMAN_EXPRESSION, MAX_SIMULATION_ROWS
 
 
 class TestGenerate:
+    def test_row_count_is_refused_past_the_maximum(self):
+        # specs only: nothing is drawn, so nothing large is allocated
+        assert SimulationSpec("friedman", MAX_SIMULATION_ROWS, 0, 1.0).n == MAX_SIMULATION_ROWS
+        for n in (0, MAX_SIMULATION_ROWS + 1, 10**15):
+            with pytest.raises(ParameterError, match=r"n must be in \[1, "):
+                SimulationSpec("friedman", n, 0, 1.0)
+
     def test_linear_zero_noise_targets_follow_the_formula(self):
         ds = generate(SimulationSpec("linear", 50, seed=3, sigma=0.0))
         want = 1.0 + 3.0 * ds.column("x1") - 5.0 * ds.column("x2")
