@@ -1,10 +1,13 @@
 """Command-line front end: reproducible runs that emit tables and plot data.
 
-Every run writes its artifacts plus a ``manifest.json`` recording the full
-configuration, seed, and tool version; no timestamps, so identical
-configurations produce byte-identical outputs. Plot data is emitted as
-CSV with a JSON sidecar describing the columns, ready for gnuplot or any
-plotting tool.
+Every analysis result is written by ``emit_plot_data`` alone: a CSV of the
+result's rows under its sidecar's column names, the result's JSON document,
+or both, plus the sidecar (``*.schema.json``) describing the columns, ready
+for gnuplot or any plotting tool. Every run that writes files (fit,
+simulate and the four analyses) also writes a manifest through
+``_write_manifest``: the tool version and the parsed command line, every
+option of the subcommand that holds a value, defaults included. Nothing
+records a time, so identical command lines produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -12,13 +15,13 @@ from __future__ import annotations
 import argparse
 import sys
 import threading
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
 from .bridge import spawn_external
-from .data import Dataset, load_csv, write_json
-from .engine import MAX_GRID_COUNT, GridStrategy, build_grid, ice_curves, partial_dependence
+from .data import Dataset, load_csv, write_csv, write_json
+from .engine import (MAX_GRID_COUNT, GridStrategy, build_grid, ice_curves, partial_dependence,
+                     reducer)
 from .errors import BridgeError, ParameterError, PdimpError, UsageError
 from .importance import MEASURES, ImportanceReport, importance_all
 from .interaction import interaction_matrix
@@ -30,26 +33,6 @@ from .trees import fit_bagged_trees
 
 SUBCOMMANDS = ("fit", "importance", "pdp", "ice", "interact", "simulate", "bridge-check")
 _AGGREGATOR_HELP = "mean | median | trimmed:ALPHA (default %(default)s)"
-
-
-@dataclass
-class RunConfig:
-    """Resolved options of one run; serialized verbatim into the manifest."""
-
-    subcommand: str
-    data: str | None = None
-    target: str | None = None
-    model: str | None = None
-    grid: str | None = None
-    measure: str | None = None
-    aggregator: str | None = None
-    workers: int = 1
-    out_dir: str | None = None
-    formats: tuple[str, ...] = ("csv", "json")
-    features: tuple[str, ...] | None = None
-    pairs: tuple[str, ...] | None = None
-    h_stat: bool = False
-    timeout: float = 30.0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,18 +137,15 @@ def _parse_model_params(text: str) -> tuple[str, dict]:
 
 def _resolve_model(args, features: Dataset, full: Dataset):
     """Build the prediction model from whichever source flag was given."""
-    sources = [s for s in ("model", "expr", "external", "model_file")
-               if getattr(args, s.replace("-", "_"), None)]
-    if len(sources) != 1:
+    if sum(bool(getattr(args, s)) for s in ("model", "expr", "external", "model_file")) != 1:
         raise UsageError("give exactly one of --model, --expr, --external, --model-file")
-    source = sources[0]
-    if source == "expr":
-        return parse_expression(args.expr, features.schema), f"expr:{args.expr}"
-    if source == "external":
-        return spawn_external(args.external, timeout=args.timeout), f"external:{args.external}"
-    if source == "model_file":
-        return load_model(args.model_file), f"file:{args.model_file}"
-    return _fit_builtin(args.model, args.target, full), args.model
+    if args.expr:
+        return parse_expression(args.expr, features.schema)
+    if args.external:
+        return spawn_external(args.external, timeout=args.timeout)
+    if args.model_file:
+        return load_model(args.model_file)
+    return _fit_builtin(args.model, args.target, full)
 
 
 def _fit_builtin(spec: str, target: str | None, full: Dataset):
@@ -201,41 +181,51 @@ def _load_features(args) -> tuple[Dataset, Dataset]:
     return features, full
 
 
-def _formats(args) -> tuple[str, ...]:
-    formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
+def _formats(text: str) -> tuple[str, ...]:
+    """The formats a ``--formats`` list names: at least one, each once."""
+    formats = tuple(f.strip() for f in text.split(",") if f.strip())
+    if not formats:
+        raise UsageError("--formats names no format; give csv, json or both")
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise UsageError(f"unsupported output format {fmt!r}")
+    if len(set(formats)) != len(formats):
+        raise UsageError(f"--formats names a format twice: {text!r}")
     return formats
 
 
 def emit_plot_data(result, out_dir, basename: str, formats=("csv", "json")) -> list[Path]:
-    """Write a result as plot data files plus a sidecar column-schema JSON."""
+    """Write a result as plot data: the only writer of analysis results.
+
+    ``result`` is a ``PDResult``, ``ICEResult``, ``ImportanceReport`` or
+    ``InteractionReport``. ``basename.csv`` holds ``result.rows()`` under
+    the names of ``result.sidecar()["columns"]``, ``basename.json`` holds
+    ``result.to_json_dict()``, and ``basename.schema.json`` holds the
+    sidecar itself, whatever the formats. Returns the paths written.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    sidecar = result.sidecar()
     paths = []
     for fmt in formats:
+        path = out_dir / f"{basename}.{fmt}"
         if fmt == "csv":
-            path = out_dir / f"{basename}.csv"
-            result.to_csv(path)
+            write_csv(path, [column["name"] for column in sidecar["columns"]], result.rows())
         elif fmt == "json":
-            path = out_dir / f"{basename}.json"
-            result.to_json(path)
+            write_json(path, result.to_json_dict())
         else:
             raise ParameterError(f"unsupported output format {fmt!r}")
         paths.append(path)
-    sidecar = out_dir / f"{basename}.schema.json"
-    write_json(sidecar, result.sidecar())
-    paths.append(sidecar)
+    paths.append(out_dir / f"{basename}.schema.json")
+    write_json(paths[-1], sidecar)
     return paths
 
 
-def _write_manifest(out_dir, config: RunConfig) -> None:
-    doc = {"tool": "pdimp", "version": __version__,
-           "config": {k: v for k, v in asdict(config).items() if v is not None}}
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "manifest.json", doc)
+def _write_manifest(path, args) -> None:
+    """Write the manifest of a run to ``path``: the tool version and every
+    parsed option of the command line that holds a value."""
+    write_json(path, {"tool": "pdimp", "version": __version__,
+                      "config": {k: v for k, v in vars(args).items() if v is not None}})
 
 
 def _close_if_external(model) -> None:
@@ -250,45 +240,42 @@ def _cmd_fit(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(model, out_dir / "model.json")
-    _write_manifest(out_dir, RunConfig(
-        subcommand="fit", data=args.data, target=args.target, model=args.model,
-    ))
+    _write_manifest(out_dir / "manifest.json", args)
     print(f"saved {out_dir / 'model.json'}")
     return 0
 
 
-def _analyse(args, basename: str, analysis, summary, **config) -> int:
+def _analyse(args, basename: str, analysis, summary) -> int:
     """Body shared by the analysis subcommands.
 
-    Checks ``--formats``, loads the data, resolves the model, runs
-    ``analysis(model, features)`` (closing an external model afterwards),
-    writes the result and the manifest, and prints ``summary(result)``.
-    ``config`` holds the manifest fields particular to the subcommand.
+    Checks ``--formats`` and ``--grid`` (and ``--aggregator`` where the
+    subcommand has one) before any work, loads the data, resolves the
+    model, runs ``analysis(model, features, strategy)`` (closing an
+    external model afterwards), writes the result and the manifest, and
+    prints ``summary(result)``.
     """
-    formats = _formats(args)
+    formats = _formats(args.formats)
+    strategy = GridStrategy.parse(args.grid)
+    if "aggregator" in args:
+        reducer(args.aggregator)
     features, full = _load_features(args)
-    model, model_desc = _resolve_model(args, features, full)
+    model = _resolve_model(args, features, full)
     try:
-        result = analysis(model, features)
+        result = analysis(model, features, strategy)
     finally:
         _close_if_external(model)
     emit_plot_data(result, args.out_dir, basename, formats)
-    _write_manifest(args.out_dir, RunConfig(
-        subcommand=args.subcommand, data=args.data, target=args.target, model=model_desc,
-        grid=args.grid, workers=args.workers, out_dir=args.out_dir, formats=formats,
-        timeout=args.timeout, **config,
-    ))
+    _write_manifest(Path(args.out_dir) / "manifest.json", args)
     print(summary(result))
     return 0
 
 
 def _cmd_importance(args) -> int:
-    def analysis(model, features):
-        return importance_all(model, features, GridStrategy.parse(args.grid), args.measure,
+    def analysis(model, features, strategy):
+        return importance_all(model, features, strategy, args.measure,
                               workers=args.workers, aggregator=args.aggregator)
 
-    return _analyse(args, "importance", analysis, ImportanceReport.to_text,
-                    measure=args.measure, aggregator=args.aggregator)
+    return _analyse(args, "importance", analysis, ImportanceReport.to_text)
 
 
 def _cmd_pdp(args) -> int:
@@ -296,8 +283,8 @@ def _cmd_pdp(args) -> int:
     if len(names) not in (1, 2):
         raise UsageError("--features takes one name or two comma-separated names")
 
-    def analysis(model, features):
-        grid = build_grid(features, names, GridStrategy.parse(args.grid))
+    def analysis(model, features, strategy):
+        grid = build_grid(features, names, strategy)
         return partial_dependence(model, features, grid, workers=args.workers,
                                   aggregator=args.aggregator)
 
@@ -305,19 +292,18 @@ def _cmd_pdp(args) -> int:
         return (f"pd over {' x '.join(names)}: {result.grid.size} grid points, "
                 f"baseline {result.baseline:.6g}")
 
-    return _analyse(args, "pd", analysis, summary,
-                    aggregator=args.aggregator, features=tuple(names))
+    return _analyse(args, "pd", analysis, summary)
 
 
 def _cmd_ice(args) -> int:
-    def analysis(model, features):
-        grid = build_grid(features, [args.feature], GridStrategy.parse(args.grid))
+    def analysis(model, features, strategy):
+        grid = build_grid(features, [args.feature], strategy)
         return ice_curves(model, features, grid, workers=args.workers)
 
     def summary(result):
         return f"{result.curves.shape[0]} curves x {result.curves.shape[1]} grid points"
 
-    return _analyse(args, "ice", analysis, summary, features=(args.feature,))
+    return _analyse(args, "ice", analysis, summary)
 
 
 def _cmd_interact(args) -> int:
@@ -330,14 +316,12 @@ def _cmd_interact(args) -> int:
                 raise UsageError(f"bad pair {item!r}; expected a:b")
             pairs.append((a.strip(), b.strip()))
 
-    def analysis(model, features):
-        return interaction_matrix(model, features, pairs, GridStrategy.parse(args.grid),
+    def analysis(model, features, strategy):
+        return interaction_matrix(model, features, pairs, strategy,
                                   include_h=args.h_stat, workers=args.workers)
 
     return _analyse(args, "interactions", analysis,
-                    lambda report: report.to_text(top=args.top),
-                    pairs=tuple(f"{a}:{b}" for a, b in pairs) if pairs else None,
-                    h_stat=args.h_stat)
+                    lambda report: report.to_text(top=args.top))
 
 
 def _cmd_simulate(args) -> int:
@@ -348,12 +332,7 @@ def _cmd_simulate(args) -> int:
     if out.parent:
         out.parent.mkdir(parents=True, exist_ok=True)
     dataset.to_csv(out)
-    manifest = out.with_name(out.stem + ".manifest.json")
-    doc = {"tool": "pdimp", "version": __version__,
-           "config": {"subcommand": "simulate", "kind": args.kind, "n": args.n,
-                      "sigma": args.sigma, "seed": args.seed,
-                      "betas": [args.beta0, args.beta1, args.beta2], "out": str(out)}}
-    write_json(manifest, doc)
+    _write_manifest(out.with_name(out.stem + ".manifest.json"), args)
     print(f"wrote {dataset.n_rows} rows x {len(dataset.feature_names)} columns to {out}")
     return 0
 
@@ -364,6 +343,8 @@ def _cmd_bridge_check(args) -> int:
         print(f"handshake ok: protocol {model.protocol}, features {list(model.feature_names)}")
         if args.data:
             full = load_csv(args.data)
+            if full.n_rows == 0:
+                raise ParameterError(f"{args.data} holds no data rows to probe with")
             probe = full.select(model.feature_names).take(
                 range(min(args.rows, full.n_rows))
             )

@@ -28,11 +28,11 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .data import Dataset, write_csv, write_json
+from .data import Dataset
 from .errors import (
     DegenerateGridError,
     GridStrategyError,
@@ -242,11 +242,11 @@ class PDResult:
             "strategy": str(self.grid.strategy),
         }
 
-    def to_csv(self, target) -> None:
+    def rows(self):
+        """The CSV rows under the sidecar's columns: grid values, then PD."""
         points = product(*(axis.shown() for axis in self.grid.axes))  # row-major
-        write_csv(target, column_names(self.sidecar()),
-                  ([_format_cell(v) for v in point + (value,)]
-                   for point, value in zip(points, self.values.tolist())))
+        return ([_format_cell(v) for v in point + (value,)]
+                for point, value in zip(points, self.values.tolist()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -258,9 +258,6 @@ class PDResult:
             "baseline": self.baseline,
             "aggregator": self.aggregator,
         }
-
-    def to_json(self, target) -> None:
-        write_json(target, self.to_json_dict())
 
 
 @dataclass(frozen=True)
@@ -286,13 +283,12 @@ class ICEResult:
             "strategy": str(self.grid.strategy),
         }
 
-    def to_csv(self, target) -> None:
+    def rows(self):
+        """The CSV rows under the sidecar's columns, one per row and grid point."""
         shown = [_format_cell(v) for v in self.grid.axes[0].shown()]
-        write_csv(target, column_names(self.sidecar()), (
-            [i, shown[j], _format_cell(float(self.curves[i, j]))]
-            for i in range(self.curves.shape[0])
-            for j in range(self.curves.shape[1])
-        ))
+        return ([i, shown[j], _format_cell(float(self.curves[i, j]))]
+                for i in range(self.curves.shape[0])
+                for j in range(self.curves.shape[1]))
 
     def to_json_dict(self) -> dict:
         axis = self.grid.axes[0]
@@ -305,17 +301,9 @@ class ICEResult:
             "baseline": self.baseline,
         }
 
-    def to_json(self, target) -> None:
-        write_json(target, self.to_json_dict())
-
 
 def _format_cell(value):
     return repr(value) if isinstance(value, float) else value
-
-
-def column_names(sidecar: dict) -> list[str]:
-    """The CSV header of a result: the names of its sidecar's columns."""
-    return [column["name"] for column in sidecar["columns"]]
 
 
 def ordered_mean(values: np.ndarray) -> float:
@@ -330,16 +318,18 @@ def ordered_mean(values: np.ndarray) -> float:
     return (float(total) + 0.0) / len(values)
 
 
-def aggregate(values: np.ndarray, aggregator: str) -> float:
-    """Collapse one grid point's predictions: mean, median, or trimmed:ALPHA.
+def reducer(aggregator: str) -> Callable[[np.ndarray], float]:
+    """The function that collapses one grid point's predictions, named by
+    ``mean``, ``median`` or ``trimmed:ALPHA``; ParameterError for any other
+    name or a fraction outside [0, 0.5).
 
     The trimmed mean drops floor(alpha * n) values from each tail of the
     sorted predictions before the fixed-order mean.
     """
     if aggregator == "mean":
-        return ordered_mean(values)
+        return ordered_mean
     if aggregator == "median":
-        return float(np.median(values))
+        return lambda values: float(np.median(values))
     name, sep, arg = aggregator.partition(":")
     if name == "trimmed" and sep:
         try:
@@ -348,11 +338,14 @@ def aggregate(values: np.ndarray, aggregator: str) -> float:
             raise ParameterError(f"bad trim fraction {arg!r}") from None
         if not 0 <= alpha < 0.5:
             raise ParameterError("trim fraction must be in [0, 0.5)")
-        cut = int(alpha * len(values))
-        kept = np.sort(values)[cut: len(values) - cut]
-        if kept.size == 0:
-            raise ParameterError("trim fraction removes every prediction")
-        return ordered_mean(kept)
+
+        def trimmed_mean(values):
+            cut = int(alpha * len(values))
+            kept = np.sort(values)[cut: len(values) - cut]
+            if kept.size == 0:
+                raise ParameterError("trim fraction removes every prediction")
+            return ordered_mean(kept)
+        return trimmed_mean
     raise ParameterError(f"unknown aggregator {aggregator!r}")
 
 
@@ -419,10 +412,11 @@ def pd_values_at(model: PredictionModel, dataset: Dataset, features: Sequence[st
     Each point's predictions are aggregated as soon as they are scored; a
     value that is not finite raises NonFiniteError.
     """
+    reduce = reducer(aggregator)
     if dataset.n_rows == 0:
         raise ParameterError("cannot average over an empty dataset")
     return _score_points(model, dataset, features, points, workers,
-                         lambda g, preds: aggregate(preds, aggregator))
+                         lambda g, preds: reduce(preds))
 
 
 def _baseline(model, dataset, aggregator) -> float:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CATEGORICAL, Dataset, write_csv, write_json
-from .engine import GridStrategy, PDResult, column_names, feature_axis, pd_values_at
+from .data import CATEGORICAL, Dataset
+from .engine import GridStrategy, PDResult, feature_axis, pd_values_at, reducer
 from .errors import DegenerateGridError, NonFiniteError, ParameterError
 from .models import PredictionModel
 
@@ -121,9 +121,9 @@ class ImportanceReport:
             "aggregator": self.aggregator,
         }
 
-    def to_csv(self, target) -> None:
-        write_csv(target, column_names(self.sidecar()),
-                  ([e.name, repr(e.score)] for e in self.entries))
+    def rows(self):
+        """The CSV rows under the sidecar's columns, in rank order."""
+        return ([e.name, repr(e.score)] for e in self.entries)
 
     def to_json_dict(self) -> dict:
         return {
@@ -140,9 +140,6 @@ class ImportanceReport:
                 for e in self.entries
             ],
         }
-
-    def to_json(self, target) -> None:
-        write_json(target, self.to_json_dict())
 
     def to_text(self) -> str:
         width = max((len(e.name) for e in self.entries), default=7)
@@ -168,6 +165,7 @@ def importance_all(model: PredictionModel, dataset: Dataset,
         raise ParameterError("importance needs at least 2 training rows")
     if measure not in MEASURES:
         raise ParameterError(f"unknown flatness measure {measure!r}; pick one of {MEASURES}")
+    reducer(aggregator)  # checked even when no feature has a grid to score
     if grid_strategy is None:
         grid_strategy = GridStrategy.unique()
     entries = []

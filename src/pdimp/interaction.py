@@ -21,9 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import CATEGORICAL, Dataset, write_csv, write_json
-from .engine import (Grid, GridAxis, GridStrategy, column_names, feature_axis, ordered_mean,
-                     pd_values_at)
+from .data import CATEGORICAL, Dataset
+from .engine import Grid, GridAxis, GridStrategy, feature_axis, ordered_mean, pd_values_at
 from .errors import DegenerateGridError, NonFiniteError, ParameterError
 from .importance import SAMPLE_SD, measure_for, sample_sd, spread
 from .models import PredictionModel
@@ -68,12 +67,14 @@ class InteractionReport:
             "grid_strategy": self.grid_strategy,
         }
 
-    def to_csv(self, target) -> None:
+    def rows(self):
+        """The CSV rows under the sidecar's columns, in rank order; an
+        absent or NaN H is an empty cell."""
         def row(pair):
             h = "" if pair.stat_h is None or math.isnan(pair.stat_h) else repr(pair.stat_h)
             return [pair.features[0], pair.features[1], repr(pair.stat_pd), h]
 
-        write_csv(target, column_names(self.sidecar()), map(row, self.pairs))
+        return map(row, self.pairs)
 
     def to_json_dict(self) -> dict:
         def encode_h(h):
@@ -94,9 +95,6 @@ class InteractionReport:
                 for p in self.pairs
             ],
         }
-
-    def to_json(self, target) -> None:
-        write_json(target, self.to_json_dict())
 
     def to_text(self, top: int | None = None) -> str:
         rows = self.pairs if top is None else self.pairs[:top]
@@ -249,7 +247,8 @@ def interaction_matrix(model: PredictionModel, dataset: Dataset,
     serves both conditional directions and H; each feature's marginal PD
     for H is computed once for the whole report. A pair with a one-point
     axis (a constant column) scores 0 with a ``degenerate`` flag instead of
-    failing the whole report; its H is computed as for any other pair.
+    failing the whole report; its H is computed as for any other pair. A
+    pair requested twice, in either order, raises ParameterError.
     """
     if grid_strategy is None:
         grid_strategy = GridStrategy.quantile(10)
@@ -257,9 +256,13 @@ def interaction_matrix(model: PredictionModel, dataset: Dataset,
         pairs = list(combinations(dataset.feature_names, 2))
     else:
         pairs = [tuple(p) for p in pairs]
+        seen = set()
         for a, b in pairs:
             dataset.schema_for(a)
             dataset.schema_for(b)
+            if frozenset((a, b)) in seen:
+                raise ParameterError(f"the pair {a}:{b} is requested twice")
+            seen.add(frozenset((a, b)))
 
     marginals: dict[str, np.ndarray] = {}
     results = []

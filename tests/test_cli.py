@@ -225,6 +225,42 @@ def test_sidecar_bytes_and_csv_header(tmp_path, capsys, argv, basename, sidecar)
     assert header == ",".join(column["name"] for column in sidecar["columns"])
 
 
+_ANALYSIS = {"data": "lin.csv", "target": "y", "grid": "unique", "workers": 1,
+             "out_dir": "out", "formats": "csv,json", "timeout": 30.0}
+_MANIFESTS = [
+    (["fit", "--model", "linear"],
+     {"subcommand": "fit", "data": "lin.csv", "target": "y", "model": "linear",
+      "out_dir": "out"}),
+    (["importance", "--expr", "1 + 3*x1"],
+     {**_ANALYSIS, "subcommand": "importance", "expr": "1 + 3*x1", "measure": "sd",
+      "aggregator": "mean"}),
+    (["pdp", "--model", "linear", "--features", "x1, x2", "--aggregator", "median"],
+     {**_ANALYSIS, "subcommand": "pdp", "model": "linear", "features": "x1, x2",
+      "aggregator": "median"}),
+    (["ice", "--expr", "x2", "--feature", "x1", "--formats", "csv", "--grid", "quantile:3"],
+     {**_ANALYSIS, "subcommand": "ice", "expr": "x2", "feature": "x1", "formats": "csv",
+      "grid": "quantile:3"}),
+    (["interact", "--expr", "x1*x2", "--pairs", "x2:x1", "--workers", "2"],
+     {**_ANALYSIS, "subcommand": "interact", "expr": "x1*x2", "pairs": "x2:x1",
+      "workers": 2, "grid": "quantile:10", "h_stat": False, "top": 10}),
+]
+
+
+@pytest.mark.parametrize("argv,config", _MANIFESTS, ids=[m[0][0] for m in _MANIFESTS])
+def test_manifest_holds_exactly_the_parsed_options(tmp_path, monkeypatch, capsys, argv, config):
+    monkeypatch.chdir(tmp_path)
+    assert _run("simulate", "--kind", "linear", "--n", "20", "--seed", "4",
+                "--out", "lin.csv") == 0
+    assert json.loads(Path("lin.manifest.json").read_text()) == {
+        "tool": "pdimp", "version": pdimp.__version__,
+        "config": {"subcommand": "simulate", "kind": "linear", "n": 20, "sigma": 1.0,
+                   "seed": 4, "beta0": 1.0, "beta1": 3.0, "beta2": -5.0, "out": "lin.csv"}}
+    assert _run(*argv, "--data", "lin.csv", "--target", "y", "--out-dir", "out") == 0
+    capsys.readouterr()
+    manifest = json.loads(Path("out/manifest.json").read_text())
+    assert manifest == {"tool": "pdimp", "version": pdimp.__version__, "config": config}
+
+
 class TestExternalAnalysis:
     def test_importance_through_a_child_equals_the_expression(self, tmp_path, monkeypatch,
                                                               capsys):
@@ -298,6 +334,25 @@ class TestBridgeCheck:
         captured = capsys.readouterr()
         assert "--rows must be at least 1" in captured.err and "probe ok" not in captured.out
 
+    def test_probe_data_without_rows_exits_2_and_reaps_the_child(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        data = tmp_path / "empty.csv"
+        data.write_text("x1,x2\n")
+        spawned, spawn_external = [], cli_module.spawn_external
+
+        def spawn(*args, **kwargs):
+            spawned.append(spawn_external(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(cli_module, "spawn_external", spawn)
+        with pytest.warns(UserWarning, match="CSV body is empty"):
+            assert _run("bridge-check", "--external", _linear_child(tmp_path),
+                        "--data", data) == 2
+        captured = capsys.readouterr()
+        assert "holds no data rows" in captured.err and "probe ok" not in captured.out
+        (model,) = spawned
+        assert model._process.returncode is not None  # closed and reaped
+
     def test_broken_child_exits_3(self, tmp_path, capsys):
         stub = tmp_path / "c.py"
         stub.write_text("print('garbage')\nimport time\ntime.sleep(3)\n")
@@ -341,9 +396,16 @@ class TestExitCodes:
         (["importance", "--model", "linear"], "--target is required"),
         (["pdp", *_TARGET, "--expr", ORACLE, "--features", "x1,x2,x3"], "one name or two"),
         (["interact", *_TARGET, "--expr", ORACLE, "--pairs", "x1-x2"], "bad pair 'x1-x2'"),
+        (["importance", *_TARGET, "--expr", ORACLE, "--formats", ","], "names no format"),
+        (["importance", *_TARGET, "--expr", ORACLE, "--formats", ""], "names no format"),
+        (["pdp", *_TARGET, "--expr", ORACLE, "--features", "x1", "--formats", "csv,csv"],
+         "names a format twice"),
+        (["interact", *_TARGET, "--expr", ORACLE, "--formats", "json, csv,json"],
+         "names a format twice"),
     ], ids=["interact-aggregator", "ice-aggregator", "top-0", "top-negative", "workers-0",
             "param-without-equals", "param-not-integer", "unknown-param", "no-target",
-            "three-features", "pair-without-colon"])
+            "three-features", "pair-without-colon", "formats-comma", "formats-empty",
+            "formats-csv-twice", "formats-json-twice"])
     def test_bad_arguments_exit_1_and_write_nothing(self, friedman_csv, tmp_path, capsys,
                                                     argv, message):
         out = tmp_path / "out"
@@ -604,6 +666,41 @@ class TestExitCodes:
         assert "unsupported output format 'xml'" in capsys.readouterr().err
         assert not marker.exists()
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (["importance", "--grid", "quantile:x"], "bad grid strategy count 'x'"),
+        (["importance", "--grid", "hexagonal"], "bad grid strategy 'hexagonal'"),
+        (["importance", "--aggregator", "trimmed:0.7"], "trim fraction must be in [0, 0.5)"),
+        (["importance", "--aggregator", "mode"], "unknown aggregator 'mode'"),
+        (["pdp", "--features", "x1", "--aggregator", "trimmed:x"], "bad trim fraction 'x'"),
+        (["ice", "--feature", "x1", "--grid", "equidistant:1"], "equidistant grid needs 2"),
+        (["interact", "--grid", "quantile:0"], "quantile grid needs 1"),
+    ], ids=["grid-count", "grid-kind", "trim-too-large", "unknown-aggregator", "trim-not-number",
+            "equidistant-1", "quantile-0"])
+    def test_bad_grid_or_aggregator_exits_2_before_any_work(self, friedman_csv, tmp_path,
+                                                             monkeypatch, capsys, argv, message):
+        def never(*args, **kwargs):
+            raise AssertionError("the model was fitted")
+
+        monkeypatch.setattr(cli_module, "fit_bagged_trees", never)
+        marker = tmp_path / "spawned"
+        child = shlex.join([sys.executable, "-c", f"open({str(marker)!r}, 'w')"])
+        out = tmp_path / "out"
+        for source in (["--model", "bagged:n_trees=200"], ["--external", child]):
+            # the data path does not exist: the check comes before the CSV is read
+            for data in (friedman_csv, tmp_path / "nope.csv"):
+                assert _run(*argv, "--data", data, *_TARGET, *source, "--out-dir", out) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and message in err
+        assert not marker.exists() and not out.exists()
+
+    def test_repeated_pair_exits_2_and_writes_nothing(self, friedman_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        for pairs in ("x1:x2,x2:x1", "x1:x2,x3:x4,x1:x2"):
+            assert _run("interact", "--data", friedman_csv, *_TARGET, "--expr", ORACLE,
+                        "--pairs", pairs, "--out-dir", out) == 2
+            assert "is requested twice" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_workers_do_not_read_the_environment(self, friedman_csv, tmp_path, monkeypatch,
                                                  capsys):

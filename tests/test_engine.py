@@ -28,7 +28,9 @@ from pdimp import (
     parse_expression,
     partial_dependence,
 )
-from pdimp.engine import MAX_GRID_COUNT, _distinct, _quantiles, ordered_mean, pd_values_at
+from pdimp.cli import emit_plot_data
+from pdimp.engine import (MAX_GRID_COUNT, _distinct, _quantiles, ordered_mean, pd_values_at,
+                          reducer)
 from pdimp.models import PredictionModel
 
 
@@ -245,6 +247,21 @@ class TestPartialDependence:
         pd = partial_dependence(model, ds, grid, aggregator="median")
         np.testing.assert_array_equal(pd.values, [2.0])
 
+    def test_the_aggregator_is_parsed_once_per_table(self, monkeypatch):
+        ds = Dataset.from_dict({"a": [0.0, 1.0, 2.0, 3.0], "b": [1.0, 2.0, 3.0, 7.0]})
+        model = _expr("a * b", ds)
+        parsed = []
+
+        def counted(aggregator):
+            parsed.append(aggregator)
+            return reducer(aggregator)
+
+        monkeypatch.setattr(engine_module, "reducer", counted)
+        values = pd_values_at(model, ds, ["a"], np.arange(4.0)[:, None],
+                              aggregator="trimmed:0.25")
+        assert parsed == ["trimmed:0.25"]
+        np.testing.assert_array_equal(values, [0.0, 2.5, 5.0, 7.5])
+
     def test_trimmed_aggregator(self):
         ds = Dataset.from_dict({"a": [0.0] * 5, "b": [1.0, 2.0, 3.0, 4.0, 100.0]})
         model = _expr("a + b", ds)
@@ -361,11 +378,10 @@ class TestSerialization:
         model = _expr("x1", ds)
         grid = build_grid(ds, ["g"], GridStrategy.unique())
         pd = partial_dependence(model, ds, grid)
-        pd.to_csv(tmp_path / "pd.csv")
+        emit_plot_data(pd, tmp_path, "pd")
         lines = (tmp_path / "pd.csv").read_text().splitlines()
         assert lines[0] == "g,pd"
         assert lines[1].startswith("u,")
-        pd.to_json(tmp_path / "pd.json")
         import json
         doc = json.loads((tmp_path / "pd.json").read_text())
         assert doc["points"]["g"] == ["u", "v"]
@@ -374,7 +390,7 @@ class TestSerialization:
     def test_ice_long_format(self, tmp_path):
         ds = Dataset.from_dict({"a": [1.0, 2.0], "b": [0.0, 1.0]})
         ice = ice_curves(_expr("a + b", ds), ds, build_grid(ds, ["a"], GridStrategy.unique()))
-        ice.to_csv(tmp_path / "ice.csv")
+        emit_plot_data(ice, tmp_path, "ice", formats=("csv",))
         lines = (tmp_path / "ice.csv").read_text().splitlines()
         assert lines[0] == "row_id,grid_value,prediction"
         assert len(lines) == 1 + 2 * 2

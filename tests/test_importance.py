@@ -17,6 +17,7 @@ from pdimp import (
     partial_dependence,
     theoretical_uniform_sd,
 )
+from pdimp.cli import emit_plot_data
 from pdimp.engine import Grid, GridAxis, PDResult
 from pdimp.importance import MAD, RANGE_OVER_4, SAMPLE_SD, spread  # noqa: F401
 
@@ -134,6 +135,14 @@ class TestImportanceAll:
         with pytest.raises(ParameterError):
             importance_all(parse_expression("a", ds.schema), ds)
 
+    @pytest.mark.parametrize("aggregator", ["bogus", "trimmed:0.5", "trimmed:x"])
+    def test_bad_aggregator_is_refused_when_no_point_is_scored(self, aggregator):
+        ds = Dataset.from_dict({"a": [5.0, 5.0, 5.0], "b": [1.0, 1.0, 1.0]})
+        model = parse_expression("a + b", ds.schema)
+        assert all(e.degenerate for e in importance_all(model, ds).entries)
+        with pytest.raises(ParameterError):
+            importance_all(model, ds, aggregator=aggregator)
+
 
 class TestInvariances:
     def _scores(self, text, ds, measure=SAMPLE_SD):
@@ -203,14 +212,13 @@ class TestReportOutput:
         report = importance_all(model, ds)
         assert report.ranked_names() == ["c", "a", "b"]
 
-        report.to_csv(tmp_path / "imp.csv")
+        emit_plot_data(report, tmp_path, "imp")
         lines = (tmp_path / "imp.csv").read_text().splitlines()
         assert lines[0] == "feature,score"
         assert len(lines) == 4
         assert lines[1].startswith("c,")
 
         import json
-        report.to_json(tmp_path / "imp.json")
         doc = json.loads((tmp_path / "imp.json").read_text())
         assert [e["name"] for e in doc["features"]] == ["c", "a", "b"]
 

@@ -20,6 +20,7 @@ from pdimp import (
     parse_expression,
     pd_interaction,
 )
+from pdimp.cli import emit_plot_data
 from pdimp.engine import Grid, ordered_mean
 from pdimp.expressions import FUNCTIONS
 
@@ -155,6 +156,14 @@ class TestInteractionMatrix:
         for other in reports[1:]:
             assert [p.stat_pd for p in other.pairs] == [p.stat_pd for p in reports[0].pairs]
 
+    @pytest.mark.parametrize("pairs", [[("a", "b"), ("b", "a")], [("a", "b"), ("a", "b")],
+                                       [("b", "c"), ("a", "b"), ("c", "b")]])
+    def test_a_pair_requested_twice_is_refused(self, pairs):
+        ds = Dataset.from_dict({"a": [0.0, 1.0, 2.0], "b": [1.0, 0.0, 2.0],
+                                "c": [2.0, 1.0, 0.0]})
+        with pytest.raises(ParameterError, match="requested twice"):
+            interaction_matrix(_expr("a*b*c", ds), ds, pairs)
+
     def test_stat_pd_is_mean_of_directional_components(self):
         rng = np.random.default_rng(9)
         ds = Dataset.from_dict({"a": rng.uniform(size=25), "b": rng.uniform(size=25)})
@@ -169,12 +178,11 @@ class TestInteractionMatrix:
         ds = Dataset.from_dict({"a": rng.uniform(size=15), "b": rng.uniform(size=15)})
         report = interaction_matrix(_expr("a*b", ds), ds,
                                     grid_strategy=GridStrategy.quantile(4), include_h=True)
-        report.to_csv(tmp_path / "i.csv")
+        emit_plot_data(report, tmp_path, "i")
         lines = (tmp_path / "i.csv").read_text().splitlines()
         assert lines[0] == "feature_i,feature_j,stat_pd,stat_h"
         assert len(lines) == 2
         import json
-        report.to_json(tmp_path / "i.json")
         doc = json.loads((tmp_path / "i.json").read_text())
         assert doc["pairs"][0]["features"] == ["a", "b"]
         assert doc["pairs"][0]["stat_h"] is not None
@@ -326,7 +334,7 @@ class TestHFromJointTable:
         for workers in (1, 2):
             report = interaction_matrix(model, features, None, GridStrategy.quantile(5),
                                         include_h=True, workers=workers)
-            report.to_json(tmp_path / f"w{workers}.json")
+            emit_plot_data(report, tmp_path, f"w{workers}", formats=("json",))
             texts.append((tmp_path / f"w{workers}.json").read_bytes())
         assert texts[0] == texts[1]
 
