@@ -24,7 +24,7 @@ from .engine import (MAX_GRID_COUNT, GridStrategy, build_grid, ice_curves, parti
                      reducer)
 from .errors import BridgeError, ParameterError, PdimpError, UsageError
 from .importance import MEASURES, ImportanceReport, importance_all
-from .interaction import interaction_matrix
+from .interaction import check_pairs, interaction_matrix
 from .models import fit_knn, fit_linear
 from .serialize import load_model, save_model
 from .simulate import MAX_SIMULATION_ROWS, SimulationSpec, generate
@@ -245,12 +245,13 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _analyse(args, basename: str, analysis, summary) -> int:
+def _analyse(args, basename: str, analysis, summary, check_names=None) -> int:
     """Body shared by the analysis subcommands.
 
     Checks ``--formats`` and ``--grid`` (and ``--aggregator`` where the
-    subcommand has one) before any work, loads the data, resolves the
-    model, runs ``analysis(model, features, strategy)`` (closing an
+    subcommand has one) before any work, loads the data, runs
+    ``check_names(features)`` on the names the command asks for, resolves
+    the model, runs ``analysis(model, features, strategy)`` (closing an
     external model afterwards), writes the result and the manifest, and
     prints ``summary(result)``.
     """
@@ -259,6 +260,8 @@ def _analyse(args, basename: str, analysis, summary) -> int:
     if "aggregator" in args:
         reducer(args.aggregator)
     features, full = _load_features(args)
+    if check_names is not None:
+        check_names(features)
     model = _resolve_model(args, features, full)
     try:
         result = analysis(model, features, strategy)
@@ -292,7 +295,8 @@ def _cmd_pdp(args) -> int:
         return (f"pd over {' x '.join(names)}: {result.grid.size} grid points, "
                 f"baseline {result.baseline:.6g}")
 
-    return _analyse(args, "pd", analysis, summary)
+    return _analyse(args, "pd", analysis, summary,
+                    lambda features: [features.schema_for(name) for name in names])
 
 
 def _cmd_ice(args) -> int:
@@ -303,7 +307,8 @@ def _cmd_ice(args) -> int:
     def summary(result):
         return f"{result.curves.shape[0]} curves x {result.curves.shape[1]} grid points"
 
-    return _analyse(args, "ice", analysis, summary)
+    return _analyse(args, "ice", analysis, summary,
+                    lambda features: features.schema_for(args.feature))
 
 
 def _cmd_interact(args) -> int:
@@ -321,7 +326,8 @@ def _cmd_interact(args) -> int:
                                   include_h=args.h_stat, workers=args.workers)
 
     return _analyse(args, "interactions", analysis,
-                    lambda report: report.to_text(top=args.top))
+                    lambda report: report.to_text(top=args.top),
+                    lambda features: check_pairs(features, pairs))
 
 
 def _cmd_simulate(args) -> int:

@@ -299,8 +299,9 @@ def _column(name: str, cells: list[str],
     return FeatureSchema(name, CATEGORICAL, levels), codes
 
 
-def load_csv(source, has_header: bool = True, declared_schema: Mapping[str, str] | None = None) -> Dataset:
-    """Load a comma-delimited UTF-8 table into a :class:`Dataset`.
+def load_csv(source, declared_schema: Mapping[str, str] | None = None) -> Dataset:
+    """Load a comma-delimited UTF-8 table, its first row naming the columns,
+    into a :class:`Dataset`.
 
     ``source`` is a path, bytes, or an open text file; a UTF-8 byte-order
     mark is dropped. ``declared_schema`` maps column names to kinds
@@ -311,12 +312,12 @@ def load_csv(source, has_header: bool = True, declared_schema: Mapping[str, str]
     try:
         if isinstance(source, (str, Path)):
             with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-                names, rows = _read_rows(fh, has_header)
+                names, rows = _read_rows(fh)
         elif isinstance(source, bytes):
             text = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline="")
-            names, rows = _read_rows(text, has_header)
+            names, rows = _read_rows(text)
         else:
-            names, rows = _read_rows(source, has_header)
+            names, rows = _read_rows(source)
     except UnicodeDecodeError as exc:
         raise CsvError(f"input is not valid UTF-8: {_bad_byte(source, exc)}") from None
     except csv.Error as exc:
@@ -357,26 +358,20 @@ def _bad_byte(source, exc: UnicodeDecodeError) -> str:
     return str(exc)
 
 
-def _read_rows(source, has_header: bool) -> tuple[list[str], list[list[str]]]:
+def _read_rows(source) -> tuple[list[str], list[list[str]]]:
     """Column names and data rows of a CSV text stream, checked for shape."""
     reader = csv.reader(source)
     try:
-        first = next(reader)
+        names = [c.strip() for c in next(reader)]
     except StopIteration:
         raise CsvError("input is empty: no header or data rows") from None
-
-    if has_header:
-        names = [c.strip() for c in first]
-        rows = []
-    else:
-        names = [f"c{i + 1}" for i in range(len(first))]
-        rows = [first]
     if len(set(names)) != len(names):
         raise CsvError("duplicate column names in header")
     if any(n == "" for n in names):
         raise CsvError("empty column name in header")
 
     width = len(names)
+    rows = []
     for row in reader:
         if len(row) != width:
             raise CsvError(

@@ -119,33 +119,43 @@ def _directional_spreads(values: np.ndarray, kinds: tuple[str, str]) -> tuple[fl
 def pd_interaction(model: PredictionModel, dataset: Dataset, pair: Sequence[str],
                    grid_strategy: GridStrategy | None = None,
                    workers: int = 1) -> float:
-    """Interaction statistic for one unordered feature pair.
+    """Interaction statistic for one unordered feature pair: the one-pair
+    case of :func:`interaction_matrix`.
 
     Builds the joint PD once, computes the importance of each feature
     conditional on every grid value of the other, takes the sd of those
     conditional importances per direction, and averages the two. A pair
     with a one-point axis raises :class:`DegenerateGridError`.
     """
-    if grid_strategy is None:
-        grid_strategy = GridStrategy.quantile(10)
-    grid = _pair_grid(dataset, tuple(pair), grid_strategy)
-    stat = _pair_statistics(grid, _joint_table(model, dataset, grid, workers))
+    (stat,) = interaction_matrix(model, dataset, [pair], grid_strategy, workers=workers).pairs
     if stat.degenerate:
         raise DegenerateGridError("interaction needs at least 2 grid points per feature")
     return stat.stat_pd
 
 
+def check_pairs(dataset: Dataset,
+                pairs: Sequence[Sequence[str]] | None = None) -> list[tuple[str, str]]:
+    """The pairs to score: all of ``dataset``'s when ``pairs`` is None, else
+    ``pairs`` as tuples, checked in order. An unknown name raises
+    UnknownFeatureError; a pair of one feature, or a pair given twice in
+    either order, raises ParameterError."""
+    if pairs is None:
+        return list(combinations(dataset.feature_names, 2))
+    checked, seen = [], set()
+    for a, b in pairs:
+        dataset.schema_for(a)
+        dataset.schema_for(b)
+        if a == b:
+            raise ParameterError("interaction needs two distinct features")
+        if frozenset((a, b)) in seen:
+            raise ParameterError(f"the pair {a}:{b} is requested twice")
+        seen.add(frozenset((a, b)))
+        checked.append((a, b))
+    return checked
+
+
 def _pair_grid(dataset: Dataset, pair: tuple[str, str], strategy: GridStrategy) -> Grid:
-    a, b = pair
-    if a == b:
-        raise ParameterError("interaction needs two distinct features")
-    return Grid((feature_axis(dataset, a, strategy), feature_axis(dataset, b, strategy)), strategy)
-
-
-def _joint_table(model, dataset, grid: Grid, workers: int) -> np.ndarray:
-    """Joint PD over the whole pair grid, shaped k_a x k_b."""
-    values = pd_values_at(model, dataset, grid.features, grid.points(), workers)
-    return values.reshape(grid.shape)
+    return Grid(tuple(feature_axis(dataset, name, strategy) for name in pair), strategy)
 
 
 def _pair_statistics(grid: Grid, table: np.ndarray) -> PairStatistics:
@@ -185,20 +195,15 @@ def _row_cells(dataset: Dataset, grid: Grid) -> np.ndarray:
     return _row_codes(dataset, grid.axes[0]) * grid.shape[1] + _row_codes(dataset, grid.axes[1])
 
 
-def _h(model, dataset, grid: Grid, joint: np.ndarray, marginals: dict, workers) -> float:
-    """Friedman's H of a pair from its joint PD at each training row.
-
-    ``marginals`` maps a feature to its marginal PD at each training row;
-    a feature missing from it is evaluated and added.
-    """
-    for axis in grid.axes:
-        if axis.feature not in marginals:
-            marginals[axis.feature] = _pd_by_row(model, dataset, axis, workers)
-    a, b = grid.features
+def _h(pair: tuple[str, str], joint: np.ndarray, marginal_a: np.ndarray,
+       marginal_b: np.ndarray) -> float:
+    """Friedman's H of a pair from its joint PD and each feature's marginal
+    PD at each training row."""
+    a, b = pair
     with np.errstate(over="ignore", invalid="ignore"):
         f_joint = joint - ordered_mean(joint)
-        f_a = marginals[a] - ordered_mean(marginals[a])
-        f_b = marginals[b] - ordered_mean(marginals[b])
+        f_a = marginal_a - ordered_mean(marginal_a)
+        f_b = marginal_b - ordered_mean(marginal_b)
         denom = float(np.sum(f_joint**2))
         num = float(np.sum((f_joint - f_a - f_b) ** 2))
     if not (math.isfinite(denom) and math.isfinite(num)):
@@ -227,13 +232,15 @@ def h_statistic(model: PredictionModel, dataset: Dataset, pair: Sequence[str],
     """
     if grid_strategy is None:
         grid_strategy = GridStrategy.unique()
-    grid = _pair_grid(dataset, tuple(pair), grid_strategy)
+    (pair,) = check_pairs(dataset, [pair])
+    grid = _pair_grid(dataset, pair, grid_strategy)
     needed, where = np.unique(_row_cells(dataset, grid), return_inverse=True)
     a, b = grid.axes
     i, j = np.divmod(needed, grid.shape[1])
     points = np.stack((a.values[i], b.values[j]), axis=1, dtype=np.float64)
     values = pd_values_at(model, dataset, grid.features, points, workers=workers)
-    return _h(model, dataset, grid, values[where], {}, workers)
+    return _h(pair, values[where], *(_pd_by_row(model, dataset, axis, workers)
+                                     for axis in grid.axes))
 
 
 def interaction_matrix(model: PredictionModel, dataset: Dataset,
@@ -247,32 +254,23 @@ def interaction_matrix(model: PredictionModel, dataset: Dataset,
     serves both conditional directions and H; each feature's marginal PD
     for H is computed once for the whole report. A pair with a one-point
     axis (a constant column) scores 0 with a ``degenerate`` flag instead of
-    failing the whole report; its H is computed as for any other pair. A
-    pair requested twice, in either order, raises ParameterError.
+    failing the whole report; its H is computed as for any other pair.
+    ``pairs`` is checked by :func:`check_pairs` before any work.
     """
     if grid_strategy is None:
         grid_strategy = GridStrategy.quantile(10)
-    if pairs is None:
-        pairs = list(combinations(dataset.feature_names, 2))
-    else:
-        pairs = [tuple(p) for p in pairs]
-        seen = set()
-        for a, b in pairs:
-            dataset.schema_for(a)
-            dataset.schema_for(b)
-            if frozenset((a, b)) in seen:
-                raise ParameterError(f"the pair {a}:{b} is requested twice")
-            seen.add(frozenset((a, b)))
-
-    marginals: dict[str, np.ndarray] = {}
+    marginals: dict[str, np.ndarray] = {}  # feature -> marginal PD at each row, for H
     results = []
-    for pair in pairs:
+    for pair in check_pairs(dataset, pairs):
         grid = _pair_grid(dataset, pair, grid_strategy)
-        table = _joint_table(model, dataset, grid, workers)
+        table = pd_values_at(model, dataset, pair, grid.points(), workers).reshape(grid.shape)
         stat = _pair_statistics(grid, table)
         if include_h:
+            for axis in grid.axes:
+                if axis.feature not in marginals:
+                    marginals[axis.feature] = _pd_by_row(model, dataset, axis, workers)
             joint = table.reshape(-1)[_row_cells(dataset, grid)]
-            stat = replace(stat, stat_h=_h(model, dataset, grid, joint, marginals, workers))
+            stat = replace(stat, stat_h=_h(pair, joint, *(marginals[f] for f in pair)))
         results.append(stat)
     ranked = sorted(results, key=lambda s: -s.stat_pd)
     return InteractionReport(tuple(ranked), str(grid_strategy))

@@ -37,6 +37,9 @@ pinned split; each cell descends through the pinned splits only, following
 both children elsewhere. A (cell, row) pair meets at one leaf, and its
 value is that leaf's. The result equals ``predict`` point by point, bit for
 bit; ``predict`` is the case of no pinned feature, one cell per tree.
+Blocks of consecutive trees are folded over all rows, the one bound on
+memory: temporaries stay within a small multiple of the larger of
+``_GRID_CHUNK_ELEMENTS`` and one tree's cells x rows.
 
 A forest has one form, ``_FlatForest``: every node of every tree in shared
 arrays, each tree's nodes in level order. Fitting lays its levels straight
@@ -59,11 +62,10 @@ from .models import PredictionModel
 # only, the trees do not depend on it
 _FIT_BLOCK_ELEMENTS = 1 << 18
 
-# trees are taken a block at a time while their cells x max(rows, leaves)
-# stay within this many elements (a tree alone over it, a slice of the rows
-# at a time): it bounds the block's (cell, row) table, its descent, its
-# join and each slab of the table gathered to the points; a memory cap
-# only, results do not depend on it
+# consecutive trees are grouped into a block while their cells x max(rows,
+# leaves) stay within this many elements (one tree at least), the one bound
+# on a block's descent, join and (cell, row) table; a memory cap only,
+# results do not depend on it
 _GRID_CHUNK_ELEMENTS = 16384
 
 
@@ -204,14 +206,14 @@ class BaggedTreesModel(PredictionModel):
         the mean over trees.
 
         Each row descends each tree once, each split cell of the points
-        once, and the two meet at the leaves. A block of trees is folded in
-        one pass, or in passes over slices of the rows when one tree alone
-        exceeds the cap. Leaf values are summed tree by tree from +0.0, then
-        divided by the tree count: the order of ``np.mean(values, axis=0)``
-        over a (trees x rows) block. Besides the returned block, the
-        per-tree labels of the points and one tree's (cell, leaf) pairs,
-        temporaries stay within a small multiple of ``_GRID_CHUNK_ELEMENTS``
-        elements.
+        once, and the two meet at the leaves; a block of trees is folded
+        over all rows in one pass. Leaf values are summed tree by tree from
+        +0.0, then divided by the tree count: the order of
+        ``np.mean(values, axis=0)`` over a (trees x rows) block. Besides the
+        returned block, one gather of its size and the per-tree labels of
+        the points, temporaries stay within a small multiple of the larger
+        of ``_GRID_CHUNK_ELEMENTS`` and one tree's cells x rows elements: a
+        tree has no more cells than points, so at most one engine slab.
         """
         matrix = np.vstack([batch.column(f.name) for f in self._feature_schema], dtype=np.float64)
         flat = self._flat
@@ -221,32 +223,26 @@ class BaggedTreesModel(PredictionModel):
         kind = np.where(flat.internal, 0, 2)
         for col in cols:
             kind[flat.internal & (flat.feature == col)] = 1
-        for block, weight in self._tree_blocks(cols, pinned, n):
-            width = max(n, 1)
-            if weight > _GRID_CHUNK_ELEMENTS:  # one tree alone: a slice of the rows at a time
-                width = max(1, n * _GRID_CHUNK_ELEMENTS // weight)
-            for r in range(0, n, width):
-                self._fold_block(matrix[:, r: r + width], cols, pinned, kind, block,
-                                 out[:, r: r + width])
+        for block in self._tree_blocks(cols, pinned, n):
+            self._fold_block(matrix, cols, pinned, kind, block, out)
         out /= len(flat.root)
         return out
 
     def _tree_blocks(self, cols: list[int], pinned: np.ndarray, n: int):
         """Consecutive trees' cells, grouped while the sum of cells times
-        max(rows, leaves) stays within the cap (one tree at least), each
-        block with that sum."""
+        max(rows, leaves) stays within the cap (one tree at least)."""
         block, weight = [], 0
         for t, (cell, member) in enumerate(self._tree_cells(cols, pinned)):
             size = len(member) * max(n, int(self._flat.leaves[t]))
             if block and weight + size > _GRID_CHUNK_ELEMENTS:
-                yield block, weight
+                yield block
                 block, weight = [], 0
             block.append((t, cell, member))
             weight += size
-        yield block, weight
+        yield block
 
     def _fold_block(self, matrix, cols, pinned, kind, block, out) -> None:
-        """Add the leaf values of a block of consecutive trees to ``out``.
+        """Add a block of consecutive trees' leaf values to ``out``, every row at once.
 
         Rows and cells descend the block's trees together, one level a
         step. A row follows its own value, except at a pinned split, where
@@ -254,7 +250,7 @@ class BaggedTreesModel(PredictionModel):
         pinned split and both children elsewhere. A (cell, row) pair meets
         at exactly one leaf, the one its path reaches, and that leaf's value
         goes to the pair's entry of the block's table; each tree's table
-        rows are then gathered to its points.
+        rows are then gathered to its points in one ``take``.
         """
         flat = self._flat
         n = matrix.shape[1]
@@ -296,16 +292,12 @@ class BaggedTreesModel(PredictionModel):
             table[flat.tree[node] - trees[0], owner] = flat.value[node]
         else:
             self._join(node, owner, n, roots[0], flat.end[trees[-1]], table)
-        cap = max(1, _GRID_CHUNK_ELEMENTS // max(n, 1))
-        part = np.empty((min(cap, len(block[0][1])), n))
         for (t, point_cell, _), base in zip(block, first):
-            for a in range(0, len(point_cell), cap):
-                rows = part[: len(point_cell[a: a + cap])]
-                np.take(table, point_cell[a: a + cap] + base, axis=0, out=rows)
-                if t:
-                    out[a: a + cap] += rows
-                else:
-                    np.add(rows, 0.0, out=out[a: a + cap])
+            rows = np.take(table, point_cell + base, axis=0)
+            if t:
+                out += rows
+            else:
+                np.add(rows, 0.0, out=out)
 
     def _join(self, node, owner, n, lo, hi, table) -> None:
         """Write each (cell, row) pair's leaf value into ``table``.

@@ -702,6 +702,30 @@ class TestExitCodes:
             assert "is requested twice" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["interact", "--pairs", "x1:x2,x2:x1"], "the pair x2:x1 is requested twice"),
+        (["interact", "--pairs", "x1:x1"], "two distinct features"),
+        (["interact", "--pairs", "x1:x2,x3:zz"], "no feature named 'zz'"),
+        (["pdp", "--features", "x1,zz"], "no feature named 'zz'"),
+        (["ice", "--feature", "zz"], "no feature named 'zz'"),
+        (["ice", "--feature", "y"], "no feature named 'y'"),  # the target is no feature
+    ], ids=["repeated-pair", "identical-pair", "unknown-in-pair", "unknown-pdp",
+            "unknown-ice", "target-ice"])
+    def test_bad_feature_names_exit_2_before_the_model(self, friedman_csv, tmp_path,
+                                                        monkeypatch, capsys, argv, message):
+        def never(*args, **kwargs):
+            raise AssertionError("the model was fitted")
+
+        monkeypatch.setattr(cli_module, "fit_bagged_trees", never)
+        marker = tmp_path / "spawned"
+        child = shlex.join([sys.executable, "-c", f"open({str(marker)!r}, 'w')"])
+        out = tmp_path / "out"
+        for source in (["--model", "bagged:n_trees=200"], ["--external", child]):
+            assert _run(*argv, "--data", friedman_csv, *_TARGET, *source, "--out-dir", out) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+        assert not marker.exists() and not out.exists()
+
     def test_workers_do_not_read_the_environment(self, friedman_csv, tmp_path, monkeypatch,
                                                  capsys):
         monkeypatch.setenv("PDIMP_WORKERS", "abc")

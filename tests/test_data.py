@@ -111,11 +111,6 @@ class TestLoadCsv:
         with pytest.raises(UnknownFeatureError):
             _load("a\n1\n", declared_schema={"zzz": CONTINUOUS})
 
-    def test_headerless_input_gets_positional_names(self):
-        ds = _load("1,x\n2,y\n", has_header=False)
-        assert ds.feature_names == ("c1", "c2")
-        assert ds.n_rows == 2
-
     def test_row_order_is_preserved(self):
         ds = _load("a\n3\n1\n2\n")
         np.testing.assert_array_equal(ds.column("a"), [3.0, 1.0, 2.0])

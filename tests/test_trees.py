@@ -357,7 +357,7 @@ def test_deep_forest_mixed_pairs_match_predict_and_the_walk(monkeypatch):
         values = [np.nan, -5.0, 7.0, *thresholds[::8]]  # NaN, outside the data, on splits
         points = [(v, code) if pair[1] == "g" else (code, v) for v in values for code in range(4)]
         blocks = []
-        for cap in (64, trees_module._GRID_CHUNK_ELEMENTS):  # a row slice at a time, then not
+        for cap in (64, trees_module._GRID_CHUNK_ELEMENTS):  # one tree a block, then several
             monkeypatch.setattr(trees_module, "_GRID_CHUNK_ELEMENTS", cap)
             blocks.append(model.predict_grid(features, list(pair), points))
         assert np.array_equal(blocks[0], blocks[1])
@@ -382,6 +382,27 @@ def test_grid_kernel_memory_stays_within_the_chunk_cap():
     finally:
         tracemalloc.stop()
     assert peak <= block.nbytes + 8 * trees_module._GRID_CHUNK_ELEMENTS * 8
+
+
+def test_a_tree_over_the_cap_folds_all_rows_at_once_within_a_few_blocks_of_memory():
+    # every tree's (cell, row) table is over the cap, so each block is one
+    # tree folded over all 1000 rows; its temporaries grow with its cells x rows
+    ds = generate(SimulationSpec(kind="friedman", n=1000, sigma=1.0, seed=7))
+    model = fit_bagged_trees(ds, "y", n_trees=6, max_depth=6, min_leaf=5, seed=3)
+    features = ds.drop("y")
+    points = build_grid(features, ["x1", "x2"], GridStrategy.quantile(10)).points()
+    cells = [len(member) for _, member in model._tree_cells([0, 1], points)]
+    assert min(cells) * features.n_rows > trees_module._GRID_CHUNK_ELEMENTS
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        block = model.predict_grid(features, ["x1", "x2"], points)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * block.nbytes
+    for row, point in zip(block, points):
+        assert np.array_equal(row, model.predict(_pinned(features, ["x1", "x2"], point)))
 
 
 def test_tree_deeper_than_eight_levels_matches_the_walk():
