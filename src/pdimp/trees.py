@@ -37,9 +37,8 @@ pinned split; each cell descends through the pinned splits only, following
 both children elsewhere. A (cell, row) pair meets at one leaf, and its
 value is that leaf's. The result equals ``predict`` point by point, bit for
 bit; ``predict`` is the case of no pinned feature, one cell per tree.
-Blocks of consecutive trees are folded over all rows, the one bound on
-memory: temporaries stay within a small multiple of the larger of
-``_GRID_CHUNK_ELEMENTS`` and one tree's cells x rows.
+``_GRID_CHUNK_ELEMENTS`` bounds its memory: the rows of one fold, and its
+trees' cells x rows once the rows alone are over it.
 
 A forest has one form, ``_FlatForest``: every node of every tree in shared
 arrays, each tree's nodes in level order. Fitting lays its levels straight
@@ -62,10 +61,10 @@ from .models import PredictionModel
 # only, the trees do not depend on it
 _FIT_BLOCK_ELEMENTS = 1 << 18
 
-# consecutive trees are grouped into a block while their cells x max(rows,
-# leaves) stay within this many elements (one tree at least), the one bound
-# on a block's descent, join and (cell, row) table; a memory cap only,
-# results do not depend on it
+# the grid kernel folds consecutive trees together while their cells x
+# max(rows, leaves) stay within this many elements (one tree at least), and
+# past this many rows one tree over slices of rows within it; a memory cap
+# only, results do not depend on it
 _GRID_CHUNK_ELEMENTS = 16384
 
 
@@ -206,14 +205,15 @@ class BaggedTreesModel(PredictionModel):
         the mean over trees.
 
         Each row descends each tree once, each split cell of the points
-        once, and the two meet at the leaves; a block of trees is folded
-        over all rows in one pass. Leaf values are summed tree by tree from
-        +0.0, then divided by the tree count: the order of
-        ``np.mean(values, axis=0)`` over a (trees x rows) block. Besides the
-        returned block, one gather of its size and the per-tree labels of
-        the points, temporaries stay within a small multiple of the larger
-        of ``_GRID_CHUNK_ELEMENTS`` and one tree's cells x rows elements: a
-        tree has no more cells than points, so at most one engine slab.
+        once, and the two meet at the leaves. A block of trees is folded
+        over all rows at once; past ``_GRID_CHUNK_ELEMENTS`` rows a block is
+        one tree, folded over slices of cap / cells rows. Leaf values are
+        summed tree by tree from +0.0, then divided by the tree count: the
+        order of ``np.mean(values, axis=0)`` over a (trees x rows) block.
+        Besides the returned block, one gather of its size and the points'
+        per-tree labels, temporaries stay within a small multiple of the cap
+        x the leaves a row reaches through the pinned splits (it forks at
+        each), or of one tree's cells x max(rows, leaves), at most an engine slab.
         """
         matrix = np.vstack([batch.column(f.name) for f in self._feature_schema], dtype=np.float64)
         flat = self._flat
@@ -224,7 +224,12 @@ class BaggedTreesModel(PredictionModel):
         for col in cols:
             kind[flat.internal & (flat.feature == col)] = 1
         for block in self._tree_blocks(cols, pinned, n):
-            self._fold_block(matrix, cols, pinned, kind, block, out)
+            width = max(n, 1)
+            if n > _GRID_CHUNK_ELEMENTS:  # then one tree a block: cells x rows within the cap
+                width = max(1, _GRID_CHUNK_ELEMENTS // len(block[0][2]))
+            for r in range(0, n, width):
+                self._fold_block(matrix[:, r: r + width], cols, pinned, kind, block,
+                                 out[:, r: r + width])
         out /= len(flat.root)
         return out
 
@@ -242,7 +247,8 @@ class BaggedTreesModel(PredictionModel):
         yield block
 
     def _fold_block(self, matrix, cols, pinned, kind, block, out) -> None:
-        """Add a block of consecutive trees' leaf values to ``out``, every row at once.
+        """Add a block of consecutive trees' leaf values to ``out``, for the
+        rows of ``matrix`` at once.
 
         Rows and cells descend the block's trees together, one level a
         step. A row follows its own value, except at a pinned split, where

@@ -357,7 +357,7 @@ def test_deep_forest_mixed_pairs_match_predict_and_the_walk(monkeypatch):
         values = [np.nan, -5.0, 7.0, *thresholds[::8]]  # NaN, outside the data, on splits
         points = [(v, code) if pair[1] == "g" else (code, v) for v in values for code in range(4)]
         blocks = []
-        for cap in (64, trees_module._GRID_CHUNK_ELEMENTS):  # one tree a block, then several
+        for cap in (64, trees_module._GRID_CHUNK_ELEMENTS):  # a row slice at a time, then not
             monkeypatch.setattr(trees_module, "_GRID_CHUNK_ELEMENTS", cap)
             blocks.append(model.predict_grid(features, list(pair), points))
         assert np.array_equal(blocks[0], blocks[1])
@@ -403,6 +403,26 @@ def test_a_tree_over_the_cap_folds_all_rows_at_once_within_a_few_blocks_of_memor
     assert peak <= 4 * block.nbytes
     for row, point in zip(block, points):
         assert np.array_equal(row, model.predict(_pinned(features, ["x1", "x2"], point)))
+
+
+def test_a_large_batch_is_folded_a_capped_slice_of_rows_at_a_time():
+    # an engine slab of one point over many rows: each row forks at every
+    # split on x1, so a fold over all rows would hold rows x leaves entries
+    model = fit_bagged_trees(generate(SimulationSpec(kind="friedman", n=2000, sigma=1.0, seed=5)),
+                             "y", n_trees=4, max_depth=6, min_leaf=5, seed=9)
+    cap = trees_module._GRID_CHUNK_ELEMENTS
+    features = generate(SimulationSpec(kind="friedman", n=8 * cap + 3, sigma=1.0,
+                                       seed=6)).drop("y")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        block = model.predict_grid(features, ["x1"], [(0.5,)])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    matrix = len(features.feature_names) * block.nbytes  # the kernel's copy of the rows
+    assert peak - matrix - block.nbytes <= 64 * cap * 8
+    assert np.array_equal(block[0], model.predict(_pinned(features, ["x1"], (0.5,))))
 
 
 def test_tree_deeper_than_eight_levels_matches_the_walk():
