@@ -13,9 +13,14 @@ Requests are strictly serialized on the model's lock: one in flight per
 child, responses map to requests by order. The engine may score slabs
 of grid points on several threads, one ``predict`` call per point; the
 calls queue at the lock, and each thread reads the answer to its own
-request. After a timeout or a protocol error the pairing of lines to
-requests is lost, so the child is killed and every later request fails
-with BridgeError.
+request. A line already queued when a request is about to be written
+answers no request, so it is a protocol error. After a timeout or a
+protocol error the pairing of lines to requests is lost, so the child is
+killed and every later request fails with BridgeError.
+
+Protocol 1 cannot close one gap: a stray line that arrives only after the
+next request was written cannot be told apart from that request's first
+answer.
 """
 
 from __future__ import annotations
@@ -67,6 +72,18 @@ class _Child:
         with self.process.stderr as stream:
             for line in stream:
                 self.stderr.append(line.rstrip("\n"))
+
+    def stray_line(self):
+        """A queued stdout line that no request asked for, or None. A queued
+        EOF is the last item and stays queued for the next read."""
+        try:
+            item = self._lines.get_nowait()
+        except queue.Empty:
+            return None
+        if item is self._EOF:
+            self._lines.put(item)
+            return None
+        return item
 
     def readline(self, deadline: float):
         remaining = deadline - time.monotonic()
@@ -131,6 +148,10 @@ class ExternalModel(PredictionModel):
                 raise
 
     def _round_trip(self, batch: Dataset) -> np.ndarray:
+        stray = self._child.stray_line()
+        if stray is not None:
+            raise ProtocolError(f"child sent a line that answers no request: "
+                                f"{stray.strip()[:200]!r}")
         n = batch.n_rows
         body = io.StringIO()
         writer = csv.writer(body, lineterminator="\n")

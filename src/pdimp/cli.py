@@ -32,6 +32,8 @@ from .expressions import parse_expression
 from .trees import fit_bagged_trees
 
 SUBCOMMANDS = ("fit", "importance", "pdp", "ice", "interact", "simulate", "bridge-check")
+# the most rows bridge-check may probe with; without --data it builds them all
+MAX_PROBE_ROWS = 1_000_000
 _AGGREGATOR_HELP = "mean | median | trimmed:ALPHA (default %(default)s)"
 
 
@@ -57,7 +59,8 @@ def _common_flags(parser: _Parser, grid_default: str):
                                          "otherwise dropped from the feature set if present)")
     parser.add_argument("--grid", default=grid_default,
                         help="unique | quantile:Q | equidistant:K, Q and K at most "
-                             f"{MAX_GRID_COUNT} (default %(default)s)")
+                             f"{MAX_GRID_COUNT}, and at most {MAX_GRID_COUNT} points "
+                             "in a pair's grid (default %(default)s)")
     parser.add_argument("--workers", type=int, default=1,
                         help="threads scoring slabs of grid points; "
                              "results do not depend on this")
@@ -114,7 +117,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bridge-check", help="handshake an external model and probe it")
     p.add_argument("--external", required=True)
     p.add_argument("--data", help="optional CSV; its first rows become the probe batch")
-    p.add_argument("--rows", type=int, default=3, help="probe rows (default %(default)s)")
+    p.add_argument("--rows", type=int, default=3,
+                   help=f"probe rows, 1 to {MAX_PROBE_ROWS} (default %(default)s)")
     p.add_argument("--timeout", type=float, default=30.0)
 
     return parser
@@ -313,7 +317,7 @@ def _cmd_ice(args) -> int:
 
 def _cmd_interact(args) -> int:
     pairs = None
-    if args.pairs:
+    if args.pairs is not None:  # --pairs "" names one bad pair, not every pair
         pairs = []
         for item in args.pairs.split(","):
             a, sep, b = item.partition(":")
@@ -335,8 +339,7 @@ def _cmd_simulate(args) -> int:
                           args.beta0, args.beta1, args.beta2)
     dataset = generate(spec)
     out = Path(args.out)
-    if out.parent:
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     dataset.to_csv(out)
     _write_manifest(out.with_name(out.stem + ".manifest.json"), args)
     print(f"wrote {dataset.n_rows} rows x {len(dataset.feature_names)} columns to {out}")
@@ -385,6 +388,8 @@ def run(argv=None) -> int:
     for count in ("workers", "top", "rows"):
         if getattr(args, count, 1) < 1:
             raise UsageError(f"--{count} must be at least 1")
+    if getattr(args, "rows", 1) > MAX_PROBE_ROWS:
+        raise UsageError(f"--rows must be at most {MAX_PROBE_ROWS}")
     if not 0 < getattr(args, "timeout", 1.0) <= threading.TIMEOUT_MAX:
         raise UsageError(f"--timeout must be a positive number of seconds, "
                          f"at most {threading.TIMEOUT_MAX:g}")

@@ -13,7 +13,7 @@ the statistics slice their axes' values or the cells they need into it.
 Predictions at grid points come from one place, ``_score_points``, and
 one model method, ``predict_grid``. The points go to the model in slabs of
 consecutive points, each slab's points x rows block within a private
-memory cap, and each block is reduced (aggregated per point) before its
+memory cap, and one call reduces each block along its rows before its
 slab is done; slabs run on the ``workers`` threads. A model's
 ``predict_grid`` gives the same predictions as a per-point ``predict``, so
 neither the slab size nor the worker count changes a result. Only
@@ -46,8 +46,9 @@ from .models import PredictionModel
 _SLAB_ELEMENTS = 1 << 16
 
 
-# the largest count a quantile or equidistant grid may ask for; an axis
-# allocates about count + 1 floats before duplicate points collapse
+# the largest count a quantile or equidistant grid may ask for, and the most
+# points a grid may list; an axis allocates about count + 1 floats before
+# duplicate points collapse
 MAX_GRID_COUNT = 1_000_000
 
 
@@ -136,7 +137,11 @@ class Grid:
 
     def points(self) -> np.ndarray:
         """Grid points as rows of a float64 (size x features) array, row-major
-        for a pair; a categorical value is its level code."""
+        for a pair; a categorical value is its level code. A grid of more
+        than ``MAX_GRID_COUNT`` points is refused before anything is allocated."""
+        if self.size > MAX_GRID_COUNT:
+            raise ParameterError(f"the grid over {' x '.join(self.features)} has "
+                                 f"{self.size} points, more than {MAX_GRID_COUNT}")
         mesh = np.meshgrid(*(axis.values for axis in self.axes), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1, dtype=np.float64)
 
@@ -306,30 +311,31 @@ def _format_cell(value):
     return repr(value) if isinstance(value, float) else value
 
 
-def ordered_mean(values: np.ndarray) -> float:
-    """Mean by fixed left-to-right summation; bit-reproducible by construction.
+def ordered_mean(values: np.ndarray, out: np.ndarray | None = None):
+    """Mean over the last axis by fixed left-to-right summation; bit-reproducible.
 
-    ``np.add.accumulate`` adds strictly in order, like a Python loop
-    starting from 0.0; the ``+ 0.0`` gives that loop's +0.0 when every
-    value is -0.0. Overflow to inf stays as silent as in that loop.
+    ``np.add.accumulate`` adds in order along each row, into ``out`` if given
+    (it may be ``values``), like a Python loop from 0.0; the ``+ 0.0`` gives
+    that loop's +0.0 when all are -0.0. Overflow to inf is as silent as there.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        total = np.add.accumulate(values)[-1]
-    return (float(total) + 0.0) / len(values)
+        total = np.add.accumulate(values, axis=-1, out=out)[..., -1]
+    return (total + 0.0) / values.shape[-1]
 
 
-def reducer(aggregator: str) -> Callable[[np.ndarray], float]:
-    """The function that collapses one grid point's predictions, named by
+def reducer(aggregator: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The function that collapses each grid point's predictions, named by
     ``mean``, ``median`` or ``trimmed:ALPHA``; ParameterError for any other
     name or a fraction outside [0, 0.5).
 
-    The trimmed mean drops floor(alpha * n) values from each tail of the
-    sorted predictions before the fixed-order mean.
+    It reduces a (points x rows) block along its last axis, each point as its
+    row alone would, overwriting the block: a copy cost page faults per slab.
+    The trimmed mean drops floor(alpha * n) < n / 2 sorted values per tail.
     """
     if aggregator == "mean":
-        return ordered_mean
+        return lambda block: ordered_mean(block, out=block)
     if aggregator == "median":
-        return lambda values: float(np.median(values))
+        return lambda block: np.median(block, axis=-1, overwrite_input=True)
     name, sep, arg = aggregator.partition(":")
     if name == "trimmed" and sep:
         try:
@@ -339,12 +345,11 @@ def reducer(aggregator: str) -> Callable[[np.ndarray], float]:
         if not 0 <= alpha < 0.5:
             raise ParameterError("trim fraction must be in [0, 0.5)")
 
-        def trimmed_mean(values):
-            cut = int(alpha * len(values))
-            kept = np.sort(values)[cut: len(values) - cut]
-            if kept.size == 0:
-                raise ParameterError("trim fraction removes every prediction")
-            return ordered_mean(kept)
+        def trimmed_mean(block):
+            cut = int(alpha * block.shape[-1])
+            block.sort(axis=-1)
+            kept = block[..., cut: block.shape[-1] - cut]
+            return ordered_mean(kept, out=kept)
         return trimmed_mean
     raise ParameterError(f"unknown aggregator {aggregator!r}")
 
@@ -367,16 +372,16 @@ def _check_finite(values: np.ndarray, dataset, features, points, message: str) -
 
 
 def _score_points(model, dataset, features, points, workers, reduce) -> np.ndarray:
-    """The ``reduce(g, predictions)`` of the training-set predictions at
-    ``points[g]``, for every grid point, as an array.
+    """The training-set predictions at every grid point, reduced to one
+    value per point, as an array.
 
     Points go to ``model.predict_grid`` in slabs of consecutive points,
     each at most ``_SLAB_ELEMENTS`` points x rows (one point at least), so
     a model that shares work between points shares it within a slab. Each
-    slab's block is checked and reduced on the thread that scored it, into
-    its own entries of the result, and a reduction that is not finite
-    raises NonFiniteError; the outcome does not depend on the slab size or
-    on ``workers``.
+    slab's block is checked and reduced, by one ``reduce(start, block)``
+    call (``start`` is its first point), on the thread that scored it, into
+    its own entries of the result; a value that is not finite raises
+    NonFiniteError. The outcome depends on neither the slab size nor ``workers``.
     """
     features = list(features)
     for name in features:
@@ -390,8 +395,7 @@ def _score_points(model, dataset, features, points, workers, reduce) -> np.ndarr
         block = model.predict_grid(dataset, features, slab)
         _check_finite(block, dataset, features, slab,
                       "model produced a non-finite prediction at grid point ({})")
-        for g, row in enumerate(block, start):
-            out[g] = reduce(g, row)
+        out[start:start + len(slab)] = reduce(start, block)
         _check_finite(out[start:start + len(slab)], dataset, features, slab,
                       "the partial dependence at grid point ({}) overflows float64")
 
@@ -409,14 +413,14 @@ def pd_values_at(model: PredictionModel, dataset: Dataset, features: Sequence[st
                  aggregator: str = "mean") -> np.ndarray:
     """Partial dependence values at grid points, one row of ``points`` each.
 
-    Each point's predictions are aggregated as soon as they are scored; a
-    value that is not finite raises NonFiniteError.
+    Each slab's predictions are aggregated, one call per slab, as soon as
+    they are scored; a value that is not finite raises NonFiniteError.
     """
     reduce = reducer(aggregator)
     if dataset.n_rows == 0:
         raise ParameterError("cannot average over an empty dataset")
     return _score_points(model, dataset, features, points, workers,
-                         lambda g, preds: reduce(preds))
+                         lambda start, block: reduce(block))
 
 
 def _baseline(model, dataset, aggregator) -> float:
@@ -450,9 +454,9 @@ def ice_curves(model: PredictionModel, dataset: Dataset, grid: Grid,
     points = grid.points()
     curves = np.empty((dataset.n_rows, len(points)))
 
-    def keep(g, preds):
-        curves[:, g] = preds
-        return ordered_mean(preds)
+    def keep(start, block):
+        curves[:, start:start + len(block)] = block.T
+        return ordered_mean(block, out=block)
 
     pd_values = _score_points(model, dataset, grid.features, points, workers, keep)
     return ICEResult(grid, curves, _baseline(model, dataset, "mean"), pd_values)

@@ -56,7 +56,7 @@ class PredictionModel:
         feature (a categorical value as its level code, a whole number in
         [0, levels)). Row ``g`` equals ``predict`` on ``batch`` with each
         named column overwritten by the constant ``points[g]`` value, bit
-        for bit.
+        for bit. The block is a new array, the caller's to overwrite.
         """
         self._validate_batch(batch)
         schemas = [batch.schema_for(name) for name in features]

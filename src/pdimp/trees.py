@@ -218,7 +218,7 @@ class BaggedTreesModel(PredictionModel):
         matrix = np.vstack([batch.column(f.name) for f in self._feature_schema], dtype=np.float64)
         flat = self._flat
         n = batch.n_rows
-        out = np.empty((len(pinned), n))
+        out = np.zeros((len(pinned), n))
         # per node: 0 a split the rows follow by value, 1 a pinned split, 2 a leaf
         kind = np.where(flat.internal, 0, 2)
         for col in cols:
@@ -298,12 +298,8 @@ class BaggedTreesModel(PredictionModel):
             table[flat.tree[node] - trees[0], owner] = flat.value[node]
         else:
             self._join(node, owner, n, roots[0], flat.end[trees[-1]], table)
-        for (t, point_cell, _), base in zip(block, first):
-            rows = np.take(table, point_cell + base, axis=0)
-            if t:
-                out += rows
-            else:
-                np.add(rows, 0.0, out=out)
+        for (_, point_cell, _), base in zip(block, first):
+            out += np.take(table, point_cell + base, axis=0)
 
     def _join(self, node, owner, n, lo, hi, table) -> None:
         """Write each (cell, row) pair's leaf value into ``table``.

@@ -238,6 +238,17 @@ for line in sys.stdin:
 """
 
 
+ONE_LINE_TOO_MANY = """\
+import json, sys
+print(json.dumps({"protocol": 1, "features": ["x1"]}), flush=True)
+for line in sys.stdin:
+    n = json.loads(line)["n"]
+    for _ in range(n):
+        print(repr(float(sys.stdin.readline())))
+    print("999.0", flush=True)
+"""
+
+
 class TestFailedChild:
     def test_no_stale_answers_after_a_timeout(self, tmp_path):
         with spawn_external(_stub(tmp_path, STALLS_ON_FIRST_REQUEST), timeout=0.3) as model:
@@ -257,6 +268,18 @@ class TestFailedChild:
             with pytest.raises(BridgeError, match="earlier failure"):
                 model.predict(batch)
 
+
+    def test_a_stray_line_before_a_request_is_a_protocol_error(self, tmp_path):
+        with spawn_external(_stub(tmp_path, ONE_LINE_TOO_MANY)) as model:
+            assert model.predict(Dataset.from_dict({"x1": [1.0, 2.0]})).tolist() == [1.0, 2.0]
+            deadline = time.monotonic() + 10
+            while model._child._lines.empty() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not model._child._lines.empty()  # the extra line is queued
+            # it must never be read as the first answer to the next request
+            with pytest.raises(ProtocolError, match="answers no request: '999.0'"):
+                model.predict(Dataset.from_dict({"x1": [3.0, 4.0]}))
+            assert model._process.poll() is not None
 
     def test_close_after_a_failure_reaps_the_child_and_closes_its_pipes(self, tmp_path):
         model = spawn_external(_stub(tmp_path, SHORT_RESPONSE))

@@ -13,6 +13,7 @@ import pytest
 import pdimp
 import pdimp.cli as cli_module
 from pdimp.cli import main
+from pdimp.engine import MAX_GRID_COUNT
 from pdimp.simulate import MAX_SIMULATION_ROWS
 
 
@@ -353,6 +354,14 @@ class TestBridgeCheck:
         (model,) = spawned
         assert model._process.returncode is not None  # closed and reaped
 
+    def test_probe_of_too_many_rows_is_a_usage_error_before_the_spawn(self, tmp_path, capsys):
+        marker = tmp_path / "spawned"
+        child = shlex.join([sys.executable, "-c", f"open({str(marker)!r}, 'w')"])
+        assert _run("bridge-check", "--external", child, "--rows", "1000000000000000") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: --rows must be at most")
+        assert not marker.exists()
+
     def test_broken_child_exits_3(self, tmp_path, capsys):
         stub = tmp_path / "c.py"
         stub.write_text("print('garbage')\nimport time\ntime.sleep(3)\n")
@@ -396,6 +405,7 @@ class TestExitCodes:
         (["importance", "--model", "linear"], "--target is required"),
         (["pdp", *_TARGET, "--expr", ORACLE, "--features", "x1,x2,x3"], "one name or two"),
         (["interact", *_TARGET, "--expr", ORACLE, "--pairs", "x1-x2"], "bad pair 'x1-x2'"),
+        (["interact", *_TARGET, "--expr", ORACLE, "--pairs", ""], "bad pair ''"),
         (["importance", *_TARGET, "--expr", ORACLE, "--formats", ","], "names no format"),
         (["importance", *_TARGET, "--expr", ORACLE, "--formats", ""], "names no format"),
         (["pdp", *_TARGET, "--expr", ORACLE, "--features", "x1", "--formats", "csv,csv"],
@@ -404,7 +414,7 @@ class TestExitCodes:
          "names a format twice"),
     ], ids=["interact-aggregator", "ice-aggregator", "top-0", "top-negative", "workers-0",
             "param-without-equals", "param-not-integer", "unknown-param", "no-target",
-            "three-features", "pair-without-colon", "formats-comma", "formats-empty",
+            "three-features", "pair-without-colon", "pairs-empty", "formats-comma", "formats-empty",
             "formats-csv-twice", "formats-json-twice"])
     def test_bad_arguments_exit_1_and_write_nothing(self, friedman_csv, tmp_path, capsys,
                                                     argv, message):
@@ -693,6 +703,18 @@ class TestExitCodes:
                 err = capsys.readouterr().err
                 assert err.startswith("error: ") and message in err
         assert not marker.exists() and not out.exists()
+
+    @pytest.mark.parametrize("argv", [["pdp", "--features", "x1,x2"],
+                                      ["interact", "--pairs", "x1:x2"]])
+    def test_grid_of_too_many_points_exits_2_and_writes_nothing(self, friedman_csv, tmp_path,
+                                                                capsys, argv):
+        # each axis is within MAX_GRID_COUNT, their product is not
+        out = tmp_path / "out"
+        assert _run(*argv, "--data", friedman_csv, *_TARGET, "--expr", ORACLE,
+                    "--grid", f"equidistant:{MAX_GRID_COUNT}", "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the grid over x1 x x2 has 1000000000000 points")
+        assert "Traceback" not in err and not out.exists()
 
     def test_repeated_pair_exits_2_and_writes_nothing(self, friedman_csv, tmp_path, capsys):
         out = tmp_path / "out"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import pdimp
 import pdimp.engine as engine_module
@@ -413,6 +414,45 @@ def test_ordered_mean_equals_the_left_to_right_loop_bit_for_bit(values):
         assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
+def _row_at_a_time(aggregator):
+    """The reducers as they once took one grid point's predictions at a time."""
+    def mean(values):
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.add.accumulate(values)[-1]
+        return (float(total) + 0.0) / len(values)
+
+    if aggregator == "mean":
+        return mean
+    if aggregator == "median":
+        return lambda values: float(np.median(values))
+    alpha = float(aggregator.partition(":")[2])
+
+    def trimmed_mean(values):
+        cut = int(alpha * len(values))
+        kept = np.sort(values)[cut: len(values) - cut]
+        assert kept.size > 0  # floor(alpha * n) < n / 2 keeps one value at least
+        return mean(kept)
+    return trimmed_mean
+
+
+# ties, signed zeros, and values whose sums overflow to inf
+_BLOCK_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.1, 1e308, -1e308,
+                                           1.7976931348623157e308, 5e-324]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=9), elements=_BLOCK_VALUES),
+       st.sampled_from(["mean", "median", "trimmed"]), st.floats(0.0, 0.5, exclude_max=True))
+def test_block_reducers_equal_the_row_at_a_time_reducers_bit_for_bit(block, name, alpha):
+    aggregator = f"trimmed:{alpha!r}" if name == "trimmed" else name
+    row = _row_at_a_time(aggregator)
+    with np.errstate(over="ignore"):  # a median of two values near the float64 limit
+        want = np.array([row(values) for values in block])
+        got = reducer(aggregator)(block)
+    assert got.shape == (len(block),) and got.tobytes() == want.tobytes()
+
+
 # --- slabs: the one grid path --------------------------------------------
 
 
@@ -456,11 +496,13 @@ def test_slab_size_does_not_change_any_model(monkeypatch):
     grid = build_grid(features, ["a", "b"], GridStrategy.quantile(4))
     for model in (fit_knn(ds, "y", k=3), fit_bagged_trees(ds, "y", n_trees=6, seed=2),
                   _expr("a * b + a", features)):
-        runs = []
-        for cap in (1, 100, 1 << 16):
-            monkeypatch.setattr(engine_module, "_SLAB_ELEMENTS", cap)
-            runs.append(partial_dependence(model, features, grid, workers=2).values)
-        assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
+        for aggregator in ("mean", "median", "trimmed:0.2"):
+            runs = []
+            for cap in (1, 100, 1 << 16):
+                monkeypatch.setattr(engine_module, "_SLAB_ELEMENTS", cap)
+                runs.append(partial_dependence(model, features, grid, workers=2,
+                                               aggregator=aggregator).values)
+            assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
 
 
 # --- no numpy.ma ------------------------------------------------------------
