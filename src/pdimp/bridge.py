@@ -10,13 +10,15 @@ Wire protocol (version 1, newline-delimited UTF-8 on stdin/stdout):
               row order
 
 Requests are strictly serialized on the model's lock: one in flight per
-child, responses map to requests by order. The engine may score slabs
-of grid points on several threads, one ``predict`` call per point; the
-calls queue at the lock, and each thread reads the answer to its own
-request. A line already queued when a request is about to be written
-answers no request, so it is a protocol error. After a timeout or a
-protocol error the pairing of lines to requests is lost, so the child is
-killed and every later request fails with BridgeError.
+child, responses map to requests by order. ``_grid`` sends one request per
+grid point, the batch with the point pinned (``models.pin``), holding the
+lock for its slab; the engine's threads queue at the lock. A line already
+queued when a request is about to be written answers no request, so it is
+a protocol error. ``timeout`` bounds a request from the start of its write
+to its last answer: the child's stdin is non-blocking (POSIX), and each
+write waits for room in the pipe only until the deadline. After a timeout
+or a protocol error the pairing of lines to requests is lost, so the child
+is killed and every later request fails with BridgeError.
 
 Protocol 1 cannot close one gap: a stray line that arrives only after the
 next request was written cannot be told apart from that request's first
@@ -29,7 +31,9 @@ import collections
 import csv
 import io
 import json
+import os
 import queue
+import select
 import shlex
 import subprocess
 import threading
@@ -39,7 +43,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import BridgeError, BridgeTimeoutError, ParameterError, ProtocolError, SpawnError
-from .models import PredictionModel
+from .models import PredictionModel, pin
 
 PROTOCOL_VERSION = 1
 
@@ -135,17 +139,21 @@ class ExternalModel(PredictionModel):
     def feature_names(self) -> tuple[str, ...]:
         return self._names
 
-    def _predict_checked(self, batch: Dataset) -> np.ndarray:
+    def _grid(self, batch: Dataset, cols: list[int], pinned: np.ndarray) -> np.ndarray:
+        features = [self._names[j] for j in cols]
+        out = np.empty((len(pinned), batch.n_rows))
         with self._lock:
             if self._failure is not None:
                 raise BridgeError(f"the child was stopped after an earlier failure: "
                                   f"{self._failure}")
             try:
-                return self._round_trip(batch)
+                for g, point in enumerate(pinned):
+                    out[g] = self._round_trip(pin(batch, features, point))
             except (BridgeTimeoutError, ProtocolError) as exc:
                 self._failure = str(exc)
                 self._child.stop(kill=True)
                 raise
+        return out
 
     def _round_trip(self, batch: Dataset) -> np.ndarray:
         stray = self._child.stray_line()
@@ -154,38 +162,37 @@ class ExternalModel(PredictionModel):
                                 f"{stray.strip()[:200]!r}")
         n = batch.n_rows
         body = io.StringIO()
-        writer = csv.writer(body, lineterminator="\n")
-        writer.writerows(zip(*(batch._text_cells(name) for name in self._names)))
+        csv.writer(body, lineterminator="\n").writerows(
+            zip(*(batch._text_cells(name) for name in self._names)))
         payload = json.dumps({"n": n}) + "\n" + body.getvalue()
+        deadline = time.monotonic() + self.timeout
+        fd, view = self._process.stdin.fileno(), memoryview(payload.encode())
+        poller = select.poll()
+        poller.register(fd, select.POLLOUT)
         try:
-            self._process.stdin.write(payload)
-            self._process.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
+            while view:  # each write takes what the pipe has room for
+                if not poller.poll(max(0.0, deadline - time.monotonic()) * 1000):
+                    raise BridgeTimeoutError(f"child took not all of a {n}-row request within "
+                                             f"the {self.timeout}s timeout", received=0)
+                view = view[os.write(fd, view):]
+        except OSError as exc:
             raise ProtocolError(f"child closed its input: {exc}; "
                                 f"stderr:\n{self._child.stderr_text()}")
-
-        deadline = time.monotonic() + self.timeout
         out = np.empty(n, dtype=np.float64)
         for i in range(n):
             try:
                 line = self._child.readline(deadline)
             except TimeoutError:
-                raise BridgeTimeoutError(
-                    f"child answered {i} of {n} predictions before the "
-                    f"{self.timeout}s timeout", received=i,
-                ) from None
+                raise BridgeTimeoutError(f"child answered {i} of {n} predictions before the "
+                                         f"{self.timeout}s timeout", received=i) from None
             if line is None:
-                raise ProtocolError(
-                    f"child ended output after {i} of {n} predictions; "
-                    f"stderr:\n{self._child.stderr_text()}"
-                )
+                raise ProtocolError(f"child ended output after {i} of {n} predictions; "
+                                    f"stderr:\n{self._child.stderr_text()}")
             text = line.strip()
             try:
                 out[i] = float(text)
             except ValueError:
-                raise ProtocolError(
-                    f"response line {i + 1} is not a number: {text!r}"
-                ) from None
+                raise ProtocolError(f"response line {i + 1} is not a number: {text!r}") from None
         return out
 
     def close(self) -> None:
@@ -231,6 +238,7 @@ def spawn_external(command, timeout: float = 30.0) -> ExternalModel:
     except OSError as exc:
         raise SpawnError(f"cannot launch {argv}: {exc}") from None
 
+    os.set_blocking(process.stdin.fileno(), False)  # a write must not outlast its deadline
     child = _Child(process)
     deadline = time.monotonic() + timeout
     try:

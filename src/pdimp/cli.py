@@ -178,6 +178,8 @@ def _reject_params(params: dict, allowed: tuple[str, ...]):
 def _load_features(args) -> tuple[Dataset, Dataset]:
     """(feature dataset, full dataset); the target column is excluded from features."""
     full = load_csv(args.data)
+    if full.n_rows == 0:  # its columns would pass for categorical ones with no levels
+        raise ParameterError(f"{args.data} holds no data rows to analyse")
     if args.target:
         features, _ = full.split_target(args.target)
     else:
@@ -232,12 +234,6 @@ def _write_manifest(path, args) -> None:
                       "config": {k: v for k, v in vars(args).items() if v is not None}})
 
 
-def _close_if_external(model) -> None:
-    close = getattr(model, "close", None)
-    if close is not None:
-        close()
-
-
 def _cmd_fit(args) -> int:
     full = load_csv(args.data)
     model = _fit_builtin(args.model, args.target, full)
@@ -270,7 +266,7 @@ def _analyse(args, basename: str, analysis, summary, check_names=None) -> int:
     try:
         result = analysis(model, features, strategy)
     finally:
-        _close_if_external(model)
+        getattr(model, "close", lambda: None)()  # an external model stops its child
     emit_plot_data(result, args.out_dir, basename, formats)
     _write_manifest(Path(args.out_dir) / "manifest.json", args)
     print(summary(result))

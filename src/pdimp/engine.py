@@ -11,13 +11,13 @@ A grid point is one row of a float64 (points x pinned features) array, a
 categorical value stored as its level code: ``Grid.points`` builds it, and
 the statistics slice their axes' values or the cells they need into it.
 Predictions at grid points come from one place, ``_score_points``, and
-one model method, ``predict_grid``. The points go to the model in slabs of
-consecutive points, each slab's points x rows block within a private
-memory cap, and one call reduces each block along its rows before its
-slab is done; slabs run on the ``workers`` threads. A model's
-``predict_grid`` gives the same predictions as a per-point ``predict``, so
-neither the slab size nor the worker count changes a result. Only
-``ice_curves``, which returns every prediction, holds a rows x points
+one model method, ``predict_grid``, over every model's one kernel,
+``_grid``. The points go to the model in slabs of consecutive points, each
+slab's points x rows block within a private memory cap, and one call
+reduces each block along its rows before its slab is done; slabs run on
+the ``workers`` threads. Row g of a block equals ``predict`` with point g
+pinned, so neither the slab size nor the worker count changes a result.
+Only ``ice_curves``, which returns every prediction, holds a rows x points
 matrix. The baseline that ``pdp`` and ``ice`` report, the aggregate
 prediction on the training data, is the grid point that pins nothing,
 scored and checked like any other.

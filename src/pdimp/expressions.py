@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import Dataset, FeatureSchema
 from .errors import ExpressionError
-from .models import PredictionModel
+from .models import PredictionModel, pinned_columns
 
 FUNCTIONS = {
     "sin": np.sin,
@@ -180,8 +180,10 @@ class ExpressionModel(PredictionModel):
         self.program = program
         self.variables = {step for step in program if isinstance(step, str)}
 
-    def _predict_checked(self, batch: Dataset) -> np.ndarray:
-        columns = {name: batch.column(name) for name in self.variables}
+    def _grid(self, batch: Dataset, cols: list[int], pinned: np.ndarray) -> np.ndarray:
+        """The program run once over the slab: a pinned variable is a (points x
+        1) column, so every value takes the steps it takes at one point alone."""
+        columns = pinned_columns(batch, self.feature_names, cols, pinned)
         stack = []
         with np.errstate(all="ignore"):
             for step in self.program:
@@ -194,7 +196,7 @@ class ExpressionModel(PredictionModel):
                     stack[-1] = step(stack[-1], rhs)
                 else:
                     stack[-1] = step(stack[-1])
-        return np.broadcast_to(np.asarray(stack[-1], dtype=np.float64), (batch.n_rows,)).copy()
+        return np.broadcast_to(stack[-1], (len(pinned), batch.n_rows)).copy()
 
 
 def parse_expression(text: str, schema: Sequence[FeatureSchema]) -> ExpressionModel:

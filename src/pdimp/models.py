@@ -7,9 +7,8 @@ one or two features pinned to each of a slab of grid points, the rows of a
 (points x pinned features) array, a categorical value as its level code.
 It checks its arguments once and hands ``_grid`` the pinned columns and a
 float64 copy of the points; ``_grid`` never writes into the points it is
-given. A model implements one kernel: ``_predict_checked``, which scores a
-batch and which the default ``_grid`` calls once per point, or ``_grid``,
-whose point that pins nothing is then ``predict``.
+given. ``_grid`` is every model's one kernel, and ``predict`` is its point
+that pins nothing.
 """
 
 from __future__ import annotations
@@ -30,12 +29,10 @@ class PredictionModel:
     """Abstract scoring contract.
 
     Subclasses set ``_feature_schema`` (the features the model expects, in
-    order) and implement either ``_predict_checked`` or ``_grid``, never
-    both. The engine scores grid points only through ``predict_grid``, one
-    slab of consecutive points per call, and may make those calls from
-    several threads at once; the default ``_grid`` calls ``predict`` once
-    per point, so a model that holds per-request state must serialise its
-    calls itself.
+    order) and implement ``_grid``. The engine scores grid points only
+    through ``predict_grid``, one slab of consecutive points per call, and
+    may make those calls from several threads at once, so a model that
+    holds per-request state must serialise its calls itself.
     """
 
     _feature_schema: tuple[FeatureSchema, ...] = ()
@@ -46,8 +43,7 @@ class PredictionModel:
 
     def predict(self, batch: Dataset) -> np.ndarray:
         self._validate_batch(batch)
-        out = self._predict_checked(batch)
-        return np.asarray(out, dtype=np.float64)
+        return self._grid(batch, [], np.empty((1, 0)))[0]
 
     def predict_grid(self, batch: Dataset, features: Sequence[str], points) -> np.ndarray:
         """Predictions with ``features`` pinned to each point: one row per point.
@@ -72,20 +68,6 @@ class PredictionModel:
                 raise ParameterError(f"grid values of categorical feature {feat.name!r} must be "
                                      f"level codes 0 to {len(feat.levels) - 1}")
         return self._grid(batch, cols, pinned)
-
-    def _grid(self, batch: Dataset, cols: list[int], pinned: np.ndarray) -> np.ndarray:
-        """Predictions with the columns ``cols`` set to each row of ``pinned``;
-        this default makes one ``predict`` call per point."""
-        features = [self.feature_names[j] for j in cols]
-        block = np.empty((len(pinned), batch.n_rows))
-        for g, point in enumerate(pinned):
-            block[g] = self.predict(pin(batch, features, point))
-        return block
-
-    def _predict_checked(self, batch: Dataset) -> np.ndarray:
-        """Predictions for a checked batch; this default is ``_grid`` at the
-        one point that pins nothing."""
-        return self._grid(batch, [], np.empty((1, 0)))[0]
 
     def _validate_batch(self, batch: Dataset) -> None:
         expected = set(self.feature_names)
@@ -132,10 +114,11 @@ class LinearModel(PredictionModel):
         if not all(np.isfinite(values)):
             raise ParameterError("linear model coefficients must be finite")
 
-    def _predict_checked(self, batch: Dataset) -> np.ndarray:
-        out = np.full(batch.n_rows, self.intercept, dtype=np.float64)
+    def _grid(self, batch: Dataset, cols: list[int], pinned: np.ndarray) -> np.ndarray:
+        columns = pinned_columns(batch, self.feature_names, cols, pinned)
+        out = np.full((len(pinned), batch.n_rows), self.intercept)
         for feat in self._feature_schema:
-            col = batch.column(feat.name)
+            col = columns[feat.name]
             if feat.is_continuous:
                 out += self.coefficients[feat.name] * col
             else:
@@ -152,11 +135,10 @@ class KnnModel(PredictionModel):
     prediction is bit-identical to scoring the rows one by one with a stable
     argsort of their exact distances.
 
-    ``_grid`` is the one kernel; ``predict`` is its case of no pinned
-    feature. The distance over the unpinned features is the same at every
-    grid point, so it is summed once per block of rows. Adding the pinned
-    terms of a point gives each training row a distance that differs from
-    the exact one by rounding only; the training rows within a proven
+    In ``_grid`` the distance over the unpinned features is the same at
+    every grid point, so it is summed once per block of rows. Adding the
+    pinned terms of a point gives each training row a distance that differs
+    from the exact one by rounding only; the training rows within a proven
     margin of the k-th smallest of those are the only ones whose exact
     distance is computed. A query row with no provable margin (an inf or
     NaN distance, or one near overflow) keeps every training row.
@@ -275,6 +257,16 @@ def pin(batch: Dataset, features: Sequence[str], point) -> Dataset:
             column = np.full(batch.n_rows, int(value), dtype=np.int64)
         batch = batch.replace_column(name, column)
     return batch
+
+
+def pinned_columns(batch: Dataset, names: Sequence[str], cols: list[int], pinned) -> dict:
+    """The named columns of ``batch``, each of ``cols`` (indices into
+    ``names``) replaced by a contiguous (points x 1) copy of its ``pinned``
+    values, which broadcasts against the (rows,) columns left as they are."""
+    columns = {name: batch.column(name) for name in names}
+    for j, values in zip(cols, pinned.T):
+        columns[names[j]] = values.reshape(-1, 1).copy()
+    return columns
 
 
 def _design_column_names(schema: Sequence[FeatureSchema]) -> list[str]:

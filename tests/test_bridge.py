@@ -291,6 +291,56 @@ class TestFailedChild:
         assert process.stdin.closed and process.stdout.closed and process.stderr.closed
 
 
+NEVER_READS = """\
+import json, sys, time
+print(json.dumps({"protocol": 1, "features": ["x1"]}), flush=True)
+time.sleep(60)
+"""
+
+
+RECORDS_ITS_INPUT = """\
+import json, sys
+print(json.dumps({"protocol": 1, "features": ["g", "x"]}), flush=True)
+with open(sys.argv[1], "wb") as record:
+    for line in sys.stdin.buffer:
+        record.write(line)
+        rows = [sys.stdin.buffer.readline() for _ in range(json.loads(line)["n"])]
+        record.writelines(rows)
+        record.flush()
+        print("\\n".join("1.0" for _ in rows), flush=True)
+"""
+
+
+class TestWrites:
+    def test_a_write_the_child_never_reads_times_out_and_stops_it(self, tmp_path):
+        # 20 000 rows are about 385 KB, past the 64 KiB a pipe holds unread
+        batch = Dataset.from_dict({"x1": np.linspace(0.0, 1.0, 20_000)})
+        with spawn_external(_stub(tmp_path, NEVER_READS), timeout=1) as model:
+            started = time.monotonic()
+            with pytest.raises(BridgeTimeoutError, match="20000-row request"):
+                model.predict(batch)
+            assert time.monotonic() - started < 5
+            with pytest.raises(BridgeError, match="earlier failure"):
+                model.predict(batch)
+            with pytest.raises(BridgeError, match="earlier failure"):
+                model.predict_grid(batch, ["x1"], [(0.5,)])
+            assert model._process.poll() is not None
+
+    def test_the_child_receives_one_request_per_grid_point(self, tmp_path):
+        record = tmp_path / "record.txt"
+        batch = Dataset.from_dict({"g": ["low", "high", "low"], "x": [1.0, 0.1, -2.5]})
+        cmd = _stub(tmp_path, RECORDS_ITS_INPUT) + [str(record)]
+        with spawn_external(cmd) as model:
+            assert model.predict(batch).tolist() == [1.0] * 3
+            assert model.predict_grid(batch, ["g", "x"], [(1.0, 0.5), (0.0, 3.0)]).shape == (2, 3)
+            assert model.predict_grid(batch, ["x"], [(1e-300,)]).shape == (1, 3)
+        assert record.read_bytes() == (
+            b'{"n": 3}\nlow,1.0\nhigh,0.1\nlow,-2.5\n'
+            b'{"n": 3}\nhigh,0.5\nhigh,0.5\nhigh,0.5\n'
+            b'{"n": 3}\nlow,3.0\nlow,3.0\nlow,3.0\n'
+            b'{"n": 3}\nlow,1e-300\nhigh,1e-300\nlow,1e-300\n')
+
+
 class TestConcurrentRequests:
     def test_each_grid_point_thread_reads_its_own_answers(self, tmp_path, monkeypatch):
         # the echo child answers x1, so an answer read by the wrong thread shows

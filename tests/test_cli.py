@@ -816,6 +816,22 @@ def test_malformed_csv_exits_with_its_code_and_no_traceback(tmp_path, capsys, bo
     assert err.startswith("error: ") if code else err == ""
 
 
+@pytest.mark.parametrize("argv", [["importance"], ["pdp", "--features", "x1"],
+                                  ["ice", "--feature", "x1"], ["interact"]],
+                         ids=["importance", "pdp", "ice", "interact"])
+@pytest.mark.parametrize("header, target", [("x1,x2", []), ("x1,x2,y", ["--target", "y"])],
+                         ids=["no-target", "target"])
+def test_a_csv_with_no_data_rows_exits_2_naming_the_file(tmp_path, capsys, argv, header, target):
+    data = tmp_path / "empty.csv"
+    data.write_text(header + "\n")
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="CSV body is empty"):
+        assert _run(*argv, "--data", data, *target, "--expr", "x1 + x2", "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {data} holds no data rows to analyse\n"
+    assert not out.exists()
+
+
 def test_importing_the_cli_leaves_scipy_unloaded():
     # scipy's start-up cost belongs to the commands that simulate, not to every command
     env = dict(os.environ)

@@ -32,7 +32,7 @@ from pdimp import (
 from pdimp.cli import emit_plot_data
 from pdimp.engine import (MAX_GRID_COUNT, _distinct, _quantiles, ordered_mean, pd_values_at,
                           reducer)
-from pdimp.models import PredictionModel
+from pdimp.models import PredictionModel, pinned_columns
 
 
 def _expr(text, dataset):
@@ -467,8 +467,10 @@ class _SlabRecorder(PredictionModel):
         self.slabs.append(list(points))  # one append: atomic across threads
         return super().predict_grid(batch, features, points)
 
-    def _predict_checked(self, batch):
-        return 2.0 * batch.column("a") - batch.column("b")
+    def _grid(self, batch, cols, pinned):
+        columns = pinned_columns(batch, self.feature_names, cols, pinned)
+        values = 2.0 * columns["a"] - columns["b"]
+        return np.broadcast_to(values, (len(pinned), batch.n_rows)).copy()
 
 
 @pytest.mark.parametrize("cap,rows,per_slab", [(1, 3, 1), (7, 3, 2), (9, 3, 3), (8, 1, 8)])

@@ -19,6 +19,7 @@ from pdimp import (
     fit_linear,
     parse_expression,
 )
+from pdimp.expressions import FUNCTIONS
 from pdimp.models import pin
 from pdimp.simulate import SimulationSpec, generate
 
@@ -463,3 +464,59 @@ def test_predict_grid_rejects_a_value_that_is_no_level_code(kind, code):
         model.predict_grid(batch, ["g"], [(0.0,), (code,)])
     with pytest.raises(ParameterError, match="level codes 0 to 2"):
         model.predict_grid(batch, ["a", "g"], [(0.5, code)])
+
+
+# --- the broadcast kernels: a pinned column is (points x 1) ------------------
+
+# each function, ^ with a pinned base and a pinned exponent, /, unary minus,
+# a formula that reads no pinned variable, and a constant one
+_FORMULAS = [f"{name}(a) + {name}(b * c)" for name in FUNCTIONS] + [
+    "a ^ b", "b ^ a", "c ^ a ^ b", "a / b - c / a", "-a * -(b - c)", "-a ^ 2",
+    "sqrt(c) + 2", "3 * 2 ^ -1", "a * b * c / (a + b + c)"]
+_EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-300, -1e300, 710.0, np.pi]
+
+
+def _formula_batch(values):
+    rng = np.random.default_rng(len(values))
+    return Dataset.from_dict({name: rng.permutation(values) for name in "abc"})
+
+
+def _assert_grid_equals_pinned_predict(model, batch, pinned, points):
+    block = model.predict_grid(batch, pinned, points)
+    for row, point in zip(block, points):
+        assert row.tobytes() == model.predict(pin(batch, pinned, point)).tobytes()
+    block[...] = 0.0  # a new block, the caller's to overwrite
+
+
+@pytest.mark.parametrize("formula", _FORMULAS)
+def test_expression_grid_equals_predict_at_each_pinned_point_bit_for_bit(formula):
+    batch = _formula_batch(_EDGE_VALUES * 3)
+    model = parse_expression(formula, batch.schema)
+    for pinned in (["a"], ["b"], ["a", "b"], ["b", "c"]):
+        points = [p[:len(pinned)] for p in zip(_EDGE_VALUES, _EDGE_VALUES[::-1])]
+        _assert_grid_equals_pinned_predict(model, batch, pinned, points)
+
+
+_LEAVES = st.sampled_from(["a", "b", "c", "2", "0.5", "pi"])
+_FORMULA_TEXT = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.tuples(inner, st.sampled_from("+-*/^"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+    inner.map(lambda t: f"-{t}"),
+    st.tuples(st.sampled_from(sorted(FUNCTIONS)), inner).map(lambda t: f"{t[0]}({t[1]})"),
+), max_leaves=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_linear_and_expression_grids_equal_predict_bit_for_bit(data):
+    values = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(-5.0, 5.0))
+    batch = _formula_batch(data.draw(st.lists(values, min_size=1, max_size=9), label="rows"))
+    if data.draw(st.booleans(), label="linear"):
+        coefficients = data.draw(st.tuples(*[st.floats(-1e3, 1e3)] * 4), label="coefficients")
+        model = LinearModel(coefficients[0], dict(zip("abc", coefficients[1:])), batch.schema)
+    else:
+        model = parse_expression(data.draw(_FORMULA_TEXT, label="formula"), batch.schema)
+    pinned = data.draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=2, unique=True),
+                       label="pinned")
+    points = data.draw(st.lists(st.tuples(*[values] * len(pinned)), min_size=1, max_size=5),
+                       label="points")
+    _assert_grid_equals_pinned_predict(model, batch, pinned, points)
