@@ -235,7 +235,7 @@ def _write_manifest(path, args) -> None:
 
 
 def _cmd_fit(args) -> int:
-    full = load_csv(args.data)
+    _, full = _load_features(args)
     model = _fit_builtin(args.model, args.target, full)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -197,13 +197,16 @@ class Dataset:
 
     # -- CSV -----------------------------------------------------------
 
-    def _text_cells(self, name: str) -> list[str]:
-        """A column as CSV cells: each float in shortest round-trip form, each
-        level index as its label."""
+    def _text_cells(self, name: str, values=None) -> list[str]:
+        """A column, or ``values`` cast to its dtype, as CSV cells: each float
+        in shortest round-trip form, each level index as its label."""
         feat = self.schema_for(name)
+        column = self._columns[name]
+        if values is not None:
+            column = np.asarray(values, dtype=column.dtype)
         if feat.is_continuous:
-            return [repr(float(v)) for v in self._columns[name]]
-        return [feat.levels[i] for i in self._columns[name]]
+            return [repr(float(v)) for v in column]
+        return [feat.levels[i] for i in column]
 
     def to_csv(self, target) -> None:
         """Write RFC-4180 CSV with header; floats use shortest round-trip form."""

@@ -1,5 +1,8 @@
 """External-model bridge: handshake, wire protocol, failure modes."""
 
+import csv
+import io
+import json
 import sys
 import time
 
@@ -23,6 +26,7 @@ from pdimp import (
     spawn_external,
 )
 from pdimp.engine import ordered_mean
+from pdimp.models import pin
 
 PYTHON = sys.executable
 
@@ -326,6 +330,10 @@ class TestWrites:
                 model.predict_grid(batch, ["x1"], [(0.5,)])
             assert model._process.poll() is not None
 
+    def test_a_timeout_longer_than_poll_can_wait_for_is_kept(self, tmp_path):
+        with spawn_external(_stub(tmp_path, CONSTANT_7), timeout=1e9) as model:
+            assert model.predict(Dataset.from_dict({"x1": [0.0], "x2": [1.0]})).tolist() == [7.0]
+
     def test_the_child_receives_one_request_per_grid_point(self, tmp_path):
         record = tmp_path / "record.txt"
         batch = Dataset.from_dict({"g": ["low", "high", "low"], "x": [1.0, 0.1, -2.5]})
@@ -339,6 +347,143 @@ class TestWrites:
             b'{"n": 3}\nhigh,0.5\nhigh,0.5\nhigh,0.5\n'
             b'{"n": 3}\nlow,3.0\nlow,3.0\nlow,3.0\n'
             b'{"n": 3}\nlow,1e-300\nhigh,1e-300\nlow,1e-300\n')
+
+
+# the same recorder, its features named on its command line after the record path
+RECORDS_ITS_INPUT_FOR = RECORDS_ITS_INPUT.replace('["g", "x"]', "sys.argv[2:]")
+
+
+def _requests_pinned_one_by_one(batch, names, features, points):
+    """The bytes of one request per point, each built from the batch pinned
+    with ``models.pin`` and written with ``csv.writer``."""
+    sent = b""
+    for point in points:
+        pinned = pin(batch, features, point)
+        body = io.StringIO()
+        csv.writer(body, lineterminator="\n").writerows(
+            zip(*(pinned._text_cells(name) for name in names)))
+        sent += (json.dumps({"n": pinned.n_rows}) + "\n" + body.getvalue()).encode()
+    return sent
+
+
+SLOW_BY_REQUEST = """\
+import json, sys, time
+print(json.dumps({"protocol": 1, "features": ["x1"]}), flush=True)
+for line in sys.stdin:
+    rows = [sys.stdin.readline() for _ in range(json.loads(line)["n"])]
+    time.sleep(0.6)
+    print("".join(rows), end="", flush=True)
+"""
+
+
+STALLS_ON_SECOND_REQUEST = """\
+import json, sys, time
+print(json.dumps({"protocol": 1, "features": ["x1"]}), flush=True)
+request = 0
+for line in sys.stdin:
+    rows = [sys.stdin.readline() for _ in range(json.loads(line)["n"])]
+    request += 1
+    for row in rows:
+        print(row, end="", flush=True)
+        if request == 2:
+            time.sleep(60)
+"""
+
+
+class TestSlabs:
+    def test_a_many_point_slab_sends_the_bytes_of_one_pinned_batch_per_point(self, tmp_path):
+        cases = [
+            (Dataset.from_dict({"g": ["a,b", 'say "hi"', "plain", "a,b"],
+                                "x": [1.0, 0.1, -2.5, 1e-300]}),
+             [([], [()]),
+              (["x"], [(0.5,), (-0.0,), (1.0 / 3.0,), (1e300,)]),
+              (["g"], [(0,), (1,), (2,)]),
+              (["x", "g"], [(x, g) for x in (0.25, -7.0) for g in (2, 1, 0)])]),
+            # a one-feature row is its one cell, and an empty one is written ""
+            (Dataset.from_dict({"g": ["", "a,b", 'say "hi"']}),
+             [([], [()]), (["g"], [(0,), (1,), (2,)])]),
+        ]
+        for k, (batch, calls) in enumerate(cases):
+            record = tmp_path / f"record-{k}.txt"
+            names = list(batch.feature_names)
+            with spawn_external(_stub(tmp_path, RECORDS_ITS_INPUT_FOR) + [str(record), *names]) \
+                    as model:
+                for features, points in calls:
+                    got = model.predict_grid(batch, features, points)
+                    assert got.tolist() == [[1.0] * batch.n_rows] * len(points)
+            assert record.read_bytes() == b"".join(
+                _requests_pinned_one_by_one(batch, names, features, points)
+                for features, points in calls)
+
+    def test_each_request_gets_the_full_timeout_after_the_one_before_it(self, tmp_path):
+        # 3 requests at 0.6 s each: the last answer comes 1.8 s after the first
+        # write, but each request is answered 0.6 s after the one before it
+        batch = Dataset.from_dict({"x1": [0.0, 0.0]})
+        with spawn_external(_stub(tmp_path, SLOW_BY_REQUEST), timeout=1) as model:
+            got = model.predict_grid(batch, ["x1"], [(1.0,), (2.0,), (3.0,)])
+        assert got.tolist() == [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
+
+    def test_a_stall_on_the_second_request_of_a_slab_times_out_and_stops_the_child(
+            self, tmp_path):
+        batch = Dataset.from_dict({"x1": [0.0, 0.0, 0.0]})
+        with spawn_external(_stub(tmp_path, STALLS_ON_SECOND_REQUEST), timeout=0.5) as model:
+            with pytest.raises(BridgeTimeoutError, match="answered 1 of 3") as err:
+                model.predict_grid(batch, ["x1"], [(1.0,), (2.0,), (3.0,)])
+            assert err.value.received == 1
+            assert model._process.poll() is not None
+            with pytest.raises(BridgeError, match="earlier failure"):
+                model.predict(batch)
+
+
+PROTOCOL_2_ECHO_X1 = """\
+import json, sys
+print(json.dumps({"protocol": 2, "id": 0, "features": ["x1", "x2"]}), flush=True)
+for line in sys.stdin:
+    request = json.loads(line)
+    rows = [sys.stdin.readline() for _ in range(request["n"])]
+    header = json.dumps({"id": request["id"]})
+    if request["id"] == 2:
+        pass  # FAULT
+    print(header)
+    for row in rows:
+        print(row.split(",")[0])
+    sys.stdout.flush()
+"""
+
+
+class TestProtocol2:
+    @pytest.mark.parametrize("handshake", ['{"protocol": 3, "id": 0, "features": ["a"]}',
+                                           '{"protocol": 2, "id": 1, "features": ["a"]}'])
+    def test_only_protocols_1_and_2_are_spoken(self, tmp_path, handshake):
+        cmd = _stub(tmp_path, f"print({handshake!r}, flush=True)\nimport time; time.sleep(5)")
+        with pytest.raises(SpawnError, match="handshake must be"):
+            spawn_external(cmd)
+
+    def test_tagged_answers_are_read(self, tmp_path):
+        batch = Dataset.from_dict({"x1": [0.5, -1.25], "x2": [3.0, 4.0]})
+        with spawn_external(_stub(tmp_path, PROTOCOL_2_ECHO_X1)) as model:
+            assert model.protocol == 2
+            assert model.predict(batch).tolist() == [0.5, -1.25]
+            got = model.predict_grid(batch, ["x1"], [(1.0,), (2.0,), (3.0,)])
+            assert got.tolist() == [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
+            assert model.predict_grid(batch, ["x2"], [(0.0,)]).tolist() == [[0.5, -1.25]]
+
+    @pytest.mark.parametrize("fault, got", [
+        # a stray line that arrives after request 2 was written, before its answers
+        ("print('999.0')", "'999.0'"),
+        ("header = json.dumps({'id': 7})", """'{"id": 7}'"""),
+        ("header = rows.pop(0).split(',')[0]", "'1.0'"),  # no id line
+    ], ids=["stray-line", "wrong-id", "missing-id"])
+    def test_an_answer_without_its_request_id_is_a_protocol_error(self, tmp_path, fault, got):
+        batch = Dataset.from_dict({"x1": [1.0, 1.0], "x2": [0.0, 0.0]})
+        body = PROTOCOL_2_ECHO_X1.replace("pass  # FAULT", fault)
+        with spawn_external(_stub(tmp_path, body)) as model:
+            with pytest.raises(ProtocolError, match=f'expected the answer header {{"id": 2}}, '
+                                                    f"got {got}"):
+                model.predict_grid(batch, ["x2"], [(0.0,), (1.0,), (2.0,)])
+            assert model._process.poll() is not None
+            with pytest.raises(BridgeError, match="earlier failure"):
+                model.predict(batch)
 
 
 class TestConcurrentRequests:

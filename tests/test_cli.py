@@ -832,6 +832,17 @@ def test_a_csv_with_no_data_rows_exits_2_naming_the_file(tmp_path, capsys, argv,
     assert not out.exists()
 
 
+def test_fit_on_a_csv_with_no_data_rows_exits_2_naming_the_file(tmp_path, capsys):
+    data = tmp_path / "empty.csv"
+    data.write_text("x1,x2,y\n")
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="CSV body is empty"):
+        assert _run("fit", "--data", data, "--target", "y", "--model", "linear",
+                    "--out-dir", out) == 2
+    assert capsys.readouterr().err == f"error: {data} holds no data rows to analyse\n"
+    assert not out.exists()
+
+
 def test_importing_the_cli_leaves_scipy_unloaded():
     # scipy's start-up cost belongs to the commands that simulate, not to every command
     env = dict(os.environ)
