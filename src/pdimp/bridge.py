@@ -16,20 +16,22 @@ pinned, holding the model's lock for its slab; the engine's threads queue at
 the lock. The text of the unpinned columns is formatted once per slab. All
 of a slab's requests are in flight: they are written one after another into
 the child's non-blocking stdin (POSIX) as fast as the pipe takes them, and
-between writes the answers that have arrived are read, matched to requests
-in request order. The pipes cannot deadlock: a thread always drains the
-child's stdout, so the child can always finish writing an answer and read
-on, whatever the parent is doing.
+the answers are read on the caller's thread as they arrive, matched to
+requests in request order. The pipes cannot deadlock: one poll waits for
+room in the child's input and for its output together, so the child can
+always finish writing an answer and read on. A daemon thread drains the
+child's stderr, which only feeds error messages.
 
 ``timeout`` bounds each request. Its clock starts at the later of the start
 of its write and the arrival of the previous request's last answer, so a
 request is given as long as when it was sent alone, and covers the rest of
 its write and all of its answers. After a timeout or a protocol error the
 pairing of lines to requests is lost, so the child is killed and every
-later request fails with BridgeError.
+later request fails with BridgeError. Output that is not UTF-8 is a
+protocol error too.
 
-A line already queued when a slab starts answers no request, so it is a
-protocol error. Under protocol 1 a stray line that arrives later cannot be
+A line already in the pipe when a slab starts answers no request, so it is
+a protocol error. Under protocol 1 a stray line that arrives later cannot be
 told apart from an answer. Protocol 2 closes that gap: each request's
 answers start with its id, so a stray line is a protocol error wherever it
 arrives.
@@ -37,7 +39,6 @@ arrives.
 
 from __future__ import annotations
 
-import bisect
 import codecs
 import collections
 import csv
@@ -45,7 +46,6 @@ import io
 import itertools
 import json
 import os
-import queue
 import select
 import shlex
 import subprocess
@@ -59,88 +59,88 @@ from .errors import BridgeError, BridgeTimeoutError, ParameterError, ProtocolErr
 from .models import PredictionModel
 
 
-class _Child:
-    """A spawned child whose output pipes are drained on daemon threads.
+def _poll_ms(seconds: float) -> float:
+    """A wait of ``seconds`` as a poll timeout: never negative, which would
+    wait forever, and at most a day, as poll waits at most 2^31 - 1 ms."""
+    return min(max(seconds, 0.0), 86400.0) * 1000
 
-    Stdout is read in chunks, and the complete lines of each chunk queue up
-    as one (arrival time, lines) item, so reads can time out cleanly; the
-    last 50 stderr lines are kept for error messages. Each thread closes its
-    own pipe at EOF, which queues as None.
-    """
+
+class _LineReader:
+    """The lines of a pipe, read on the caller's thread one ``os.read`` chunk
+    at a time and decoded as UTF-8 with universal newlines."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+        self.lines: list[str] = []  # complete lines not yet taken
+        self.eof = False
+        self._tail: list[str] = []  # the pieces of a line still open
+        self._decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(),
+                                                     translate=True)
+        self._poller = select.poll()
+        self._poller.register(fd, select.POLLIN)
+
+    def ready(self, wait: float) -> bool:
+        """Whether a read would not block, waiting up to ``wait`` s for it."""
+        return bool(self._poller.poll(_poll_ms(wait)))
+
+    def read(self) -> None:
+        """Read one chunk, waiting for it, and add the lines it completes. At
+        EOF set ``eof`` and add an unterminated last line too."""
+        chunk = os.read(self.fd, 65536)
+        try:
+            text = self._decoder.decode(chunk, final=not chunk)
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"child wrote output that is not UTF-8: {exc}") from None
+        *lines, tail = text.split("\n")
+        if lines:
+            lines[0] = "".join(self._tail) + lines[0]
+            self.lines += lines
+            self._tail = []
+        self._tail.append(tail)
+        if not chunk:
+            self.eof, last, self._tail = True, "".join(self._tail), []
+            if last:
+                self.lines.append(last)
+
+
+class _Child:
+    """A spawned child. Its stdout is read through ``stdout`` on the caller's
+    thread; a daemon thread drains its stderr and keeps the last 50 lines for
+    error messages."""
 
     def __init__(self, process: subprocess.Popen):
         self.process = process
+        self.stdout = _LineReader(process.stdout.fileno())
         self.stderr: collections.deque[str] = collections.deque(maxlen=50)
-        self._lines: queue.Queue = queue.Queue()
-        self._threads = [threading.Thread(target=pump, daemon=True)
-                         for pump in (self._pump_stdout, self._pump_stderr)]
-        for thread in self._threads:
-            thread.start()
-
-    def _pump_stdout(self):
-        decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(),
-                                               translate=True)
-        tail = []  # the pieces of a line still open
-        with self.process.stdout as stream:
-            while chunk := os.read(stream.fileno(), 65536):
-                text = decoder.decode(chunk)
-                if "\n" not in text:
-                    tail.append(text)
-                    continue
-                lines = text.split("\n")
-                lines[0] = "".join(tail) + lines[0]
-                tail = [lines.pop()]
-                self._lines.put((time.monotonic(), lines))
-            last = "".join(tail) + decoder.decode(b"", final=True)
-            if last:
-                self._lines.put((time.monotonic(), [last]))
-        self._lines.put(None)
+        self._stderr_pump = threading.Thread(target=self._pump_stderr, daemon=True)
+        self._stderr_pump.start()
 
     def _pump_stderr(self):
         with self.process.stderr as stream:
             for line in stream:
-                self.stderr.append(line.rstrip("\n"))
-
-    def take(self, timeout: float) -> list:
-        """Every queued (arrival time, lines) item, waiting up to ``timeout`` s
-        for the first ([] if none comes). An EOF ends the list as None and
-        stays queued."""
-        try:
-            first = self._lines.get(timeout=max(timeout, 0.0))
-        except queue.Empty:
-            return []
-        with self._lines.mutex:
-            items = [first, *self._lines.queue]
-            self._lines.queue.clear()
-            if items[-1] is None:
-                self._lines.queue.append(None)
-        return items
-
-    def unread(self, *items) -> None:
-        """Put (arrival time, lines) items back at the head of the queue, in order."""
-        with self._lines.mutex:
-            self._lines.queue.extendleft(reversed(items))
-            self._lines.not_empty.notify()
+                self.stderr.append(line.decode(errors="replace").rstrip("\r\n"))
 
     def stderr_text(self) -> str:
         return "\n".join(self.stderr)
 
     def stop(self, kill: bool = False) -> None:
-        """Close the child's input, reap it (killed at once if ``kill``, else
-        after 2 s), and give each pipe thread 2 s to reach EOF."""
+        """Close the child's input and output, reap it (killed at once if
+        ``kill``, else after 2 s), and give the stderr thread 2 s to reach
+        EOF. Closing the output before the wait makes a child that is still
+        writing fail at once instead of blocking on a full pipe."""
         if kill:
             self.process.kill()
         try:
             self.process.stdin.close()
         except OSError:
             pass
+        self.process.stdout.close()
         try:
             self.process.wait(timeout=2)
         except subprocess.TimeoutExpired:
             self.process.kill()
             self.process.wait()
-        for thread in self._threads:
-            thread.join(timeout=2)
+        self._stderr_pump.join(timeout=2)
 
 
 class ExternalModel(PredictionModel):
@@ -193,28 +193,51 @@ class ExternalModel(PredictionModel):
             yield (json.dumps(header) + "\n" + body.getvalue()).encode()
 
     def _stream(self, batch: Dataset, cols: list[int], pinned: np.ndarray, out: np.ndarray):
-        """Write the slab's requests as fast as the pipe takes them and, between
-        writes, read the answers that have arrived into ``out``, in order."""
+        """Write the slab's requests as fast as the pipe takes them and read
+        their answers into ``out``, in order, as they arrive."""
         child, (total, n), tagged = self._child, out.shape, self.protocol == 2
-        stray = [line for item in child.take(0.0) if item for line in item[1]]
-        if stray:
+        reader, lines = child.stdout, child.stdout.lines
+        if not reader.eof and reader.ready(0.0):
+            reader.read()
+        if lines:
             raise ProtocolError(f"child sent a line that answers no request: "
-                                f"{stray[0].strip()[:200]!r}")
+                                f"{lines[0].strip()[:200]!r}")
         first_id = self._sent + 1
         requests = self._requests(batch, cols, pinned)
-        fd, view = self._process.stdin.fileno(), memoryview(b"")
+        in_fd, view = self._process.stdin.fileno(), memoryview(b"")
         poller = select.poll()
-        poller.register(fd, select.POLLOUT)
+        poller.register(reader.fd, select.POLLIN)  # always, so the child can always answer
         began, done = [], []  # per request: its write's start, its last answer's arrival
         g = i = 0  # the request being read, and how many of its answers are in
         header = tagged  # request g's id line is still due
-
-        def read_answers(items):
-            """Read the lines of (arrival time, lines) items into ``out``."""
-            nonlocal g, i, header
-            lines = [*itertools.chain.from_iterable(chunk for _, chunk in items)]
-            ends = [*itertools.accumulate(len(chunk) for _, chunk in items)]
-            pos = 0
+        while g < total or view:
+            if not view and len(began) < total:
+                view = memoryview(next(requests))
+                began.append(time.monotonic())
+                poller.register(in_fd, select.POLLOUT)
+            else:
+                h = min(g, len(began) - 1) if view else g  # the earliest request still open
+                deadline = max(began[h], done[h - 1] if h else 0.0) + self.timeout
+                wait, held = deadline - time.monotonic(), len(lines)
+                for fd, _ in poller.poll(_poll_ms(wait)):
+                    if fd == in_fd:
+                        try:  # each write takes what the pipe has room for
+                            view = view[os.write(in_fd, view):]
+                        except OSError as exc:
+                            raise ProtocolError(f"child closed its input: {exc}; "
+                                                f"stderr:\n{child.stderr_text()}")
+                        if not view:
+                            poller.unregister(in_fd)
+                    else:
+                        reader.read()
+                if wait <= 0 and len(lines) == held and not reader.eof:  # no line came in time
+                    if view and h == len(began) - 1:
+                        raise BridgeTimeoutError(f"child took not all of a {n}-row request "
+                                                 f"within the {self.timeout}s timeout",
+                                                 received=i if h == g else n)
+                    raise BridgeTimeoutError(f"child answered {i} of {n} predictions before "
+                                             f"the {self.timeout}s timeout", received=i)
+            pos = 0  # read the answers that are in; lines past the slab's last stay
             while g < len(began):
                 if header:
                     if pos == len(lines):
@@ -240,40 +263,12 @@ class ExternalModel(PredictionModel):
                 i, pos = i + k, pos + k
                 if i < n:
                     break
-                done.append(items[bisect.bisect(ends, pos - 1)][0])
+                done.append(time.monotonic())
                 g, i, header = g + 1, 0, tagged
-            if pos < len(lines):  # past the slab's last answer: left for the next stray check
-                child.unread((items[-1][0], lines[pos:]))
-
-        while g < total or view:
-            if not view and len(began) < total:
-                view = memoryview(next(requests))
-                began.append(time.monotonic())
-                read_answers([(began[-1], [])])  # a 0-row request under protocol 1 is answered
-            h = min(g, len(began) - 1) if view else g  # the earliest request still open
-            deadline = max(began[h], done[h - 1] if h else 0.0) + self.timeout
-            wait = deadline - time.monotonic()
-            if view:
-                # poll waits at most 2^31 - 1 ms; past a day it returns to wait again
-                if wait > 0 and poller.poll(min(wait, 86400.0) * 1000):
-                    try:  # each write takes what the pipe has room for
-                        view = view[os.write(fd, view):]
-                    except OSError as exc:
-                        raise ProtocolError(f"child closed its input: {exc}; "
-                                            f"stderr:\n{child.stderr_text()}")
-                wait = 0.0
-            items = child.take(wait) if g < total else []
-            read_answers(list(filter(None, items)))
-            if items and items[-1] is None and g < total:
+            del lines[:pos]
+            if reader.eof and (g < total or view):
                 raise ProtocolError(f"child ended output after {i} of {n} predictions; "
                                     f"stderr:\n{child.stderr_text()}")
-            if not items and time.monotonic() >= deadline:
-                if view and h == len(began) - 1:
-                    raise BridgeTimeoutError(f"child took not all of a {n}-row request within "
-                                             f"the {self.timeout}s timeout",
-                                             received=i if h == g else n)
-                raise BridgeTimeoutError(f"child answered {i} of {n} predictions before the "
-                                         f"{self.timeout}s timeout", received=i)
 
     def close(self) -> None:
         self._child.stop()
@@ -307,31 +302,31 @@ def spawn_external(command, timeout: float = 30.0) -> ExternalModel:
     if not argv:
         raise SpawnError("the external command is empty")
     try:
-        process = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            bufsize=1,
-        )
+        process = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                   stderr=subprocess.PIPE)
     except OSError as exc:
         raise SpawnError(f"cannot launch {argv}: {exc}") from None
 
     os.set_blocking(process.stdin.fileno(), False)  # a write must not outlast its deadline
     child = _Child(process)
-    items = child.take(timeout)
-    if not items:
+    reader, deadline = child.stdout, time.monotonic() + timeout
+    try:
+        while not reader.lines and not reader.eof and time.monotonic() < deadline:
+            if reader.ready(deadline - time.monotonic()):
+                reader.read()
+    except ProtocolError as exc:
+        child.stop(kill=True)
+        raise SpawnError(f"cannot read the handshake of {argv}: {exc}") from None
+    if not reader.lines and not reader.eof:
         child.stop(kill=True)
         raise SpawnError(f"no handshake within {timeout}s from {argv}")
-    if items[0] is None:
+    if not reader.lines:
         child.stop()
         raise SpawnError(
             f"child exited (code {process.returncode}) before the handshake; "
             f"stderr:\n{child.stderr_text()}"
         )
-    (arrived, (line, *lines)), *rest = items
-    child.unread((arrived, lines), *filter(None, rest))  # for the first request's stray check
+    line = reader.lines.pop(0)  # lines after it are left for the first request's stray check
     try:
         doc = json.loads(line)
     except (json.JSONDecodeError, RecursionError):

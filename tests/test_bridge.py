@@ -3,11 +3,14 @@
 import csv
 import io
 import json
+import os
 import sys
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdimp.engine as engine_module
 from pdimp import (
@@ -25,6 +28,7 @@ from pdimp import (
     partial_dependence,
     spawn_external,
 )
+from pdimp.bridge import _LineReader
 from pdimp.engine import ordered_mean
 from pdimp.models import pin
 
@@ -113,6 +117,14 @@ class TestHandshake:
         cmd = _stub(tmp_path, "print('not json'); import time; time.sleep(5)")
         with pytest.raises(SpawnError, match="not JSON"):
             spawn_external(cmd)
+
+    def test_a_handshake_that_is_not_utf8_is_a_spawn_error(self, tmp_path):
+        cmd = _stub(tmp_path, "import sys, time\nsys.stdout.buffer.write(b'\\xff\\n')\n"
+                              "sys.stdout.flush()\ntime.sleep(5)")
+        started = time.monotonic()
+        with pytest.raises(SpawnError, match="not UTF-8"):
+            spawn_external(cmd)
+        assert time.monotonic() - started < 4  # killed, not waited for
 
     def test_deeply_nested_handshake_stops_the_child(self, tmp_path):
         cmd = _stub(tmp_path, "print('[' * 100000 + ']' * 100000, flush=True)\n"
@@ -253,7 +265,58 @@ for line in sys.stdin:
 """
 
 
+NOT_UTF8_ANSWERS = """\
+import json, sys
+print(json.dumps({"protocol": 1, "features": ["x1"]}), flush=True)
+for line in sys.stdin:
+    for _ in range(json.loads(line)["n"]):
+        sys.stdin.readline()
+        sys.stdout.buffer.write(b"\\xff\\n")
+    sys.stdout.flush()
+"""
+
+
+NOT_UTF8_STDERR = """\
+import json, sys
+print(json.dumps({"protocol": 1, "features": ["x1"]}), flush=True)
+for line in sys.stdin:
+    rows = [float(sys.stdin.readline()) for _ in range(json.loads(line)["n"])]
+    sys.stderr.buffer.write(b"\\xff oops\\n" + b"more\\n" * 40_000)
+    sys.stderr.flush()
+    for x in rows:
+        print(repr(2.0 * x))
+    sys.stdout.flush()
+"""
+
+
+CHATTY_AT_EXIT = """\
+import json, sys
+print(json.dumps({"protocol": 1, "features": ["x1"]}), flush=True)
+sys.stdin.read()
+print("1.0\\n" * 100_000, flush=True)
+"""
+
+
 class TestFailedChild:
+    def test_output_that_is_not_utf8_fails_at_once_and_stops_the_child(self, tmp_path):
+        with spawn_external(_stub(tmp_path, NOT_UTF8_ANSWERS), timeout=3) as model:
+            batch = Dataset.from_dict({"x1": [1.0, 2.0]})
+            started = time.monotonic()
+            with pytest.raises(ProtocolError, match="not UTF-8"):
+                model.predict(batch)
+            assert time.monotonic() - started < 1.5
+            assert model._process.poll() is not None
+            with pytest.raises(BridgeError, match="earlier failure"):
+                model.predict(batch)
+
+    def test_stderr_that_is_not_utf8_leaves_the_child_answering(self, tmp_path):
+        # 200 000 bytes of stderr after the bad byte: more than a pipe holds,
+        # so the child blocks, or dies of EPIPE, unless stderr is still drained
+        with spawn_external(_stub(tmp_path, NOT_UTF8_STDERR), timeout=10) as model:
+            batch = Dataset.from_dict({"x1": [1.0, 2.5]})
+            assert model.predict(batch).tolist() == [2.0, 5.0]
+            assert model.predict(batch).tolist() == [2.0, 5.0]
+
     def test_no_stale_answers_after_a_timeout(self, tmp_path):
         with spawn_external(_stub(tmp_path, STALLS_ON_FIRST_REQUEST), timeout=0.3) as model:
             batch = Dataset.from_dict({"x1": [1.0, 2.0]})
@@ -276,14 +339,23 @@ class TestFailedChild:
     def test_a_stray_line_before_a_request_is_a_protocol_error(self, tmp_path):
         with spawn_external(_stub(tmp_path, ONE_LINE_TOO_MANY)) as model:
             assert model.predict(Dataset.from_dict({"x1": [1.0, 2.0]})).tolist() == [1.0, 2.0]
-            deadline = time.monotonic() + 10
-            while model._child._lines.empty() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert not model._child._lines.empty()  # the extra line is queued
+            reader, deadline = model._child.stdout, time.monotonic() + 10
+            while not reader.lines and time.monotonic() < deadline:  # a whole line, not a byte
+                if reader.ready(0.01):
+                    reader.read()
+            assert reader.lines  # the extra line is read
             # it must never be read as the first answer to the next request
             with pytest.raises(ProtocolError, match="answers no request: '999.0'"):
                 model.predict(Dataset.from_dict({"x1": [3.0, 4.0]}))
             assert model._process.poll() is not None
+
+    def test_close_does_not_wait_for_a_child_writing_into_a_full_pipe(self, tmp_path):
+        # 300 KB written once its input closes: past the 64 KiB a pipe holds unread
+        model = spawn_external(_stub(tmp_path, CHATTY_AT_EXIT))
+        started = time.monotonic()
+        model.close()
+        assert time.monotonic() - started < 1.5
+        assert model._process.returncode is not None
 
     def test_close_after_a_failure_reaps_the_child_and_closes_its_pipes(self, tmp_path):
         model = spawn_external(_stub(tmp_path, SHORT_RESPONSE))
@@ -315,7 +387,24 @@ with open(sys.argv[1], "wb") as record:
 """
 
 
+ECHOES_AS_IT_READS = """\
+import json, sys
+print(json.dumps({"protocol": 1, "features": ["x1"]}), flush=True)
+for line in sys.stdin:
+    for _ in range(json.loads(line)["n"]):
+        print(sys.stdin.readline(), end="", flush=True)
+"""
+
+
 class TestWrites:
+    def test_answers_are_read_while_the_request_is_still_being_written(self, tmp_path):
+        # about 400 KB of answers, past the 64 KiB a pipe holds: the child
+        # stops reading until its answers are read, before the write is done
+        values = np.linspace(0.0, 1.0, 20_000)
+        with spawn_external(_stub(tmp_path, ECHOES_AS_IT_READS), timeout=10) as model:
+            got = model.predict(Dataset.from_dict({"x1": values}))
+        assert got.tobytes() == values.tobytes()
+
     def test_a_write_the_child_never_reads_times_out_and_stops_it(self, tmp_path):
         # 20 000 rows are about 385 KB, past the 64 KiB a pipe holds unread
         batch = Dataset.from_dict({"x1": np.linspace(0.0, 1.0, 20_000)})
@@ -506,3 +595,28 @@ class TestConcurrentRequests:
         assert ice.curves.tobytes() == np.tile(values, (30, 1)).tobytes()
         expected = [ordered_mean(np.full(30, v)) for v in values]
         assert pd.values.tobytes() == np.array(expected).tobytes()
+
+
+_LINE_TEXT = st.text(st.sampled_from("a1.,é€𝄞 "), max_size=6)  # 1- to 4-byte characters
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_LINE_TEXT, st.sampled_from(["\n", "\r\n", "\r", ""])), max_size=12),
+       st.data())
+def test_the_line_reader_agrees_with_universal_newline_decoding(pieces, data):
+    raw = "".join(text + end for text, end in pieces).encode()
+    expected = [line.removesuffix("\n") for line in
+                io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=None)]
+    # cuts fall anywhere: inside a UTF-8 sequence, or between a \r and its \n
+    cuts = sorted({0, len(raw), *data.draw(st.lists(st.integers(0, len(raw))), label="cuts")})
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb", buffering=0) as source, open(write_fd, "wb", buffering=0) as sink:
+        reader = _LineReader(source.fileno())
+        for a, b in zip(cuts, cuts[1:]):
+            sink.write(raw[a:b])
+            reader.read()
+            assert reader.lines == expected[:len(reader.lines)]
+        sink.close()
+        reader.read()
+        assert reader.eof
+    assert reader.lines == expected
