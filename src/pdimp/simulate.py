@@ -5,11 +5,22 @@ benchmark ``y = 10 sin(pi x1 x2) + 20 (x3 - 0.5)^2 + 10 x4 + 5 x5 + eps``
 whose features are iid U(0,1) and where x6..x10 never enter the response.
 
 Reproducibility contract: all draws come from a Philox4x32-10 counter
-stream (numpy's ``Philox`` bit generator) keyed by the seed. Feature
-columns are drawn first, one ``random(n)`` call per feature in schema
-order; noise is drawn last as ``(integers(0, 2**53) + 0.5) / 2**53``
-mapped through the inverse normal CDF and scaled by sigma. The same spec
-therefore yields the same dataset, bit for bit, on any platform.
+stream (numpy's ``Philox`` bit generator) keyed by the seed, which must
+lie in [0, 2**64). Feature columns are drawn first, one ``random(n)`` call
+per feature in schema order; noise is drawn last as
+``(integers(0, 2**53) + 0.5) / 2**53`` mapped through the inverse normal
+CDF and scaled by sigma. The same spec therefore yields the same dataset,
+bit for bit, on any platform whose C library computes ``log`` alike.
+
+The inverse normal CDF is a numpy port of ``ndtri`` from S. L. Moshier's
+Cephes library: a rational approximation in ``p - 1/2`` for p in
+(exp(-2), 1 - exp(-2)], and in the tails, with ``x = sqrt(-2 log p)``, one
+of two rational approximations in ``1/x`` that switch at x = 8. It keeps
+Cephes' coefficients, cut points, Horner order and operation order, so it
+returns the compiled C routine's doubles bit for bit. The tail logs go
+through ``math.log``, the C library's ``log`` that Cephes calls: ``np.log``'s
+own vectorised loop differs from it in the last bit on a few inputs in a
+million, which would move those draws.
 """
 
 from __future__ import annotations
@@ -46,21 +57,83 @@ class SimulationSpec:
             raise ParameterError(f"unknown simulation kind {self.kind!r}")
         if not 1 <= self.n <= MAX_SIMULATION_ROWS:
             raise ParameterError(f"n must be in [1, {MAX_SIMULATION_ROWS}]")
+        if not 0 <= self.seed < 2**64:
+            raise ParameterError(f"seed must be in [0, 2**64), got {self.seed}")
+        for name in ("sigma", "beta0", "beta1", "beta2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma < 0:
             raise ParameterError("sigma must be nonnegative")
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed) & 0xFFFFFFFFFFFFFFFF))
+    return np.random.Generator(np.random.Philox(key=int(seed)))
+
+
+# Cephes ndtri's coefficients, highest power first; each Q starts with the
+# leading 1 that Cephes' p1evl adds, which Horner's rule multiplies exactly
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """Horner's rule, highest power first, in Cephes' polevl order."""
+    ans = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _clog(x: np.ndarray) -> np.ndarray:
+    """Natural log through the C library, one element at a time."""
+    return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """Inverse of the standard normal CDF for p in [0, 1]; -inf and +inf at the ends."""
+    flip = p > 1.0 - _EXP_M2
+    y = np.where(flip, 1.0 - p, p)
+    out = np.empty_like(y)
+    centre = y > _EXP_M2
+    yc = y[centre] - 0.5
+    y2 = yc * yc
+    out[centre] = (yc + yc * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+    tail = ~centre
+    yt = y[tail]
+    xt = np.full_like(yt, np.inf)  # y = 0: p is 0 or 1
+    inner = yt > 0.0
+    x = np.sqrt(-2.0 * _clog(yt[inner]))
+    x0 = x - _clog(x) / x
+    z = 1.0 / x
+    x1 = np.where(x < 8.0, z * _polevl(z, _P1) / _polevl(z, _Q1),
+                  z * _polevl(z, _P2) / _polevl(z, _Q2))
+    xt[inner] = x0 - x1
+    out[tail] = np.where(flip[tail], xt, -xt)
+    return out
 
 
 def _gaussian(rng: np.random.Generator, n: int) -> np.ndarray:
-    # imported here: scipy's start-up cost is paid only by commands that simulate
-    from scipy.special import ndtri
-
-    # strictly interior uniforms, (k + 0.5) / 2^53, keep the inverse CDF finite
+    # (k + 0.5) / 2^53 lies in (0, 1) for every k but the last, 2^53 - 1,
+    # which rounds to 1.0 and so draws +inf
     bits = rng.integers(0, 1 << 53, size=n, dtype=np.int64)
-    return ndtri((bits + 0.5) * 2.0**-53)
+    return _ndtri((bits + 0.5) * 2.0**-53)
 
 
 def generate(spec: SimulationSpec) -> Dataset:

@@ -142,7 +142,7 @@ class _FlatForest:
 
 
 def _tree_rng(seed: int, index: int) -> np.random.Generator:
-    key = (int(seed) & 0xFFFFFFFFFFFFFFFF) * (1 << 64) + index
+    key = int(seed) * (1 << 64) + index
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -501,6 +501,8 @@ def fit_bagged_trees(dataset: Dataset, target_name: str, n_trees: int = 100,
         raise ParameterError("max_depth must be nonnegative")
     if min_leaf < 1:
         raise ParameterError("min_leaf must be at least 1")
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must be in [0, 2**64), got {seed}")
     features, y = dataset.split_target(target_name)
     n = features.n_rows
     if n < 2 * min_leaf:

@@ -1,5 +1,6 @@
 """Command-line runs: artifacts, manifests, exit codes, reproducibility."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -52,6 +53,29 @@ def _linear_child(tmp_path):
     return f"{shlex.quote(sys.executable)} {shlex.quote(str(path))}"
 
 
+# sha256 of the CSVs of the benchmark's four set-ups, (kind, n, sigma, seed),
+# recorded when the noise still came from scipy.special.ndtri: they hold the
+# contract whichever scipy, if any, is installed
+BENCHMARK_CSV_SHA256 = {
+    ("friedman", "200", "1.0", "7"):
+        "610e44a83b29d9d4f3d8900a5c92a81d10f4dfec9f016d8e13a2cae182144aec",
+    ("friedman", "5000", "1.0", "7"):
+        "938e8d35874148376353bf09d81ee39cbdc7695daff45cb42dd469721135d6e1",
+    ("friedman", "180", "1.0", "7"):
+        "79174d866cd34381128ca475614bc609fac6c3902e3d5ba2ac283f35b072cda8",
+    ("linear", "1200", "0.01", "7"):
+        "ac653d0c655f74f6a8f11bf8913b68338398ba34b3a6de1f035a1a22549f2879",
+    ("friedman", "200", "1.0", "23"):
+        "d684eaca774eb8faeccdb930e221465801fc6ecbd4e9c84ff1c56234cf50237d",
+    ("friedman", "5000", "1.0", "23"):
+        "6def2773f4b6bed5c4f92c78d4addaf3166154dfe7c49ee7421b26d780ade6bb",
+    ("friedman", "180", "1.0", "23"):
+        "d78c76642ec8cad898bf179748674ca95025df041d0128bedf2966c2e51ac6f2",
+    ("linear", "1200", "0.01", "23"):
+        "87e0af610a57d6ff331b314035ad47d9014f97bff26a205fbbcd48a1818ea7e6",
+}
+
+
 class TestSimulate:
     def test_shape_of_the_emitted_csv(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -69,6 +93,14 @@ class TestSimulate:
         assert _run("simulate", "--kind", "linear", "--n", "10", "--sigma", "0",
                     "--seed", "1", "--out", out) == 0
         assert out.read_text().splitlines()[0] == "x1,x2,y"
+
+    @pytest.mark.parametrize("setup", BENCHMARK_CSV_SHA256, ids="-".join)
+    def test_benchmark_datasets_keep_their_bytes(self, tmp_path, setup):
+        kind, n, sigma, seed = setup
+        out = tmp_path / "data.csv"
+        assert _run("simulate", "--kind", kind, "--n", n, "--sigma", sigma, "--seed", seed,
+                    "--out", out) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == BENCHMARK_CSV_SHA256[setup]
 
 
 class TestImportance:
@@ -442,6 +474,29 @@ class TestExitCodes:
         assert _run("simulate", "--kind", "linear", "--n", "1000000000000000",
                     "--out", out) == 2
         assert f"n must be in [1, {MAX_SIMULATION_ROWS}]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--beta0", "--beta1", "--beta2"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_simulation_parameter_exits_2_naming_it(self, tmp_path, capsys, flag,
+                                                               value):
+        out = tmp_path / "sim.csv"
+        assert _run("simulate", "--kind", "linear", "--n", "10", f"{flag}={value}",
+                    "--out", out) == 2
+        assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "99999999999999999999999"])
+    @pytest.mark.parametrize("command", ["simulate", "fit"])
+    def test_seed_outside_64_bits_exits_2(self, friedman_csv, tmp_path, capsys, command, seed):
+        out = tmp_path / "out"
+        if command == "simulate":
+            argv = ["simulate", "--kind", "linear", "--n", "10", f"--seed={seed}", "--out", out]
+        else:
+            argv = ["fit", "--data", friedman_csv, "--target", "y", "--model",
+                    f"bagged:n_trees=2,seed={seed}", "--out-dir", out]
+        assert _run(*argv) == 2
+        assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_data_errors_exit_2(self, tmp_path, capsys):
@@ -843,12 +898,16 @@ def test_fit_on_a_csv_with_no_data_rows_exits_2_naming_the_file(tmp_path, capsys
     assert not out.exists()
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
-    # scipy's start-up cost belongs to the commands that simulate, not to every command
+def test_simulate_runs_without_importing_scipy(tmp_path):
+    # scipy is a test dependency only; importing it would cost every simulation 0.2 s
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(pdimp.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")])
-    subprocess.run(
-        [sys.executable, "-c", "import pdimp.cli, sys; assert 'scipy' not in sys.modules"],
-        env=env, check=True, timeout=60,
+    script = (
+        "import sys\n"
+        "from pdimp.cli import main\n"
+        "code = main(['simulate', '--kind', 'friedman', '--n', '50', '--out', sys.argv[1]])\n"
+        "sys.exit('scipy was imported' if 'scipy' in sys.modules else code)\n"
     )
+    subprocess.run([sys.executable, "-c", script, str(tmp_path / "d.csv")], env=env, check=True,
+                   timeout=60)

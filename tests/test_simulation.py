@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtri
 
 from pdimp import (
     Dataset,
@@ -19,7 +20,7 @@ from pdimp import (
     true_pd_friedman_pair,
     true_pd_linear,
 )
-from pdimp.simulate import FRIEDMAN_EXPRESSION, MAX_SIMULATION_ROWS
+from pdimp.simulate import FRIEDMAN_EXPRESSION, MAX_SIMULATION_ROWS, _ndtri
 
 
 class TestGenerate:
@@ -193,3 +194,48 @@ class TestOracleProperties:
         # max-abs error shrinks with n, allowing Monte Carlo slack
         assert errors[2] < errors[0]
         assert errors[2] < 0.15
+
+
+def _bits(a):
+    return a.view(np.int64)
+
+
+class TestNdtriAgainstScipy:
+    """The numpy port returns scipy.special.ndtri's doubles, bit for bit."""
+
+    def test_a_million_drawn_uniforms(self):
+        k = np.random.default_rng(2024).integers(0, 1 << 53, size=1_000_000, dtype=np.int64)
+        p = (k + 0.5) * 2.0**-53
+        assert np.array_equal(_bits(_ndtri(p)), _bits(ndtri(p)))
+
+    def test_the_smallest_and_largest_draws(self):
+        k = np.concatenate([np.arange(100_000), np.arange(2**53 - 100_000, 2**53)])
+        p = (k + 0.5) * 2.0**-53
+        got = _ndtri(p)
+        assert np.array_equal(_bits(got), _bits(ndtri(p)))
+        # k = 2^53 - 1 rounds to p = 1.0
+        assert p[-1] == 1.0 and got[-1] == np.inf
+
+    @pytest.mark.parametrize("cut", [math.exp(-2), 1.0 - math.exp(-2), math.exp(-32),
+                                     1.0 - math.exp(-32)],
+                             ids=["exp(-2)", "1-exp(-2)", "exp(-32)", "1-exp(-32)"])
+    def test_neighbours_of_the_cut_points(self, cut):
+        below, above = [cut], [cut]
+        for _ in range(64):
+            below.append(math.nextafter(below[-1], 0.0))
+            above.append(math.nextafter(above[-1], 1.0))
+        p = np.array(below[::-1] + above[1:])
+        assert np.array_equal(_bits(_ndtri(p)), _bits(ndtri(p)))
+
+    def test_the_ends_are_infinite_without_a_warning(self):
+        # pyproject turns RuntimeWarnings into errors, so a stray one fails here
+        p = np.array([0.0, 1.0, 5e-324, 1.0 - 2.0**-53])
+        got = _ndtri(p)
+        assert got[0] == -np.inf and got[1] == np.inf
+        assert np.array_equal(_bits(got), _bits(ndtri(p)))
+
+
+def test_the_largest_seed_keys_the_stream_as_it_is():
+    ds = generate(SimulationSpec("linear", 5, 2**64 - 1, 1.0))
+    rng = np.random.Generator(np.random.Philox(key=2**64 - 1))
+    assert np.array_equal(ds.column("x1"), rng.random(5))
