@@ -54,6 +54,8 @@ class PredictionModel:
         named column overwritten by the constant ``points[g]`` value, bit
         for bit. The block is a new array, the caller's to overwrite.
         """
+        if len(set(features)) != len(features):
+            raise ParameterError(f"grid features must be distinct, got {list(features)}")
         self._validate_batch(batch)
         schemas = [batch.schema_for(name) for name in features]
         cols = [self.feature_names.index(feat.name) for feat in schemas]

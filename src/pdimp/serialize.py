@@ -23,7 +23,7 @@ from .data import FeatureSchema, write_json
 from .errors import ParameterError
 from .expressions import ExpressionModel, parse_expression
 from .models import KnnModel, LinearModel, PredictionModel
-from .trees import BaggedTreesModel, _FlatForest
+from .trees import BaggedTreesModel, _check_parameters, _FlatForest
 
 FORMAT = 1
 
@@ -134,42 +134,22 @@ def _tree_node(doc, schema):
 
 def model_to_json(model: PredictionModel) -> dict:
     if isinstance(model, LinearModel):
-        return {
-            "format": FORMAT,
-            "kind": "linear",
-            "schema": _schema_to_json(model._feature_schema),
-            "intercept": model.intercept,
-            "coefficients": model.coefficients,
-        }
-    if isinstance(model, KnnModel):
-        return {
-            "format": FORMAT,
-            "kind": "knn",
-            "schema": _schema_to_json(model._feature_schema),
-            "k": model.k,
-            "train": model.train.tolist(),
-            "targets": model.targets.tolist(),
-            "scales": model.scales.tolist(),
-        }
-    if isinstance(model, BaggedTreesModel):
-        return {
-            "format": FORMAT,
-            "kind": "bagged_trees",
-            "schema": _schema_to_json(model._feature_schema),
-            "n_trees": model.n_trees,
-            "max_depth": model.max_depth,
-            "min_leaf": model.min_leaf,
-            "seed": model.seed,
-            "trees": _trees_to_json(model),
-        }
-    if isinstance(model, ExpressionModel):
-        return {
-            "format": FORMAT,
-            "kind": "expression",
-            "schema": _schema_to_json(model._feature_schema),
-            "source": model.source,
-        }
-    raise ParameterError(f"{type(model).__name__} does not serialize to JSON")
+        kind, fields = "linear", {"intercept": model.intercept,
+                                  "coefficients": model.coefficients}
+    elif isinstance(model, KnnModel):
+        kind, fields = "knn", {"k": model.k, "train": model.train.tolist(),
+                               "targets": model.targets.tolist(),
+                               "scales": model.scales.tolist()}
+    elif isinstance(model, BaggedTreesModel):
+        kind, fields = "bagged_trees", {"n_trees": model.n_trees, "max_depth": model.max_depth,
+                                        "min_leaf": model.min_leaf, "seed": model.seed,
+                                        "trees": _trees_to_json(model)}
+    elif isinstance(model, ExpressionModel):
+        kind, fields = "expression", {"source": model.source}
+    else:
+        raise ParameterError(f"{type(model).__name__} does not serialize to JSON")
+    return {"format": FORMAT, "kind": kind, "schema": _schema_to_json(model._feature_schema),
+            **fields}
 
 
 def model_from_json(doc: dict) -> PredictionModel:
@@ -200,8 +180,7 @@ def model_from_json(doc: dict) -> PredictionModel:
         n_trees, max_depth, min_leaf, seed = (
             _field(doc, key, int, where) for key in ("n_trees", "max_depth", "min_leaf", "seed")
         )
-        if not trees:
-            raise ParameterError("bagged_trees document holds no trees")
+        _check_parameters(n_trees, max_depth, min_leaf, seed)
         if n_trees != len(trees):
             raise ParameterError(f"n_trees is {n_trees} but the document holds {len(trees)} trees")
         forest = _FlatForest(schema, trees, lambda doc, _: _tree_node(doc, schema))

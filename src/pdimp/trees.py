@@ -36,9 +36,9 @@ leaves. Each row descends each tree once, following both children at a
 pinned split; each cell descends through the pinned splits only, following
 both children elsewhere. A (cell, row) pair meets at one leaf, and its
 value is that leaf's. The result equals ``predict`` point by point, bit for
-bit; ``predict`` is the case of no pinned feature, one cell per tree.
-``_GRID_CHUNK_ELEMENTS`` bounds its memory: the rows of one fold, and its
-trees' cells x rows once the rows alone are over it.
+bit; ``predict`` is the case of no pinned feature, one cell per tree, and so
+is a lone point, written into the rows. Each block of trees is folded over
+all rows at once, holding per row the leaves it reaches via the pinned splits.
 
 A forest has one form, ``_FlatForest``: every node of every tree in shared
 arrays, each tree's nodes in level order. Fitting lays its levels straight
@@ -61,10 +61,9 @@ from .models import PredictionModel
 # only, the trees do not depend on it
 _FIT_BLOCK_ELEMENTS = 1 << 18
 
-# the grid kernel folds consecutive trees together while their cells x
-# max(rows, leaves) stay within this many elements (one tree at least), and
-# past this many rows one tree over slices of rows within it; a memory cap
-# only, results do not depend on it
+# the grid kernel folds consecutive trees together, over all rows, while
+# their cells x max(rows, leaves) stay within this many elements (one tree
+# at least); a memory cap only, results do not depend on it
 _GRID_CHUNK_ELEMENTS = 16384
 
 
@@ -205,31 +204,29 @@ class BaggedTreesModel(PredictionModel):
         the mean over trees.
 
         Each row descends each tree once, each split cell of the points
-        once, and the two meet at the leaves. A block of trees is folded
-        over all rows at once; past ``_GRID_CHUNK_ELEMENTS`` rows a block is
-        one tree, folded over slices of cap / cells rows. Leaf values are
-        summed tree by tree from +0.0, then divided by the tree count: the
-        order of ``np.mean(values, axis=0)`` over a (trees x rows) block.
-        Besides the returned block, one gather of its size and the points'
-        per-tree labels, temporaries stay within a small multiple of the cap
-        x the leaves a row reaches through the pinned splits (it forks at
-        each), or of one tree's cells x max(rows, leaves), at most an engine slab.
+        once, and the two meet at the leaves. Each block of trees is folded
+        over all rows at once, holding per row and tree the leaves the row
+        reaches through the pinned splits (it forks at each). A lone point
+        is written into the kernel's copy of the rows, so each row reaches
+        one leaf, as in ``predict``. Leaf values are summed tree by tree
+        from +0.0, then divided by the tree count: the order of
+        ``np.mean(values, axis=0)`` over a (trees x rows) block. Besides the
+        returned block, the copy of the rows, one gather of the block's size
+        and the points' per-tree labels, temporaries stay within a small
+        multiple of a fold's entries and of its trees' cells x max(rows, leaves).
         """
         matrix = np.vstack([batch.column(f.name) for f in self._feature_schema], dtype=np.float64)
-        flat = self._flat
-        n = batch.n_rows
+        if len(pinned) == 1:  # a lone point is written into the rows: nothing forks
+            matrix[cols] = pinned.T
+            cols = []
+        flat, n = self._flat, batch.n_rows
         out = np.zeros((len(pinned), n))
         # per node: 0 a split the rows follow by value, 1 a pinned split, 2 a leaf
         kind = np.where(flat.internal, 0, 2)
         for col in cols:
             kind[flat.internal & (flat.feature == col)] = 1
         for block in self._tree_blocks(cols, pinned, n):
-            width = max(n, 1)
-            if n > _GRID_CHUNK_ELEMENTS:  # then one tree a block: cells x rows within the cap
-                width = max(1, _GRID_CHUNK_ELEMENTS // len(block[0][2]))
-            for r in range(0, n, width):
-                self._fold_block(matrix[:, r: r + width], cols, pinned, kind, block,
-                                 out[:, r: r + width])
+            self._fold_block(matrix, cols, pinned, kind, block, out)
         out /= len(flat.root)
         return out
 
@@ -258,20 +255,20 @@ class BaggedTreesModel(PredictionModel):
         goes to the pair's entry of the block's table; each tree's table
         rows are then gathered to its points in one ``take``.
         """
-        flat = self._flat
-        n = matrix.shape[1]
+        flat, n = self._flat, matrix.shape[1]
         trees = [t for t, _, _ in block]
         sizes = [len(member) for _, _, member in block]
         first = np.cumsum([0] + sizes)
         roots = flat.root[trees]
         # owners 0..n-1 are the rows, n and up the cells that descend. With no
         # pinned feature nothing forks, and a tree's one cell, which does not
-        # descend, meets each row at the row's own leaf.
-        members = [member if cols else member[:0] for _, _, member in block]
-        descending = [len(member) for member in members]
-        columns = np.zeros((matrix.shape[0], n + sum(descending)))
-        columns[:, :n] = matrix
-        columns[cols, n:] = pinned[np.concatenate(members)].T
+        # descend, meets each row at the row's own leaf: the rows are read in place.
+        descending = sizes if cols else [0] * len(block)
+        columns = matrix
+        if cols:
+            columns = np.zeros((matrix.shape[0], n + sum(descending)))
+            columns[:, :n] = matrix
+            columns[cols, n:] = pinned[np.concatenate([member for _, _, member in block])].T
         values = columns.ravel()
         offset = flat.feature.astype(np.intp) * columns.shape[1]
         node = np.concatenate([np.repeat(roots, n), np.repeat(roots, descending)])
@@ -487,6 +484,16 @@ def _gain(left_sum, left_cnt, right_cnt, total, base, valid):
                     -np.inf)
 
 
+def _check_parameters(n_trees: int, max_depth: int, min_leaf: int, seed: int) -> None:
+    """Refuse what no fit takes: fitting and loading a model both check here."""
+    for name, value, low in (("n_trees", n_trees, 1), ("max_depth", max_depth, 0),
+                             ("min_leaf", min_leaf, 1)):
+        if value < low:
+            raise ParameterError(f"{name} must be at least {low}, got {value}")
+    if not 0 <= seed < 2**64:
+        raise ParameterError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def fit_bagged_trees(dataset: Dataset, target_name: str, n_trees: int = 100,
                      max_depth: int = 6, min_leaf: int = 5, seed: int = 0,
                      bootstrap: bool = True) -> BaggedTreesModel:
@@ -495,14 +502,7 @@ def fit_bagged_trees(dataset: Dataset, target_name: str, n_trees: int = 100,
     ``bootstrap=False`` fits every tree on the full sample (useful when a
     single deterministic tree is wanted).
     """
-    if n_trees < 1:
-        raise ParameterError("n_trees must be at least 1")
-    if max_depth < 0:
-        raise ParameterError("max_depth must be nonnegative")
-    if min_leaf < 1:
-        raise ParameterError("min_leaf must be at least 1")
-    if not 0 <= seed < 2**64:
-        raise ParameterError(f"seed must be in [0, 2**64), got {seed}")
+    _check_parameters(n_trees, max_depth, min_leaf, seed)
     features, y = dataset.split_target(target_name)
     n = features.n_rows
     if n < 2 * min_leaf:

@@ -429,6 +429,8 @@ class TestWrites:
         cmd = _stub(tmp_path, RECORDS_ITS_INPUT) + [str(record)]
         with spawn_external(cmd) as model:
             assert model.predict(batch).tolist() == [1.0] * 3
+            with pytest.raises(ParameterError, match="distinct"):  # refused before any request
+                model.predict_grid(batch, ["x", "x"], [(0.5, 3.0)])
             assert model.predict_grid(batch, ["g", "x"], [(1.0, 0.5), (0.0, 3.0)]).shape == (2, 3)
             assert model.predict_grid(batch, ["x"], [(1e-300,)]).shape == (1, 3)
         assert record.read_bytes() == (

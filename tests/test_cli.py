@@ -536,6 +536,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_model_file_with_a_seed_no_fit_takes_exits_2_and_writes_nothing(self, friedman_csv,
+                                                                            tmp_path, capsys):
+        assert _run("fit", "--data", friedman_csv, "--target", "y",
+                    "--model", "bagged:n_trees=2,max_depth=2,min_leaf=5,seed=1",
+                    "--out-dir", tmp_path) == 0
+        path = tmp_path / "model.json"
+        path.write_text(path.read_text().replace('"seed": 1', '"seed": -5'))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert _run("importance", "--data", friedman_csv, "--target", "y",
+                    "--model-file", path, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be in [0, 2**64), got -5")
+        assert "Traceback" not in err and not out.exists()
+
     @staticmethod
     def _chain_model(depth):
         """A one-tree model file whose tree is a chain of ``depth`` splits."""

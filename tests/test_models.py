@@ -456,6 +456,15 @@ def test_predict_grid_raises_typed_errors(kind):
             model.predict_grid(batch, ["a"], points)
 
 
+@pytest.mark.parametrize("kind", _KINDS)
+def test_predict_grid_refuses_a_feature_named_twice(kind):
+    # k-NN's candidate bound would add both values and its rescoring keep
+    # the last; the other kernels would keep the last
+    model, batch = _model_and_batch(kind, 9, seed=4)
+    with pytest.raises(ParameterError, match="grid features must be distinct"):
+        model.predict_grid(batch, ["a", "a"], [(0.05, 0.95), (0.9, 0.1)])
+
+
 @pytest.mark.parametrize("kind", [kind for kind in _KINDS if kind != "knn"])  # k-NN: no "g"
 @pytest.mark.parametrize("code", [7.0, 3.0, -1.0, 1.5, np.nan, np.inf])
 def test_predict_grid_rejects_a_value_that_is_no_level_code(kind, code):

@@ -178,6 +178,18 @@ class TestMalformedDocuments:
         with pytest.raises(ParameterError):
             model_from_json(doc)
 
+    @pytest.mark.parametrize("key,value", [("seed", -5), ("seed", 2**64), ("max_depth", -1),
+                                           ("min_leaf", 0), ("n_trees", 0)])
+    def test_tree_parameters_no_fit_takes_are_refused_as_fitting_refuses_them(self, key, value):
+        doc = _tree_doc()
+        doc[key] = value
+        with pytest.raises(ParameterError, match=key) as loading:
+            model_from_json(doc)
+        params = {"n_trees": 3, "max_depth": 3, "min_leaf": 2, "seed": 8, key: value}
+        with pytest.raises(ParameterError) as fitting:
+            fit_bagged_trees(_dataset(n=40), "y", **params)
+        assert str(loading.value) == str(fitting.value)
+
     def test_knn_arrays_must_agree_with_the_schema(self):
         doc = model_to_json(fit_knn(_continuous_only(), "y", k=2))
         doc["scales"] = doc["scales"][:1]
