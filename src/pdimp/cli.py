@@ -62,8 +62,8 @@ def _common_flags(parser: _Parser, grid_default: str):
                              f"{MAX_GRID_COUNT}, and at most {MAX_GRID_COUNT} points "
                              "in a pair's grid (default %(default)s)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="threads scoring slabs of grid points; "
-                             "results do not depend on this")
+                        help="threads scoring slabs of grid points, at most one per slab "
+                             "and per available CPU; results do not depend on this")
     parser.add_argument("--out-dir", default=".", help="artifact directory")
     parser.add_argument("--formats", default="csv,json", help="comma list of csv,json")
 

@@ -4,6 +4,8 @@ CSV and JSON writers every result uses.
 A :class:`Dataset` is an immutable column store. Continuous columns hold
 float64 values, categorical columns hold int64 indices into a per-feature
 level table. Categorical level order is first appearance in the input.
+Results hand :func:`write_csv` Python floats, ints and labels, and
+``csv.writer`` writes each float as its ``repr``, the shortest round trip.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -186,15 +189,6 @@ class Dataset:
             cols[name] = sub
         return Dataset._unchecked(self._schema, cols)
 
-    def replace_column(self, name: str, values: np.ndarray) -> "Dataset":
-        """New dataset with one column overwritten (same schema, no re-validation)."""
-        self.schema_for(name)
-        cols = dict(self._columns)
-        values = np.asarray(values)
-        values.setflags(write=False)
-        cols[name] = values
-        return Dataset._unchecked(self._schema, cols)
-
     # -- CSV -----------------------------------------------------------
 
     def _text_cells(self, name: str, values=None) -> list[str]:
@@ -227,16 +221,27 @@ class Dataset:
 
 @contextmanager
 def _text_sink(target, newline: str | None):
-    """A path opened for UTF-8 text writing, or an already open text file as is."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline=newline) as fh:
-            yield fh
-    else:
+    """An open text file as is, or a path written whole or not at all: via a
+    temporary file beside it, renamed onto it once closed, removed on failure."""
+    if not isinstance(target, (str, Path)):
         yield target
+        return
+    temporary = Path(f"{target}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def write_csv(target, header: Sequence, rows: Iterable[Sequence]) -> None:
-    """Write a header and rows as CSV with LF line ends to a path or text file."""
+    """Write a header and rows as CSV with LF line ends to a path or text file.
+
+    ``csv.writer`` writes a Python float as its ``repr``, the shortest round
+    trip, and None as an empty cell. Hand it Python floats (``tolist()``,
+    ``float()``): a numpy scalar's text is numpy's to choose."""
     with _text_sink(target, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

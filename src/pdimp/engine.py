@@ -15,7 +15,7 @@ one model method, ``predict_grid``, over every model's one kernel,
 ``_grid``. The points go to the model in slabs of consecutive points, each
 slab's points x rows block within a private memory cap, and one call
 reduces each block along its rows before its slab is done; slabs run on
-the ``workers`` threads. Row g of a block equals ``predict`` with point g
+at most ``workers`` threads. Row g of a block equals ``predict`` with point g
 pinned, so neither the slab size nor the worker count changes a result.
 Only ``ice_curves``, which returns every prediction, holds a rows x points
 matrix. The baseline that ``pdp`` and ``ice`` report, the aggregate
@@ -25,6 +25,7 @@ scored and checked like any other.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
@@ -248,10 +249,10 @@ class PDResult:
         }
 
     def rows(self):
-        """The CSV rows under the sidecar's columns: grid values, then PD."""
+        """The CSV rows under the sidecar's columns, as values: grid values
+        (level labels or floats), then the PD float."""
         points = product(*(axis.shown() for axis in self.grid.axes))  # row-major
-        return ([_format_cell(v) for v in point + (value,)]
-                for point, value in zip(points, self.values.tolist()))
+        return (point + (value,) for point, value in zip(points, self.values.tolist()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -289,11 +290,11 @@ class ICEResult:
         }
 
     def rows(self):
-        """The CSV rows under the sidecar's columns, one per row and grid point."""
-        shown = [_format_cell(v) for v in self.grid.axes[0].shown()]
-        return ([i, shown[j], _format_cell(float(self.curves[i, j]))]
-                for i in range(self.curves.shape[0])
-                for j in range(self.curves.shape[1]))
+        """The CSV rows under the sidecar's columns, one per row and grid
+        point, as values: the int row id, the grid value and the prediction."""
+        shown = self.grid.axes[0].shown()
+        return ([i, x, value] for i, curve in enumerate(self.curves)
+                for x, value in zip(shown, curve.tolist()))
 
     def to_json_dict(self) -> dict:
         axis = self.grid.axes[0]
@@ -305,10 +306,6 @@ class ICEResult:
             "pd": [float(v) for v in self.pd_values],
             "baseline": self.baseline,
         }
-
-
-def _format_cell(value):
-    return repr(value) if isinstance(value, float) else value
 
 
 def ordered_mean(values: np.ndarray, out: np.ndarray | None = None):
@@ -382,6 +379,9 @@ def _score_points(model, dataset, features, points, workers, reduce) -> np.ndarr
     call (``start`` is its first point), on the thread that scored it, into
     its own entries of the result; a value that is not finite raises
     NonFiniteError. The outcome depends on neither the slab size nor ``workers``.
+
+    Slabs run on min(``workers``, slabs, CPUs available to the process)
+    threads; with one, the calling thread scores them and no pool starts.
     """
     features = list(features)
     for name in features:
@@ -399,11 +399,13 @@ def _score_points(model, dataset, features, points, workers, reduce) -> np.ndarr
         _check_finite(out[start:start + len(slab)], dataset, features, slab,
                       "the partial dependence at grid point ({}) overflows float64")
 
-    if workers <= 1 or len(starts) <= 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = min(workers, len(starts), cpus or 1)
+    if threads <= 1:
         for start in starts:
             score(start)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(score, starts))  # raises the first slab's error, in point order
     return out
 

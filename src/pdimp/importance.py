@@ -122,8 +122,9 @@ class ImportanceReport:
         }
 
     def rows(self):
-        """The CSV rows under the sidecar's columns, in rank order."""
-        return ([e.name, repr(e.score)] for e in self.entries)
+        """The CSV rows under the sidecar's columns, in rank order, as
+        values: the feature name and its score float."""
+        return ([e.name, e.score] for e in self.entries)
 
     def to_json_dict(self) -> dict:
         return {

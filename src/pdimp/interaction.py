@@ -68,25 +68,19 @@ class InteractionReport:
         }
 
     def rows(self):
-        """The CSV rows under the sidecar's columns, in rank order; an
-        absent or NaN H is an empty cell."""
-        def row(pair):
-            h = "" if pair.stat_h is None or math.isnan(pair.stat_h) else repr(pair.stat_h)
-            return [pair.features[0], pair.features[1], repr(pair.stat_pd), h]
-
-        return map(row, self.pairs)
+        """The CSV rows under the sidecar's columns, in rank order, as
+        values: both feature names, the PD statistic float and H, which is
+        None (an empty cell) where it is absent or NaN."""
+        return ([*p.features, p.stat_pd, _reported_h(p.stat_h)] for p in self.pairs)
 
     def to_json_dict(self) -> dict:
-        def encode_h(h):
-            return None if h is None or math.isnan(h) else h
-
         return {
             "grid_strategy": self.grid_strategy,
             "pairs": [
                 {
                     "features": list(p.features),
                     "stat_pd": p.stat_pd,
-                    "stat_h": encode_h(p.stat_h),
+                    "stat_h": _reported_h(p.stat_h),
                     "components": {
                         f"{p.features[0]}|{p.features[1]}": p.spread_first_given_second,
                         f"{p.features[1]}|{p.features[0]}": p.spread_second_given_first,
@@ -100,11 +94,16 @@ class InteractionReport:
         rows = self.pairs if top is None else self.pairs[:top]
         lines = [f"{'pair':24}  {'stat_pd':>14}  {'stat_h':>10}"]
         for p in rows:
-            h = "" if p.stat_h is None or math.isnan(p.stat_h) else f"{p.stat_h:10.6f}"
+            h = "" if _reported_h(p.stat_h) is None else f"{p.stat_h:10.6f}"
             note = "  (degenerate)" if p.degenerate else ""
             pair = p.features[0] + " * " + p.features[1]
             lines.append(f"{pair:24}  {p.stat_pd:14.8g}  {h}{note}")
         return "\n".join(lines)
+
+
+def _reported_h(h: float | None) -> float | None:
+    """H as results report it: None where it is absent or NaN."""
+    return None if h is None or math.isnan(h) else h
 
 
 def _directional_spreads(values: np.ndarray, kinds: tuple[str, str]) -> tuple[float, float]:

@@ -181,13 +181,12 @@ class KnnModel(PredictionModel):
                     term *= term
                     rest += term
             for g, values in enumerate(pinned):
-                at_point = block.copy()
-                at_point[:, cols] = values
-                out[g, start:start + rows] = self._pruned(rest, cols, values, at_point)
+                block[:, cols] = values  # query is this call's own copy
+                out[g, start:start + rows] = self._pruned(rest, cols, values, block)
         return out
 
-    def _pruned(self, rest, cols, values, at_point) -> np.ndarray:
-        """Predictions for the scaled query rows ``at_point``, whose
+    def _pruned(self, rest, cols, values, block) -> np.ndarray:
+        """Predictions for the scaled query rows ``block``, whose
         unpinned distance terms sum to ``rest`` and whose ``cols`` hold
         ``values``.
 
@@ -233,7 +232,7 @@ class KnnModel(PredictionModel):
         step = max(1, _KNN_BLOCK_ELEMENTS // p)
         for a in range(0, len(cand), step):
             diff = np.take(train, cand[a:a + step], axis=0)
-            diff -= np.take(at_point, row[a:a + step], axis=0)
+            diff -= np.take(block, row[a:a + step], axis=0)
             diff *= diff
             dist[a:a + step] = np.sum(diff, axis=1)
         np.sqrt(dist, out=dist)
@@ -241,24 +240,13 @@ class KnnModel(PredictionModel):
         # inf (a row that keeps every training row has no padding, and in
         # every other row each candidate's distance is finite); a stable
         # sort of each row then picks the k nearest in (distance, row) order
-        counts = np.bincount(row, minlength=len(at_point))
+        counts = np.bincount(row, minlength=len(block))
         first = np.cumsum(counts) - counts
         slot = np.arange(len(cand)) - first[row]
-        table = np.full((len(at_point), counts.max()), np.inf)
+        table = np.full((len(block), counts.max()), np.inf)
         table[row, slot] = dist
         order = np.argsort(table, axis=1, kind="stable")[:, :k]
         return np.mean(self.targets[cand[first[:, None] + order]], axis=1)
-
-
-def pin(batch: Dataset, features: Sequence[str], point) -> Dataset:
-    """``batch`` with each named column overwritten by the matching ``point`` value."""
-    for name, value in zip(features, point):
-        if batch.schema_for(name).is_continuous:
-            column = np.full(batch.n_rows, float(value), dtype=np.float64)
-        else:
-            column = np.full(batch.n_rows, int(value), dtype=np.int64)
-        batch = batch.replace_column(name, column)
-    return batch
 
 
 def pinned_columns(batch: Dataset, names: Sequence[str], cols: list[int], pinned) -> dict:

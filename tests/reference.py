@@ -4,13 +4,33 @@
 each node sorting every feature's values afresh with a stable argsort and
 scanning every cut. ``pdimp.trees.fit_bagged_trees`` grows the same trees a
 level at a time and must give the same node arrays bit for bit.
+
+``pin`` builds the batch that one grid point stands for: every row with
+the point's features overwritten. A model's ``predict_grid`` row for that
+point must equal its ``predict`` on this batch bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from pdimp.data import Dataset
 from pdimp.trees import _FlatForest, _tree_rng
+
+
+def pin(batch, features, point):
+    """``batch`` with each named column overwritten by the matching ``point``
+    value: a float, or a level code for a categorical feature. It is built
+    unchecked, since tests pin NaN."""
+    columns = {name: batch.column(name) for name in batch.feature_names}
+    for name, value in zip(features, point):
+        if batch.schema_for(name).is_continuous:
+            column = np.full(batch.n_rows, float(value), dtype=np.float64)
+        else:
+            column = np.full(batch.n_rows, int(value), dtype=np.int64)
+        column.setflags(write=False)
+        columns[name] = column
+    return Dataset._unchecked(batch.schema, columns)
 
 
 def _best_split(columns, schema, rows, y, min_leaf):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import pin
 
 import pdimp.engine as engine_module
 from pdimp import (
@@ -30,7 +31,6 @@ from pdimp import (
 )
 from pdimp.bridge import _LineReader
 from pdimp.engine import ordered_mean
-from pdimp.models import pin
 
 PYTHON = sys.executable
 
@@ -446,7 +446,7 @@ RECORDS_ITS_INPUT_FOR = RECORDS_ITS_INPUT.replace('["g", "x"]', "sys.argv[2:]")
 
 def _requests_pinned_one_by_one(batch, names, features, points):
     """The bytes of one request per point, each built from the batch pinned
-    with ``models.pin`` and written with ``csv.writer``."""
+    with the reference ``pin`` and written with ``csv.writer``."""
     sent = b""
     for point in points:
         pinned = pin(batch, features, point)

@@ -1,10 +1,12 @@
 """Grid construction and the partial dependence estimator."""
 
+import io
 import math
 import os
 import struct
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -17,10 +19,18 @@ import pdimp
 import pdimp.engine as engine_module
 from pdimp import (
     Dataset,
+    Grid,
+    GridAxis,
     GridStrategy,
     GridStrategyError,
+    ICEResult,
+    ImportanceEntry,
+    ImportanceReport,
+    InteractionReport,
     NonFiniteError,
+    PairStatistics,
     ParameterError,
+    PDResult,
     build_grid,
     fit_bagged_trees,
     fit_knn,
@@ -30,6 +40,7 @@ from pdimp import (
     partial_dependence,
 )
 from pdimp.cli import emit_plot_data
+from pdimp.data import write_csv
 from pdimp.engine import (MAX_GRID_COUNT, _distinct, _quantiles, ordered_mean, pd_values_at,
                           reducer)
 from pdimp.models import PredictionModel, pinned_columns
@@ -396,6 +407,111 @@ class TestSerialization:
         assert lines[0] == "row_id,grid_value,prediction"
         assert len(lines) == 1 + 2 * 2
 
+    def test_a_failed_write_leaves_the_earlier_file_whole_and_nothing_else(self, tmp_path):
+        ds = Dataset.from_dict({"a": [1.0, 2.0, 3.0], "b": [0.0, 1.0, 0.5]})
+        pd = partial_dependence(_expr("a + b", ds), ds,
+                                build_grid(ds, ["a"], GridStrategy.unique()))
+        earlier = b"a,pd\nan earlier run's rows\n"
+        (tmp_path / "pd.csv").write_bytes(earlier)
+
+        class Interrupted(PDResult):
+            def rows(self):
+                yield next(super().rows())
+                raise KeyboardInterrupt  # as if stopped while writing
+
+        with pytest.raises(KeyboardInterrupt):
+            emit_plot_data(Interrupted(**vars(pd)), tmp_path, "pd")
+        assert [p.name for p in tmp_path.iterdir()] == ["pd.csv"]
+        assert (tmp_path / "pd.csv").read_bytes() == earlier
+
+        emit_plot_data(pd, tmp_path, "pd")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pd.csv", "pd.json",
+                                                              "pd.schema.json"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert (tmp_path / "pd.csv").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+# --- the one float format: csv.writer writes each result float as its repr ---
+
+_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                     1e308, -1e308, 0.1, 1 / 3]),
+                    st.integers(-10**17, 10**17).map(float), st.floats())
+# labels that need quoting, and any other text
+_LABELS = st.one_of(st.sampled_from(["a,b", 'say "hi"', "two\nlines", "cr\r", ""]),
+                    st.text(max_size=5))
+
+
+def _csv(header, rows):
+    buf = io.StringIO()
+    write_csv(buf, header, rows)
+    return buf.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.one_of(_FLOATS, st.integers(), _LABELS), min_size=1, max_size=5),
+                max_size=8))
+def test_write_csv_writes_a_float_as_its_repr(rows):
+    as_text = [[repr(c) if isinstance(c, float) else c for c in row] for row in rows]
+    assert _csv(["x"], rows) == _csv(["x"], as_text)
+
+
+@st.composite
+def _axis(draw, name):
+    if draw(st.booleans()):
+        labels = tuple(draw(st.lists(_LABELS, min_size=1, max_size=3, unique=True)))
+        return GridAxis(name, "categorical", np.arange(len(labels)), labels)
+    return GridAxis(name, "continuous", np.array(draw(st.lists(_FLOATS, min_size=1, max_size=3))))
+
+
+@st.composite
+def _results(draw):
+    kind = draw(st.sampled_from(["pd", "ice", "importance", "interaction"]))
+    if kind == "pd":
+        grid = Grid(tuple(draw(_axis(name)) for name in ["a", "b"][:draw(st.integers(1, 2))]),
+                    GridStrategy.unique())
+        values = draw(arrays(np.float64, grid.size, elements=_FLOATS))
+        return PDResult(grid, values, 3, draw(_FLOATS))
+    if kind == "ice":
+        grid = Grid((draw(_axis("a")),), GridStrategy.unique())
+        curves = draw(arrays(np.float64, (draw(st.integers(0, 3)), grid.size), elements=_FLOATS))
+        return ICEResult(grid, curves, draw(_FLOATS), np.zeros(grid.size))
+    if kind == "importance":
+        entry = st.builds(ImportanceEntry, _LABELS, _FLOATS, st.just("sd"), st.integers(1, 9))
+        return ImportanceReport(tuple(draw(st.lists(entry, max_size=4))), "unique", "mean")
+    h = st.one_of(st.none(), st.just(math.nan), _FLOATS)
+    pair = st.builds(PairStatistics, st.tuples(_LABELS, _LABELS), _FLOATS, _FLOATS, _FLOATS, h)
+    return InteractionReport(tuple(draw(st.lists(pair, max_size=4))), "unique")
+
+
+def _text(value):
+    return repr(value) if isinstance(value, float) else value
+
+
+def _rows_as_text(result):
+    """A result's CSV rows as text, each float as its repr and an absent or
+    NaN H as an empty cell: the form results once wrote themselves."""
+    if isinstance(result, PDResult):
+        points = product(*(axis.shown() for axis in result.grid.axes))
+        return [[_text(v) for v in point + (value,)]
+                for point, value in zip(points, result.values.tolist())]
+    if isinstance(result, ICEResult):
+        shown = [_text(v) for v in result.grid.axes[0].shown()]
+        n, k = result.curves.shape
+        return [[i, shown[j], repr(float(result.curves[i, j]))] for i in range(n) for j in range(k)]
+    if isinstance(result, ImportanceReport):
+        return [[e.name, repr(e.score)] for e in result.entries]
+    return [[*p.features, repr(p.stat_pd),
+             "" if p.stat_h is None or math.isnan(p.stat_h) else repr(p.stat_h)]
+            for p in result.pairs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_results())
+def test_result_rows_write_the_text_each_result_once_formatted_itself(result):
+    header = [column["name"] for column in result.sidecar()["columns"]]
+    assert _csv(header, result.rows()) == _csv(header, _rows_as_text(result))
+
 
 _SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
             2.2250738585072014e-308, 1.7976931348623157e308]
@@ -505,6 +621,40 @@ def test_slab_size_does_not_change_any_model(monkeypatch):
                 runs.append(partial_dependence(model, features, grid, workers=2,
                                                aggregator=aggregator).values)
             assert runs[0].tobytes() == runs[1].tobytes() == runs[2].tobytes()
+
+
+class _PoolRecorder:
+    """A thread pool stand-in that records its ``max_workers`` and maps on
+    the calling thread, starting no thread."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus,threads", [(1, None), (4, 4), (64, 7)])
+def test_the_pool_starts_at_most_one_thread_per_slab_and_per_cpu(monkeypatch, cpus, threads):
+    ds = Dataset.from_dict({"a": np.arange(3.0), "b": np.ones(3)})
+    points = [(float(v), 0.5) for v in range(7)]
+    monkeypatch.setattr(engine_module, "_SLAB_ELEMENTS", 3)  # a slab per point
+    monkeypatch.setattr(engine_module, "ThreadPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(_PoolRecorder, "sizes", [])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    values = pd_values_at(_SlabRecorder(ds.schema), ds, ["a", "b"], points, workers=10**6)
+    assert _PoolRecorder.sizes == ([] if threads is None else [threads])
+    monkeypatch.undo()
+    expected = pd_values_at(_SlabRecorder(ds.schema), ds, ["a", "b"], points)
+    assert values.tobytes() == expected.tobytes()
 
 
 # --- no numpy.ma ------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import pin
 
 import pdimp.models as models_module
 from pdimp import (
@@ -20,7 +21,6 @@ from pdimp import (
     parse_expression,
 )
 from pdimp.expressions import FUNCTIONS
-from pdimp.models import pin
 from pdimp.simulate import SimulationSpec, generate
 
 

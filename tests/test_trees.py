@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import pin
 
 import pdimp.trees as trees_module
 from pdimp import (
@@ -231,15 +232,6 @@ def _walk_mean(model, batch):
     return np.array(out)
 
 
-def _pinned(batch, features, point):
-    for name, value in zip(features, point):
-        kind = batch.schema_for(name)
-        column = (np.full(batch.n_rows, float(value)) if kind.is_continuous
-                  else np.full(batch.n_rows, int(value), dtype=np.int64))
-        batch = batch.replace_column(name, column)
-    return batch
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_grid_block_equals_per_point_predict_bit_for_bit(data):
@@ -283,7 +275,7 @@ def test_grid_block_equals_per_point_predict_bit_for_bit(data):
     finally:
         trees_module._GRID_CHUNK_ELEMENTS = saved
     for row, point in zip(block, points):
-        perturbed = _pinned(batch, pinned, point)
+        perturbed = pin(batch, pinned, point)
         assert np.array_equal(row, model.predict(perturbed))
         assert np.array_equal(row, _walk_mean(model, perturbed))
 
@@ -330,7 +322,7 @@ def test_each_split_cell_is_descended_once_over_the_whole_grid(rows):
     batch = Dataset.from_dict({"a": rng.uniform(size=rows), "b": rng.uniform(size=rows)})
     block = model.predict_grid(batch, ["a"], points[::50])
     for row, point in zip(block, points[::50]):
-        assert np.array_equal(row, _walk_mean(model, _pinned(batch, ["a"], point)))
+        assert np.array_equal(row, _walk_mean(model, pin(batch, ["a"], point)))
 
 
 def test_deep_forest_mixed_pairs_match_predict_and_the_walk(monkeypatch):
@@ -362,7 +354,7 @@ def test_deep_forest_mixed_pairs_match_predict_and_the_walk(monkeypatch):
             blocks.append(model.predict_grid(features, list(pair), points))
         assert np.array_equal(blocks[0], blocks[1])
         for row, point in zip(blocks[1], points):
-            perturbed = _pinned(features, pair, point)
+            perturbed = pin(features, pair, point)
             assert np.array_equal(row, model.predict(perturbed))
             assert np.array_equal(row, _walk_mean(model, perturbed))
 
@@ -402,7 +394,7 @@ def test_a_tree_over_the_cap_folds_all_rows_at_once_within_a_few_blocks_of_memor
         tracemalloc.stop()
     assert peak <= 4 * block.nbytes
     for row, point in zip(block, points):
-        assert np.array_equal(row, model.predict(_pinned(features, ["x1", "x2"], point)))
+        assert np.array_equal(row, model.predict(pin(features, ["x1", "x2"], point)))
 
 
 def test_a_large_batch_is_folded_a_capped_slice_of_rows_at_a_time():
@@ -422,7 +414,7 @@ def test_a_large_batch_is_folded_a_capped_slice_of_rows_at_a_time():
         tracemalloc.stop()
     matrix = len(features.feature_names) * block.nbytes  # the kernel's copy of the rows
     assert peak - matrix - block.nbytes <= 64 * cap * 8
-    assert np.array_equal(block[0], model.predict(_pinned(features, ["x1"], (0.5,))))
+    assert np.array_equal(block[0], model.predict(pin(features, ["x1"], (0.5,))))
 
 
 def test_a_lone_point_over_many_rows_never_forks(monkeypatch):
@@ -441,7 +433,7 @@ def test_a_lone_point_over_many_rows_never_forks(monkeypatch):
     monkeypatch.setattr(trees_module._FlatForest, "step", counted)
     block = model.predict_grid(features, ["x1"], [(0.5,)])
     assert seen and all(entries <= features.n_rows * trees for entries, trees in seen)
-    assert np.array_equal(block[0], model.predict(_pinned(features, ["x1"], (0.5,))))
+    assert np.array_equal(block[0], model.predict(pin(features, ["x1"], (0.5,))))
 
 
 def test_tree_deeper_than_eight_levels_matches_the_walk():
@@ -460,7 +452,7 @@ def test_tree_deeper_than_eight_levels_matches_the_walk():
     points = [(v,) for v in np.linspace(-0.1, 1.1, 25)]
     block = model.predict_grid(batch, ["a"], points)
     for row, point in zip(block, points):
-        assert np.array_equal(row, _walk_mean(model, _pinned(batch, ["a"], point)))
+        assert np.array_equal(row, _walk_mean(model, pin(batch, ["a"], point)))
 
 
 def test_saved_forest_bytes_are_pinned_and_loading_rebuilds_every_node_array(tmp_path):
