@@ -1,4 +1,4 @@
-"""Serve any external model as a PredictionModel over a child process.
+"""Serve any external model as a PredictionModel that owns its child process.
 
 Wire protocol (newline-delimited UTF-8 on stdin/stdout):
 
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import codecs
 import collections
+import contextlib
 import csv
 import io
 import itertools
@@ -103,59 +104,99 @@ class _LineReader:
                 self.lines.append(last)
 
 
-class _Child:
-    """A spawned child. Its stdout is read through ``stdout`` on the caller's
-    thread; a daemon thread drains its stderr and keeps the last 50 lines for
-    error messages."""
+def _parse_handshake(line: str) -> tuple[tuple[str, ...], int]:
+    """The feature names and protocol of a handshake line, whose integers
+    must be JSON integers and whose names must be distinct, or SpawnError."""
+    try:
+        doc = json.loads(line)
+    except (ValueError, RecursionError):  # ValueError: also an integer past the digit limit
+        raise SpawnError(f"handshake line is not JSON: {line.strip()[:200]!r}") from None
+    fields = doc if isinstance(doc, dict) else {}
+    protocol, features = fields.get("protocol"), fields.get("features")
+    if (
+        type(protocol) is not int or protocol not in (1, 2)  # a bool or a float is no integer
+        or protocol == 2 and (type(fields.get("id")) is not int or fields["id"] != 0)
+        or not isinstance(features, list) or not features
+        or not all(isinstance(f, str) for f in features)
+    ):
+        raise SpawnError('handshake must be {"protocol": 1, "features": [...]} or {"protocol": 2, '
+                         f'"id": 0, "features": [...]}}, got {line.strip()[:200]!r}')
+    # a name given twice would fill two columns of every request from one pin
+    (name, times), = collections.Counter(features).most_common(1)
+    if times > 1:
+        raise SpawnError(f"handshake names the feature {name!r} {times} times")
+    return tuple(features), protocol
 
-    def __init__(self, process: subprocess.Popen):
-        self.process = process
-        self.stdout = _LineReader(process.stdout.fileno())
-        self.stderr: collections.deque[str] = collections.deque(maxlen=50)
+
+class ExternalModel(PredictionModel):
+    """A child process scoring batches over the line protocol. The model owns
+    the child: it spawns it, reads its handshake, talks to it and stops it,
+    and a failed handshake kills it. Its stdout is read through ``_reader`` on
+    the caller's thread; a daemon thread keeps the last 50 lines of stderr."""
+
+    def __init__(self, argv: list[str], timeout: float):
+        self.command, self.timeout = argv, timeout
+        try:
+            self._process = subprocess.Popen(argv, stdin=subprocess.PIPE,
+                                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        except OSError as exc:
+            raise SpawnError(f"cannot launch {argv}: {exc}") from None
+        os.set_blocking(self._process.stdin.fileno(), False)  # no write may outlast its deadline
+        self._reader = _LineReader(self._process.stdout.fileno())
+        self._stderr: collections.deque[str] = collections.deque(maxlen=50)
         self._stderr_pump = threading.Thread(target=self._pump_stderr, daemon=True)
         self._stderr_pump.start()
+        self._lock = threading.Lock()
+        self._failure: str | None = None
+        self._sent = 0  # requests so far; protocol 2 numbers them from 1
+        try:
+            self._names, self.protocol = self._handshake()
+        except SpawnError:
+            self._stop(kill=True)
+            raise
 
     def _pump_stderr(self):
-        with self.process.stderr as stream:
+        with self._process.stderr as stream:
             for line in stream:
-                self.stderr.append(line.decode(errors="replace").rstrip("\r\n"))
+                self._stderr.append(line.decode(errors="replace").rstrip("\r\n"))
 
-    def stderr_text(self) -> str:
-        return "\n".join(self.stderr)
+    def _stderr_text(self) -> str:
+        return "\n".join(self._stderr)
 
-    def stop(self, kill: bool = False) -> None:
+    def _handshake(self) -> tuple[tuple[str, ...], int]:
+        """Read the first line within ``timeout`` and parse it. Lines after
+        it are left for the first request's stray-line check."""
+        reader, deadline = self._reader, time.monotonic() + self.timeout
+        try:
+            while not reader.lines and not reader.eof and time.monotonic() < deadline:
+                if reader.ready(deadline - time.monotonic()):
+                    reader.read()
+        except ProtocolError as exc:
+            raise SpawnError(f"cannot read the handshake of {self.command}: {exc}") from None
+        if not reader.lines and not reader.eof:
+            raise SpawnError(f"no handshake within {self.timeout}s from {self.command}")
+        if not reader.lines:
+            self._stop()  # reap it for its exit code, and read its stderr to the end
+            raise SpawnError(f"child exited (code {self._process.returncode}) before the "
+                             f"handshake; stderr:\n{self._stderr_text()}")
+        return _parse_handshake(reader.lines.pop(0))
+
+    def _stop(self, kill: bool = False) -> None:
         """Close the child's input and output, reap it (killed at once if
         ``kill``, else after 2 s), and give the stderr thread 2 s to reach
         EOF. Closing the output before the wait makes a child that is still
         writing fail at once instead of blocking on a full pipe."""
         if kill:
-            self.process.kill()
+            self._process.kill()
+        with contextlib.suppress(OSError):  # a child that died unread leaves a broken pipe
+            self._process.stdin.close()
+        self._process.stdout.close()
         try:
-            self.process.stdin.close()
-        except OSError:
-            pass
-        self.process.stdout.close()
-        try:
-            self.process.wait(timeout=2)
+            self._process.wait(timeout=2)
         except subprocess.TimeoutExpired:
-            self.process.kill()
-            self.process.wait()
+            self._process.kill()
+            self._process.wait()
         self._stderr_pump.join(timeout=2)
-
-
-class ExternalModel(PredictionModel):
-    """A handshaken child process scoring batches over the line protocol."""
-
-    def __init__(self, command, child: _Child, feature_names, timeout, protocol):
-        self.command = command
-        self.timeout = timeout
-        self.protocol = protocol
-        self._names = tuple(feature_names)
-        self._child = child
-        self._process = child.process
-        self._lock = threading.Lock()
-        self._failure: str | None = None
-        self._sent = 0  # requests so far; protocol 2 numbers them from 1
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -171,7 +212,7 @@ class ExternalModel(PredictionModel):
                 self._stream(batch, cols, pinned, out)
             except (BridgeTimeoutError, ProtocolError) as exc:
                 self._failure = str(exc)
-                self._child.stop(kill=True)
+                self._stop(kill=True)
                 raise
         return out
 
@@ -195,8 +236,8 @@ class ExternalModel(PredictionModel):
     def _stream(self, batch: Dataset, cols: list[int], pinned: np.ndarray, out: np.ndarray):
         """Write the slab's requests as fast as the pipe takes them and read
         their answers into ``out``, in order, as they arrive."""
-        child, (total, n), tagged = self._child, out.shape, self.protocol == 2
-        reader, lines = child.stdout, child.stdout.lines
+        (total, n), tagged = out.shape, self.protocol == 2
+        reader, lines = self._reader, self._reader.lines
         if not reader.eof and reader.ready(0.0):
             reader.read()
         if lines:
@@ -225,7 +266,7 @@ class ExternalModel(PredictionModel):
                             view = view[os.write(in_fd, view):]
                         except OSError as exc:
                             raise ProtocolError(f"child closed its input: {exc}; "
-                                                f"stderr:\n{child.stderr_text()}")
+                                                f"stderr:\n{self._stderr_text()}")
                         if not view:
                             poller.unregister(in_fd)
                     else:
@@ -268,10 +309,10 @@ class ExternalModel(PredictionModel):
             del lines[:pos]
             if reader.eof and (g < total or view):
                 raise ProtocolError(f"child ended output after {i} of {n} predictions; "
-                                    f"stderr:\n{child.stderr_text()}")
+                                    f"stderr:\n{self._stderr_text()}")
 
     def close(self) -> None:
-        self._child.stop()
+        self._stop()
 
     def __enter__(self) -> "ExternalModel":
         return self
@@ -280,10 +321,8 @@ class ExternalModel(PredictionModel):
         self.close()
 
     def __del__(self):
-        try:
+        with contextlib.suppress(Exception):  # a failed launch leaves no _process
             self.close()
-        except Exception:
-            pass
 
 
 def spawn_external(command, timeout: float = 30.0) -> ExternalModel:
@@ -301,49 +340,4 @@ def spawn_external(command, timeout: float = 30.0) -> ExternalModel:
         raise SpawnError(f"cannot parse the command {command!r}: {exc}") from None
     if not argv:
         raise SpawnError("the external command is empty")
-    try:
-        process = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                   stderr=subprocess.PIPE)
-    except OSError as exc:
-        raise SpawnError(f"cannot launch {argv}: {exc}") from None
-
-    os.set_blocking(process.stdin.fileno(), False)  # a write must not outlast its deadline
-    child = _Child(process)
-    reader, deadline = child.stdout, time.monotonic() + timeout
-    try:
-        while not reader.lines and not reader.eof and time.monotonic() < deadline:
-            if reader.ready(deadline - time.monotonic()):
-                reader.read()
-    except ProtocolError as exc:
-        child.stop(kill=True)
-        raise SpawnError(f"cannot read the handshake of {argv}: {exc}") from None
-    if not reader.lines and not reader.eof:
-        child.stop(kill=True)
-        raise SpawnError(f"no handshake within {timeout}s from {argv}")
-    if not reader.lines:
-        child.stop()
-        raise SpawnError(
-            f"child exited (code {process.returncode}) before the handshake; "
-            f"stderr:\n{child.stderr_text()}"
-        )
-    line = reader.lines.pop(0)  # lines after it are left for the first request's stray check
-    try:
-        doc = json.loads(line)
-    except (json.JSONDecodeError, RecursionError):
-        child.stop(kill=True)
-        raise SpawnError(f"handshake line is not JSON: {line.strip()[:200]!r}") from None
-    if (
-        not isinstance(doc, dict)
-        or doc.get("protocol") not in (1, 2)
-        or doc["protocol"] == 2 and doc.get("id") != 0
-        or not isinstance(doc.get("features"), list)
-        or not all(isinstance(f, str) for f in doc["features"])
-        or not doc["features"]
-    ):
-        child.stop(kill=True)
-        raise SpawnError(
-            'handshake must be {"protocol": 1, "features": [...]} or '
-            f'{{"protocol": 2, "id": 0, "features": [...]}}, got {line.strip()[:200]!r}'
-        )
-    return ExternalModel(argv, child, doc["features"], timeout, int(doc["protocol"]))
-
+    return ExternalModel(argv, timeout)

@@ -172,8 +172,9 @@ def feature_axis(dataset: Dataset, name: str, strategy: GridStrategy) -> GridAxi
 
     A continuous axis honors the strategy: sorted distinct training values,
     interpolated quantiles of the distinct values, or evenly spaced points
-    over [min, max]; duplicate points collapse. A categorical axis is always
-    its full level table, in stored level order, whatever the strategy.
+    over [min, max]; duplicate points collapse, and a non-finite point (the
+    values span past float64) is a GridStrategyError. A categorical axis is
+    always its full level table, in stored level order, whatever the strategy.
     """
     feat = dataset.schema_for(name)
     if not feat.is_continuous:
@@ -185,13 +186,15 @@ def feature_axis(dataset: Dataset, name: str, strategy: GridStrategy) -> GridAxi
         raise DegenerateGridError(f"feature {name!r} has no training values")
     distinct = _distinct(col)
     if strategy.kind == "unique":
-        points = distinct
-    elif strategy.kind == "quantile":
-        probs = np.linspace(0.0, 1.0, strategy.count + 1)
-        points = _distinct(_quantiles(distinct, probs))
-    else:
-        points = _distinct(np.linspace(distinct[0], distinct[-1], strategy.count))
-    return GridAxis(name, feat.kind, points)
+        return GridAxis(name, feat.kind, distinct)
+    with np.errstate(over="ignore", invalid="ignore"):  # a span past float64's maximum
+        points = (_quantiles(distinct, np.linspace(0.0, 1.0, strategy.count + 1))
+                  if strategy.kind == "quantile"
+                  else np.linspace(distinct[0], distinct[-1], strategy.count))
+    if not np.isfinite(points).all():
+        raise GridStrategyError(f"feature {name!r} spans more than float64 can hold, so its "
+                                f"{strategy} grid has non-finite points; use the unique grid")
+    return GridAxis(name, feat.kind, _distinct(points))
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

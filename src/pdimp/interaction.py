@@ -174,7 +174,8 @@ def _snap_codes(column: np.ndarray, grid_values: np.ndarray) -> np.ndarray:
     pos = np.clip(pos, 1, len(grid_values) - 1)
     left = grid_values[pos - 1]
     right = grid_values[pos]
-    return np.where(column - left <= right - column, pos - 1, pos)
+    with np.errstate(over="ignore"):  # at most one gap overflows; the other side is nearer
+        return np.where(column - left <= right - column, pos - 1, pos)
 
 
 def _row_codes(dataset: Dataset, axis: GridAxis) -> np.ndarray:

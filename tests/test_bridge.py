@@ -29,7 +29,7 @@ from pdimp import (
     partial_dependence,
     spawn_external,
 )
-from pdimp.bridge import _LineReader
+from pdimp.bridge import _LineReader, _parse_handshake
 from pdimp.engine import ordered_mean
 
 PYTHON = sys.executable
@@ -138,6 +138,25 @@ class TestHandshake:
         cmd = _stub(tmp_path, 'print(\'{"protocol": 2, "features": ["a"]}\')\n'
                               "import time; time.sleep(5)")
         with pytest.raises(SpawnError, match="handshake"):
+            spawn_external(cmd)
+
+    @pytest.mark.parametrize("handshake", ['{"protocol": 2.0, "id": 0, "features": ["x1"]}',
+                                           '{"protocol": 1.0, "features": ["x1"]}',
+                                           '{"protocol": true, "features": ["x1"]}',
+                                           '{"protocol": 2, "id": false, "features": ["x1"]}',
+                                           '{"protocol": 2, "id": 0.0, "features": ["x1"]}'])
+    def test_protocol_and_id_must_be_json_integers(self, tmp_path, handshake):
+        cmd = _stub(tmp_path, f"print({handshake!r}, flush=True)\nimport time; time.sleep(5)")
+        started = time.monotonic()
+        with pytest.raises(SpawnError, match="handshake must be"):
+            spawn_external(cmd)
+        assert time.monotonic() - started < 4  # killed, not waited for
+
+    def test_a_feature_named_twice_is_refused_naming_it(self, tmp_path):
+        # its two columns would be filled from one pinned cell iterator
+        handshake = '{"protocol": 1, "features": ["x1", "x2", "x1"]}'
+        cmd = _stub(tmp_path, f"print({handshake!r}, flush=True)\nimport time; time.sleep(5)")
+        with pytest.raises(SpawnError, match="handshake names the feature 'x1' 2 times"):
             spawn_external(cmd)
 
     def test_handshake_timeout(self, tmp_path):
@@ -339,7 +358,7 @@ class TestFailedChild:
     def test_a_stray_line_before_a_request_is_a_protocol_error(self, tmp_path):
         with spawn_external(_stub(tmp_path, ONE_LINE_TOO_MANY)) as model:
             assert model.predict(Dataset.from_dict({"x1": [1.0, 2.0]})).tolist() == [1.0, 2.0]
-            reader, deadline = model._child.stdout, time.monotonic() + 10
+            reader, deadline = model._reader, time.monotonic() + 10
             while not reader.lines and time.monotonic() < deadline:  # a whole line, not a byte
                 if reader.ready(0.01):
                     reader.read()
@@ -622,3 +641,66 @@ def test_the_line_reader_agrees_with_universal_newline_decoding(pieces, data):
         reader.read()
         assert reader.eof
     assert reader.lines == expected
+
+
+def _accepted_handshake(line):
+    """The handshake rule written out: (features, protocol) for a line the
+    bridge must accept, None for one it must refuse."""
+    try:
+        doc = json.loads(line)
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(doc, dict):
+        return None
+    protocol, ident, features = doc.get("protocol"), doc.get("id"), doc.get("features")
+    if type(protocol) is not int or not (protocol == 1 or protocol == 2 and type(ident) is int
+                                         and ident == 0):
+        return None
+    if (type(features) is not list or not features
+            or any(type(name) is not str for name in features)
+            or len(set(features)) < len(features)):
+        return None
+    return tuple(features), protocol
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_NEAR_MISSES = st.sampled_from([0, 1, 2, 0.0, 1.0, 2.0, False, True, [], ["x1", "x1"]])
+
+
+@st.composite
+def _handshake_docs(draw):
+    """A valid handshake with any of its fields dropped, or replaced by a
+    near miss or any JSON value."""
+    doc = {"protocol": draw(st.sampled_from([1, 2])), "id": 0,
+           "features": draw(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True))}
+    for key in draw(st.sets(st.sampled_from(sorted(doc)))):
+        if draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(_NEAR_MISSES | _JSON)
+    return doc
+
+
+_HANDSHAKE_LINES = st.one_of(
+    _handshake_docs().map(json.dumps),
+    _JSON.map(json.dumps),
+    st.text(max_size=20),  # mostly not JSON
+    st.sampled_from(["[" * 10**5 + "]" * 10**5,  # past the recursion limit
+                     '{"protocol": ' * 10**5 + "1" + "}" * 10**5,
+                     '{"protocol": ' + "1" * 5000 + "}"]),  # past int's digit limit
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_HANDSHAKE_LINES)
+def test_a_handshake_parses_exactly_when_the_rule_accepts_it(line):
+    expected = _accepted_handshake(line)
+    if expected is None:
+        with pytest.raises(SpawnError):
+            _parse_handshake(line)
+    else:
+        assert _parse_handshake(line) == expected

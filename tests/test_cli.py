@@ -198,6 +198,18 @@ class TestInteract:
         assert {top[0], top[1]} == {"x1", "x2"}
 
 
+    def test_h_on_values_spanning_past_float64s_maximum(self, tmp_path, capsys):
+        # -1e308 and 1e308 are the grid of x1, so a row's gap to one of them
+        # overflows as it is snapped; RuntimeWarnings are errors here
+        data = tmp_path / "wide.csv"
+        data.write_text("x1,x2,y\n-1e308,1,0\n-5e307,2,1\n0,3,0\n5e307,4,1\n1e308,5,0\n")
+        out = tmp_path / "out"
+        assert _run("interact", "--data", data, "--target", "y", "--expr", "x1/1e300*x2",
+                    "--h-stat", "--grid", "quantile:1", "--out-dir", out) == 0
+        lines = (out / "interactions.csv").read_text().splitlines()
+        assert lines == ["feature_i,feature_j,stat_pd,stat_h", "x1,x2,200000000.0,0.0"]
+        capsys.readouterr()
+
     def test_constant_column_marks_its_pairs_degenerate(self, tmp_path, capsys):
         data = tmp_path / "flat.csv"
         data.write_text("a,b,c,y\n1,5,2,1\n2,5,3,2\n3,5,1,3\n4,5,4,4\n")
@@ -294,6 +306,19 @@ def test_manifest_holds_exactly_the_parsed_options(tmp_path, monkeypatch, capsys
     assert manifest == {"tool": "pdimp", "version": pdimp.__version__, "config": config}
 
 
+# a child that names x1 twice, then answers every row
+TWICE_NAMED = """\
+import json, os, sys
+open(sys.argv[1], "w").write(str(os.getpid()))
+print(json.dumps({"protocol": 1, "features": ["x1", "x1"]}), flush=True)
+for line in sys.stdin:
+    for _ in range(json.loads(line)["n"]):
+        sys.stdin.readline()
+        print("1.0")
+    sys.stdout.flush()
+"""
+
+
 class TestExternalAnalysis:
     def test_importance_through_a_child_equals_the_expression(self, tmp_path, monkeypatch,
                                                               capsys):
@@ -321,6 +346,23 @@ class TestExternalAnalysis:
         assert process.returncode is not None  # closed and reaped
         assert process.stdin.closed and process.stdout.closed and process.stderr.closed
         capsys.readouterr()
+
+
+    @pytest.mark.parametrize("subcommand", ["importance", "bridge-check"])
+    def test_a_handshake_naming_a_feature_twice_exits_3_and_reaps_the_child(self, tmp_path,
+                                                                             capsys, subcommand):
+        data, stub, pid_file = tmp_path / "d.csv", tmp_path / "c.py", tmp_path / "pid"
+        data.write_text("x1,y\n1,0\n2,1\n3,0\n")
+        stub.write_text(TWICE_NAMED)
+        out = tmp_path / "out"
+        extra = ["--target", "y", "--out-dir", out] if subcommand == "importance" else []
+        assert _run(subcommand, "--data", data, "--external",
+                    shlex.join([sys.executable, str(stub), str(pid_file)]), *extra) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "bridge error: handshake names the feature 'x1' 2 times\n"
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):  # reaped: not even a zombie is left
+            os.waitpid(int(pid_file.read_text()), os.WNOHANG)
 
 
 class TestFitAndReuse:
@@ -467,6 +509,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: model produced a non-finite prediction at grid point "
                               "(the baseline ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["quantile:2", "equidistant:2"])
+    def test_a_grid_past_float64s_range_exits_2_naming_the_feature(self, tmp_path, capsys,
+                                                                   grid):
+        # the interpolation between -1e308 and 1e308 overflows; RuntimeWarnings are errors here
+        data = tmp_path / "wide.csv"
+        data.write_text("x1,y\n-1e308,0\n1e308,1\n")
+        out = tmp_path / "out"
+        assert _run("pdp", "--data", data, "--target", "y", "--features", "x1", "--grid", grid,
+                    "--expr", "x1/1e300", "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: feature 'x1' spans more than float64 can hold, so its {grid} "
+                       f"grid has non-finite points; use the unique grid\n")
         assert not out.exists()
 
     def test_absurd_simulation_size_exits_2_before_drawing(self, tmp_path, capsys):

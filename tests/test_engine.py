@@ -117,6 +117,19 @@ class TestBuildGrid:
         with pytest.raises(GridStrategyError):
             build_grid(ds, ["g"], GridStrategy.equidistant(3))
 
+    @pytest.mark.parametrize("strategy", [GridStrategy.quantile(1), GridStrategy.quantile(2),
+                                          GridStrategy.equidistant(2)])
+    def test_a_grid_past_float64s_range_is_refused_naming_the_feature(self, strategy):
+        # RuntimeWarnings are errors here, so the overflow must not warn either
+        ds = Dataset.from_dict({"x1": [-1e308, 1e308]})
+        with pytest.raises(GridStrategyError, match=f"'x1' spans .* its {strategy} grid"):
+            build_grid(ds, ["x1"], strategy)
+
+    def test_quantiles_of_a_span_past_float64s_maximum_in_finite_steps(self):
+        values = [-1e308, -5e307, 0.0, 5e307, 1e308]
+        grid = build_grid(Dataset.from_dict({"x1": values}), ["x1"], GridStrategy.quantile(3))
+        assert grid.axes[0].values.tolist() == np.quantile(values, [0, 1 / 3, 2 / 3, 1]).tolist()
+
     def test_identical_pair_features_rejected(self):
         ds = Dataset.from_dict({"a": [1.0, 2.0]})
         with pytest.raises(ParameterError, match="distinct"):

@@ -23,6 +23,7 @@ from pdimp import (
 from pdimp.cli import emit_plot_data
 from pdimp.engine import Grid, ordered_mean
 from pdimp.expressions import FUNCTIONS
+from pdimp.interaction import _snap_codes
 
 
 def _expr(text, ds):
@@ -239,6 +240,12 @@ class TestHStatistic:
         assert h_statistic(model, ds, ("a", "b")) == pytest.approx(
             h_statistic(model, ds, ("b", "a")), rel=1e-12
         )
+
+    def test_snapping_across_a_gap_past_float64s_maximum(self):
+        # 1e308 - -1e308 overflows to inf, and the other side is the nearer one;
+        # RuntimeWarnings are errors here
+        column = np.array([-1e308, -1.0, 0.0, 5e307, 1e308])
+        assert _snap_codes(column, np.array([-1e308, 1e308])).tolist() == [0, 0, 0, 1, 1]
 
     def test_zero_denominator_flags_undefined(self):
         ds = Dataset.from_dict({"a": [0.0, 1.0], "b": [0.0, 1.0]})

@@ -83,7 +83,7 @@ class TestDocumentValidation:
         stub = tmp_path / "c.py"
         stub.write_text(
             'import json\nprint(json.dumps({"protocol": 1, "features": ["a"]}), flush=True)\n'
-            "import time\ntime.sleep(2)\n"
+            "import sys\nsys.stdin.read()\n"
         )
         model = spawn_external([sys.executable, str(stub)])
         try:
