@@ -59,8 +59,8 @@ def _common_flags(parser: _Parser, grid_default: str):
                                          "otherwise dropped from the feature set if present)")
     parser.add_argument("--grid", default=grid_default,
                         help="unique | quantile:Q | equidistant:K, Q and K at most "
-                             f"{MAX_GRID_COUNT}, and at most {MAX_GRID_COUNT} points "
-                             "in a pair's grid (default %(default)s)")
+                             f"{MAX_GRID_COUNT} and at most {MAX_GRID_COUNT} points in a grid; "
+                             "a categorical grid is its level table (default %(default)s)")
     parser.add_argument("--workers", type=int, default=1,
                         help="threads scoring slabs of grid points, at most one per slab "
                              "and per available CPU; results do not depend on this")

@@ -148,23 +148,14 @@ class Grid:
 
 
 def build_grid(dataset: Dataset, features: Sequence[str], strategy: GridStrategy) -> Grid:
-    """Evaluation grid over 1 or 2 features, each axis as :func:`feature_axis`
-    builds it; a categorical feature only accepts the ``unique`` strategy.
-    """
+    """Evaluation grid over 1 or 2 distinct features, each axis as :func:`feature_axis`
+    builds it: a categorical axis is its level table whatever the strategy."""
     features = list(features)
     if not 1 <= len(features) <= 2:
         raise ParameterError("grids cover one or two features")
     if len(set(features)) != len(features):
         raise ParameterError(f"grid features must be distinct, got {features}")
-    axes = []
-    for name in features:
-        if strategy.kind != "unique" and not dataset.schema_for(name).is_continuous:
-            raise GridStrategyError(
-                f"{strategy} grid is not defined for categorical feature {name!r}; "
-                "its grid is the level table"
-            )
-        axes.append(feature_axis(dataset, name, strategy))
-    return Grid(tuple(axes), strategy)
+    return Grid(tuple(feature_axis(dataset, name, strategy) for name in features), strategy)
 
 
 def feature_axis(dataset: Dataset, name: str, strategy: GridStrategy) -> GridAxis:
@@ -373,7 +364,7 @@ def _check_finite(values: np.ndarray, dataset, features, points, message: str) -
 
 def _score_points(model, dataset, features, points, workers, reduce) -> np.ndarray:
     """The training-set predictions at every grid point, reduced to one
-    value per point, as an array.
+    value per point, as an array; a dataset with no rows is a ParameterError.
 
     Points go to ``model.predict_grid`` in slabs of consecutive points,
     each at most ``_SLAB_ELEMENTS`` points x rows (one point at least), so
@@ -386,6 +377,8 @@ def _score_points(model, dataset, features, points, workers, reduce) -> np.ndarr
     Slabs run on min(``workers``, slabs, CPUs available to the process)
     threads; with one, the calling thread scores them and no pool starts.
     """
+    if dataset.n_rows == 0:
+        raise ParameterError("cannot average over an empty dataset")
     features = list(features)
     for name in features:
         dataset.schema_for(name)
@@ -422,8 +415,6 @@ def pd_values_at(model: PredictionModel, dataset: Dataset, features: Sequence[st
     they are scored; a value that is not finite raises NonFiniteError.
     """
     reduce = reducer(aggregator)
-    if dataset.n_rows == 0:
-        raise ParameterError("cannot average over an empty dataset")
     return _score_points(model, dataset, features, points, workers,
                          lambda start, block: reduce(block))
 

@@ -50,7 +50,7 @@ class ExpressionError(PdimpError):
 
 
 class GridStrategyError(PdimpError):
-    """Requested grid strategy is not valid for the feature kind."""
+    """The grid strategy cannot give a feature finite points."""
 
 
 class DegenerateGridError(PdimpError):

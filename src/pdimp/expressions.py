@@ -133,6 +133,9 @@ class _Parser:
         kind, value, pos = self.peek()
         self.index += 1
         if kind == "num":
+            if math.isinf(float(value)):
+                raise ExpressionError(f"number {value} at position {pos} is beyond float64",
+                                      position=pos)
             self.program.append(float(value))
         elif kind == "name" and self.take("("):
             self.call(value, pos)

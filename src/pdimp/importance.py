@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CATEGORICAL, Dataset
-from .engine import GridStrategy, PDResult, feature_axis, pd_values_at, reducer
+from .engine import GridStrategy, PDResult, build_grid, pd_values_at, reducer
 from .errors import DegenerateGridError, NonFiniteError, ParameterError
 from .models import PredictionModel
 
@@ -157,9 +157,9 @@ def importance_all(model: PredictionModel, dataset: Dataset,
                    aggregator: str = "mean") -> ImportanceReport:
     """One partial dependence pass and one score per feature.
 
-    The strategy applies to continuous features; a categorical grid is its
-    level table regardless. A feature with fewer than two grid points (a
-    constant column) cannot support a spread and scores 0 with a
+    Each feature's grid is :func:`build_grid`'s: a categorical grid is its
+    level table whatever the strategy. A feature with fewer than two grid
+    points (a constant column) cannot support a spread and scores 0 with a
     ``degenerate`` flag instead of failing the whole report.
     """
     if dataset.n_rows < 2:
@@ -171,13 +171,13 @@ def importance_all(model: PredictionModel, dataset: Dataset,
         grid_strategy = GridStrategy.unique()
     entries = []
     for name in dataset.feature_names:
-        axis = feature_axis(dataset, name, grid_strategy)
-        used = measure_for(axis.kind, measure)
-        if len(axis) < 2:
-            entries.append(ImportanceEntry(name, 0.0, used, len(axis), degenerate=True))
+        grid = build_grid(dataset, [name], grid_strategy)
+        used = measure_for(grid.axes[0].kind, measure)
+        if grid.size < 2:
+            entries.append(ImportanceEntry(name, 0.0, used, grid.size, degenerate=True))
             continue
-        values = pd_values_at(model, dataset, [name], axis.values[:, None], workers, aggregator)
-        entries.append(ImportanceEntry(name, spread(values, used), used, len(axis)))
+        values = pd_values_at(model, dataset, [name], grid.points(), workers, aggregator)
+        entries.append(ImportanceEntry(name, spread(values, used), used, grid.size))
     ranked = sorted(entries, key=lambda e: -e.score)
     return ImportanceReport(tuple(ranked), str(grid_strategy), aggregator)
 

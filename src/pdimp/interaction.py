@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import CATEGORICAL, Dataset
-from .engine import Grid, GridAxis, GridStrategy, feature_axis, ordered_mean, pd_values_at
+from .engine import Grid, GridAxis, GridStrategy, build_grid, ordered_mean, pd_values_at
 from .errors import DegenerateGridError, NonFiniteError, ParameterError
 from .importance import SAMPLE_SD, measure_for, sample_sd, spread
 from .models import PredictionModel
@@ -153,10 +153,6 @@ def check_pairs(dataset: Dataset,
     return checked
 
 
-def _pair_grid(dataset: Dataset, pair: tuple[str, str], strategy: GridStrategy) -> Grid:
-    return Grid(tuple(feature_axis(dataset, name, strategy) for name in pair), strategy)
-
-
 def _pair_statistics(grid: Grid, table: np.ndarray) -> PairStatistics:
     """Both directional spreads and their mean; a pair with a one-point axis
     has no slices to compare and scores 0 with a ``degenerate`` flag."""
@@ -233,7 +229,7 @@ def h_statistic(model: PredictionModel, dataset: Dataset, pair: Sequence[str],
     if grid_strategy is None:
         grid_strategy = GridStrategy.unique()
     (pair,) = check_pairs(dataset, [pair])
-    grid = _pair_grid(dataset, pair, grid_strategy)
+    grid = build_grid(dataset, pair, grid_strategy)
     needed, where = np.unique(_row_cells(dataset, grid), return_inverse=True)
     a, b = grid.axes
     i, j = np.divmod(needed, grid.shape[1])
@@ -262,7 +258,7 @@ def interaction_matrix(model: PredictionModel, dataset: Dataset,
     marginals: dict[str, np.ndarray] = {}  # feature -> marginal PD at each row, for H
     results = []
     for pair in check_pairs(dataset, pairs):
-        grid = _pair_grid(dataset, pair, grid_strategy)
+        grid = build_grid(dataset, pair, grid_strategy)
         table = pd_values_at(model, dataset, pair, grid.points(), workers).reshape(grid.shape)
         stat = _pair_statistics(grid, table)
         if include_h:

@@ -174,6 +174,18 @@ class TestPdpAndIce:
         assert code == 0
         assert (out / "pd.csv").read_text().splitlines()[0] == "x4,pd"
 
+    def test_mixed_pair_pd_takes_the_level_table_under_a_quantile_grid(self, tmp_path):
+        data = tmp_path / "mixed.csv"
+        data.write_text("x1,g,y\n" + "".join(f"{i / 40},{'abc'[i % 3]},{i % 7}\n"
+                                                for i in range(40)))
+        out = tmp_path / "pd"
+        assert _run("pdp", "--data", data, "--target", "y", "--model", "linear",
+                    "--features", "x1,g", "--grid", "quantile:5", "--out-dir", out) == 0
+        doc = json.loads((out / "pd.json").read_text())
+        assert doc["points"]["g"] == ["a", "b", "c"]
+        assert len(doc["points"]["x1"]) == 6
+        assert len((out / "pd.csv").read_text().splitlines()) == 1 + 6 * 3
+
     def test_ice_long_format_shape(self, friedman_csv, tmp_path):
         out = tmp_path / "ice"
         code = _run("ice", "--data", friedman_csv, "--target", "y", "--expr", ORACLE,
@@ -509,6 +521,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: model produced a non-finite prediction at grid point "
                               "(the baseline ")
+        assert not out.exists()
+
+    def test_a_number_past_float64_in_the_expression_exits_2(self, friedman_csv, tmp_path,
+                                                              capsys):
+        out = tmp_path / "out"
+        assert _run("importance", "--data", friedman_csv, "--target", "y",
+                    "--expr", "x1^1e400", "--out-dir", out) == 2
+        assert "number 1e400 at position 3 is beyond float64" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["quantile:2", "equidistant:2"])

@@ -110,12 +110,14 @@ class TestBuildGrid:
         np.testing.assert_array_equal(grid.axes[0].values, [0, 1, 2])
         assert grid.axes[0].labels == ("a", "b", "c")
 
-    def test_quantile_strategy_on_categorical_is_an_error(self):
-        ds = Dataset.from_dict({"g": ["a", "b"]})
-        with pytest.raises(GridStrategyError):
-            build_grid(ds, ["g"], GridStrategy.quantile(10))
-        with pytest.raises(GridStrategyError):
-            build_grid(ds, ["g"], GridStrategy.equidistant(3))
+    @pytest.mark.parametrize("strategy", [GridStrategy.unique(), GridStrategy.quantile(10),
+                                          GridStrategy.equidistant(3)], ids=str)
+    def test_categorical_axis_is_the_level_table_under_every_strategy(self, strategy):
+        ds = Dataset.from_dict({"x": [0.5, 1.5, 2.5, 3.5], "g": ["b", "a", "b", "c"]})
+        grid = build_grid(ds, ["x", "g"], strategy)
+        np.testing.assert_array_equal(grid.axes[1].values, [0, 1, 2])
+        assert grid.axes[1].labels == ("b", "a", "c")  # first-appearance order
+        assert grid.strategy == strategy
 
     @pytest.mark.parametrize("strategy", [GridStrategy.quantile(1), GridStrategy.quantile(2),
                                           GridStrategy.equidistant(2)])
@@ -347,6 +349,14 @@ class TestIceCurves:
         grid = build_grid(ds, ["a", "b"], GridStrategy.unique())
         with pytest.raises(ParameterError, match="single"):
             ice_curves(_expr("a + b", ds), ds, grid)
+
+    def test_zero_rows_are_refused_like_the_pd(self):
+        ds = Dataset.from_dict({"x": [1.0, 2.0], "g": ["u", "v"]})
+        grid = build_grid(ds, ["g"], GridStrategy.unique())
+        model = _expr("x", ds)
+        for analysis in (partial_dependence, ice_curves):
+            with pytest.raises(ParameterError, match="empty dataset"):
+                analysis(model, ds.take([]), grid)
 
 
 class TestJointPartialDependence:

@@ -97,6 +97,12 @@ class TestErrors:
         with pytest.raises(ExpressionError, match="empty"):
             parse_expression("   ", SCHEMA)
 
+    def test_a_number_past_float64_is_refused_at_its_position(self):
+        with pytest.raises(ExpressionError, match="1e400") as err:
+            parse_expression("x + 1e400", (FeatureSchema("x", CONTINUOUS),))
+        assert err.value.position == 4
+        assert _eval_at("1e-400")[0] == 0.0
+
     def test_stray_character(self):
         with pytest.raises(ExpressionError) as err:
             parse_expression("1 + $2", SCHEMA)

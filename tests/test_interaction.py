@@ -18,12 +18,13 @@ from pdimp import (
     h_statistic,
     interaction_matrix,
     parse_expression,
+    partial_dependence,
     pd_interaction,
 )
 from pdimp.cli import emit_plot_data
 from pdimp.engine import Grid, ordered_mean
 from pdimp.expressions import FUNCTIONS
-from pdimp.interaction import _snap_codes
+from pdimp.interaction import _pair_statistics, _snap_codes
 
 
 def _expr(text, ds):
@@ -164,6 +165,22 @@ class TestInteractionMatrix:
                                 "c": [2.0, 1.0, 0.0]})
         with pytest.raises(ParameterError, match="requested twice"):
             interaction_matrix(_expr("a*b*c", ds), ds, pairs)
+
+    @pytest.mark.parametrize("strategy", [GridStrategy.unique(), GridStrategy.quantile(10),
+                                          GridStrategy.equidistant(4)], ids=str)
+    def test_a_mixed_pair_scores_the_table_its_pd_reports(self, strategy):
+        # the pair's grid is build_grid's, whatever the strategy: g's axis is its levels
+        rng = np.random.default_rng(11)
+        g = rng.choice(["u", "v", "w"], size=40)
+        x = rng.uniform(size=40)
+        ds = Dataset.from_dict({"x": x, "g": g, "y": x * (g == "v") - x * (g == "w")})
+        model = fit_bagged_trees(ds, "y", n_trees=5, max_depth=3, min_leaf=2, seed=3)
+        features = ds.drop("y")
+        pd = partial_dependence(model, features, build_grid(features, ["x", "g"], strategy))
+        assert pd.grid.shape[1] == 3
+        (stat,) = interaction_matrix(model, features, [("x", "g")], strategy).pairs
+        assert stat == _pair_statistics(pd.grid, pd.value_matrix())
+        assert stat.stat_pd > 0
 
     def test_stat_pd_is_mean_of_directional_components(self):
         rng = np.random.default_rng(9)
