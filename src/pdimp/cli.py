@@ -8,6 +8,13 @@ simulate and the four analyses) also writes a manifest through
 ``_write_manifest``: the tool version and the parsed command line, every
 option of the subcommand that holds a value, defaults included. Nothing
 records a time, so identical command lines produce byte-identical outputs.
+
+Start-up is most of a short command's time, so this module imports at
+module level only what parsing and reporting need: ``data``, ``errors``
+and ``limits``, which holds the bounds the help text prints. Each
+subcommand handler, and each model source, imports the modules it runs:
+``simulate`` loads no analysis module, and only ``--external`` and
+``bridge-check`` load ``bridge`` with its ``subprocess``.
 """
 
 from __future__ import annotations
@@ -17,19 +24,12 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .bridge import spawn_external
 from .data import Dataset, load_csv, write_csv, write_json
-from .engine import (MAX_GRID_COUNT, GridStrategy, build_grid, ice_curves, partial_dependence,
-                     reducer)
-from .errors import BridgeError, ParameterError, PdimpError, UsageError
-from .importance import MEASURES, ImportanceReport, importance_all
-from .interaction import check_pairs, interaction_matrix
-from .models import fit_knn, fit_linear
-from .serialize import load_model, save_model
-from .simulate import MAX_SIMULATION_ROWS, SimulationSpec, generate
-from .expressions import parse_expression
-from .trees import fit_bagged_trees
+from .errors import BridgeError, NonFiniteError, ParameterError, PdimpError, UsageError
+from .limits import MAX_GRID_COUNT, MAX_SIMULATION_ROWS, MEASURES
 
 SUBCOMMANDS = ("fit", "importance", "pdp", "ice", "interact", "simulate", "bridge-check")
 # the most rows bridge-check may probe with; without --data it builds them all
@@ -144,10 +144,16 @@ def _resolve_model(args, features: Dataset, full: Dataset):
     if sum(bool(getattr(args, s)) for s in ("model", "expr", "external", "model_file")) != 1:
         raise UsageError("give exactly one of --model, --expr, --external, --model-file")
     if args.expr:
+        from .expressions import parse_expression
+
         return parse_expression(args.expr, features.schema)
     if args.external:
+        from .bridge import spawn_external
+
         return spawn_external(args.external, timeout=args.timeout)
     if args.model_file:
+        from .serialize import load_model
+
         return load_model(args.model_file)
     return _fit_builtin(args.model, args.target, full)
 
@@ -158,12 +164,18 @@ def _fit_builtin(spec: str, target: str | None, full: Dataset):
     if target is None:
         raise UsageError(f"--target is required to fit the builtin {kind!r} model")
     if kind == "linear":
+        from .models import fit_linear
+
         _reject_params(params, ())
         return fit_linear(full, target)
     if kind == "knn":
+        from .models import fit_knn
+
         _reject_params(params, ("k",))
         return fit_knn(full, target, params.get("k", 5))
     if kind == "bagged":
+        from .trees import fit_bagged_trees
+
         _reject_params(params, ("n_trees", "max_depth", "min_leaf", "seed"))
         return fit_bagged_trees(full, target, **params)
     raise UsageError(f"unknown builtin model kind {kind!r}")
@@ -235,6 +247,8 @@ def _write_manifest(path, args) -> None:
 
 
 def _cmd_fit(args) -> int:
+    from .serialize import save_model
+
     _, full = _load_features(args)
     model = _fit_builtin(args.model, args.target, full)
     out_dir = Path(args.out_dir)
@@ -255,6 +269,8 @@ def _analyse(args, basename: str, analysis, summary, check_names=None) -> int:
     external model afterwards), writes the result and the manifest, and
     prints ``summary(result)``.
     """
+    from .engine import GridStrategy, reducer
+
     formats = _formats(args.formats)
     strategy = GridStrategy.parse(args.grid)
     if "aggregator" in args:
@@ -274,6 +290,8 @@ def _analyse(args, basename: str, analysis, summary, check_names=None) -> int:
 
 
 def _cmd_importance(args) -> int:
+    from .importance import ImportanceReport, importance_all
+
     def analysis(model, features, strategy):
         return importance_all(model, features, strategy, args.measure,
                               workers=args.workers, aggregator=args.aggregator)
@@ -282,6 +300,8 @@ def _cmd_importance(args) -> int:
 
 
 def _cmd_pdp(args) -> int:
+    from .engine import build_grid, partial_dependence
+
     names = [n.strip() for n in args.features.split(",") if n.strip()]
     if len(names) not in (1, 2):
         raise UsageError("--features takes one name or two comma-separated names")
@@ -300,6 +320,8 @@ def _cmd_pdp(args) -> int:
 
 
 def _cmd_ice(args) -> int:
+    from .engine import build_grid, ice_curves
+
     def analysis(model, features, strategy):
         grid = build_grid(features, [args.feature], strategy)
         return ice_curves(model, features, grid, workers=args.workers)
@@ -312,6 +334,8 @@ def _cmd_ice(args) -> int:
 
 
 def _cmd_interact(args) -> int:
+    from .interaction import check_pairs, interaction_matrix
+
     pairs = None
     if args.pairs is not None:  # --pairs "" names one bad pair, not every pair
         pairs = []
@@ -331,6 +355,8 @@ def _cmd_interact(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulate import SimulationSpec, generate
+
     spec = SimulationSpec(args.kind, args.n, args.seed, args.sigma,
                           args.beta0, args.beta1, args.beta2)
     dataset = generate(spec)
@@ -343,6 +369,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bridge_check(args) -> int:
+    from .bridge import spawn_external
+
     model = spawn_external(args.external, timeout=args.timeout)
     try:
         print(f"handshake ok: protocol {model.protocol}, features {list(model.feature_names)}")
@@ -358,6 +386,10 @@ def _cmd_bridge_check(args) -> int:
                 {name: [0.0] * args.rows for name in model.feature_names}
             )
         preds = model.predict(probe)
+        bad = np.flatnonzero(~np.isfinite(preds))
+        if bad.size:  # the analyses refuse such a prediction too
+            raise NonFiniteError(f"model produced a non-finite prediction ({preds[bad[0]]:g}) "
+                                 f"at probe row {bad[0] + 1} of {len(preds)}")
         print(f"probe ok: {len(preds)} predictions, first {preds[: min(3, len(preds))]}")
     finally:
         model.close()

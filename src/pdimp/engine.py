@@ -26,7 +26,6 @@ scored and checked like any other.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Sequence
@@ -40,17 +39,12 @@ from .errors import (
     NonFiniteError,
     ParameterError,
 )
+from .limits import MAX_GRID_COUNT
 from .models import PredictionModel
 
 # grid points x rows predictions held per slab; a memory cap only,
 # results do not depend on it
 _SLAB_ELEMENTS = 1 << 16
-
-
-# the largest count a quantile or equidistant grid may ask for, and the most
-# points a grid may list; an axis allocates about count + 1 floats before
-# duplicate points collapse
-MAX_GRID_COUNT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -401,6 +395,8 @@ def _score_points(model, dataset, features, points, workers, reduce) -> np.ndarr
         for start in starts:
             score(start)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(score, starts))  # raises the first slab's error, in point order
     return out

@@ -17,12 +17,10 @@ import numpy as np
 from .data import CATEGORICAL, Dataset
 from .engine import GridStrategy, PDResult, build_grid, pd_values_at, reducer
 from .errors import DegenerateGridError, NonFiniteError, ParameterError
+from .limits import MEASURES
 from .models import PredictionModel
 
-SAMPLE_SD = "sd"
-MAD = "mad"
-RANGE_OVER_4 = "range4"
-MEASURES = (SAMPLE_SD, MAD, RANGE_OVER_4)
+SAMPLE_SD, MAD, RANGE_OVER_4 = MEASURES
 
 
 def _finite(measure: str, score) -> float:

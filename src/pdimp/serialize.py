@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from .data import FeatureSchema, write_json
 from .errors import ParameterError
-from .expressions import ExpressionModel, parse_expression
 from .models import KnnModel, LinearModel, PredictionModel
-from .trees import BaggedTreesModel, _check_parameters, _FlatForest
 
 FORMAT = 1
 
@@ -74,8 +73,16 @@ def _schema_from_json(docs: list) -> tuple[FeatureSchema, ...]:
     return tuple(schema)
 
 
-def _trees_to_json(model: BaggedTreesModel) -> list[dict]:
-    """Each tree as nested node documents, built from the last slot back."""
+def _loaded_instance(model, module: str, name: str) -> bool:
+    """``isinstance(model, <module>.<name>)`` without importing ``module``:
+    while it is not loaded, no instance of its classes can exist."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return loaded is not None and isinstance(model, getattr(loaded, name))
+
+
+def _trees_to_json(model) -> list[dict]:
+    """Each tree of a ``BaggedTreesModel`` as nested node documents, built
+    from the last slot back."""
     flat, schema = model._flat, model._feature_schema
     docs = [None] * len(flat.value)
     for i in reversed(range(len(docs))):
@@ -140,11 +147,11 @@ def model_to_json(model: PredictionModel) -> dict:
         kind, fields = "knn", {"k": model.k, "train": model.train.tolist(),
                                "targets": model.targets.tolist(),
                                "scales": model.scales.tolist()}
-    elif isinstance(model, BaggedTreesModel):
+    elif _loaded_instance(model, "trees", "BaggedTreesModel"):
         kind, fields = "bagged_trees", {"n_trees": model.n_trees, "max_depth": model.max_depth,
                                         "min_leaf": model.min_leaf, "seed": model.seed,
                                         "trees": _trees_to_json(model)}
-    elif isinstance(model, ExpressionModel):
+    elif _loaded_instance(model, "expressions", "ExpressionModel"):
         kind, fields = "expression", {"source": model.source}
     else:
         raise ParameterError(f"{type(model).__name__} does not serialize to JSON")
@@ -176,6 +183,8 @@ def model_from_json(doc: dict) -> PredictionModel:
             )
         return KnnModel(_field(doc, "k", int, where), schema, train, targets, scales)
     if kind == "bagged_trees":
+        from .trees import BaggedTreesModel, _check_parameters, _FlatForest
+
         trees = _field(doc, "trees", list, where)
         n_trees, max_depth, min_leaf, seed = (
             _field(doc, key, int, where) for key in ("n_trees", "max_depth", "min_leaf", "seed")
@@ -186,6 +195,8 @@ def model_from_json(doc: dict) -> PredictionModel:
         forest = _FlatForest(schema, trees, lambda doc, _: _tree_node(doc, schema))
         return BaggedTreesModel(schema, forest, n_trees, max_depth, min_leaf, seed)
     if kind == "expression":
+        from .expressions import parse_expression
+
         return parse_expression(_field(doc, "source", str, where), schema)
     raise ParameterError(f"unknown model kind {kind!r}")
 

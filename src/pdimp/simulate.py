@@ -33,13 +33,10 @@ import numpy as np
 
 from .data import CONTINUOUS, Dataset, FeatureSchema
 from .errors import ParameterError
+from .limits import MAX_SIMULATION_ROWS
 
 LINEAR = "linear"
 FRIEDMAN = "friedman"
-
-# the most rows a simulation may ask for; a Friedman dataset of this many
-# rows holds 11 float64 columns, 0.88 GB
-MAX_SIMULATION_ROWS = 10_000_000
 
 
 @dataclass(frozen=True)

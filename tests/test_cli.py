@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import pdimp
+import pdimp.bridge as bridge_module
 import pdimp.cli as cli_module
+import pdimp.trees as trees_module
 from pdimp.cli import main
 from pdimp.engine import MAX_GRID_COUNT
 from pdimp.simulate import MAX_SIMULATION_ROWS
@@ -337,13 +339,13 @@ class TestExternalAnalysis:
         data = tmp_path / "linear.csv"
         assert _run("simulate", "--kind", "linear", "--n", "60", "--seed", "3",
                     "--out", data) == 0
-        spawned, spawn_external = [], cli_module.spawn_external
+        spawned, spawn_external = [], bridge_module.spawn_external
 
         def spawn(*args, **kwargs):
             spawned.append(spawn_external(*args, **kwargs))
             return spawned[-1]
 
-        monkeypatch.setattr(cli_module, "spawn_external", spawn)
+        monkeypatch.setattr(bridge_module, "spawn_external", spawn)
         outs = {}
         for source in (["--external", _linear_child(tmp_path)],
                        ["--expr", "1 + 3*x1 - 5*x2"]):
@@ -415,6 +417,24 @@ class TestBridgeCheck:
                     "--data", data, "--rows", "2") == 0
         assert "probe ok: 2 predictions, first [2. 1.]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("answer", ["nan", "inf"])
+    def test_a_non_finite_prediction_exits_2_naming_its_row(self, tmp_path, capsys, answer):
+        stub = tmp_path / "c.py"
+        stub.write_text(
+            "import json, sys\n"
+            'print(json.dumps({"protocol": 1, "features": ["x1"]}), flush=True)\n'
+            "for line in sys.stdin:\n"
+            "    for i in range(json.loads(line)[\"n\"]):\n"
+            "        sys.stdin.readline()\n"
+            f"        print({answer!r} if i == 1 else '1.5')\n"
+            "    sys.stdout.flush()\n"
+        )
+        assert _run("bridge-check", "--external", f"{sys.executable} {stub}") == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: model produced a non-finite prediction ({answer}) "
+                                "at probe row 2 of 3\n")
+        assert "probe ok" not in captured.out
+
     @pytest.mark.parametrize("rows", ["0", "-5"])
     def test_probe_of_no_rows_is_a_usage_error(self, tmp_path, capsys, rows):
         assert _run("bridge-check", "--external", _linear_child(tmp_path), "--rows", rows) == 1
@@ -425,13 +445,13 @@ class TestBridgeCheck:
                                                                   capsys):
         data = tmp_path / "empty.csv"
         data.write_text("x1,x2\n")
-        spawned, spawn_external = [], cli_module.spawn_external
+        spawned, spawn_external = [], bridge_module.spawn_external
 
         def spawn(*args, **kwargs):
             spawned.append(spawn_external(*args, **kwargs))
             return spawned[-1]
 
-        monkeypatch.setattr(cli_module, "spawn_external", spawn)
+        monkeypatch.setattr(bridge_module, "spawn_external", spawn)
         with pytest.warns(UserWarning, match="CSV body is empty"):
             assert _run("bridge-check", "--external", _linear_child(tmp_path),
                         "--data", data) == 2
@@ -838,7 +858,7 @@ class TestExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("the model was fitted")
 
-        monkeypatch.setattr(cli_module, "fit_bagged_trees", never)
+        monkeypatch.setattr(trees_module, "fit_bagged_trees", never)
         marker = tmp_path / "spawned"
         child = shlex.join([sys.executable, "-c", f"open({str(marker)!r}, 'w')"])
         out = tmp_path / "out"
@@ -884,7 +904,7 @@ class TestExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("the model was fitted")
 
-        monkeypatch.setattr(cli_module, "fit_bagged_trees", never)
+        monkeypatch.setattr(trees_module, "fit_bagged_trees", never)
         marker = tmp_path / "spawned"
         child = shlex.join([sys.executable, "-c", f"open({str(marker)!r}, 'w')"])
         out = tmp_path / "out"

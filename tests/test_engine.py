@@ -1,5 +1,6 @@
 """Grid construction and the partial dependence estimator."""
 
+import concurrent.futures
 import io
 import math
 import os
@@ -670,7 +671,7 @@ def test_the_pool_starts_at_most_one_thread_per_slab_and_per_cpu(monkeypatch, cp
     ds = Dataset.from_dict({"a": np.arange(3.0), "b": np.ones(3)})
     points = [(float(v), 0.5) for v in range(7)]
     monkeypatch.setattr(engine_module, "_SLAB_ELEMENTS", 3)  # a slab per point
-    monkeypatch.setattr(engine_module, "ThreadPoolExecutor", _PoolRecorder)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _PoolRecorder)
     monkeypatch.setattr(_PoolRecorder, "sizes", [])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     values = pd_values_at(_SlabRecorder(ds.schema), ds, ["a", "b"], points, workers=10**6)
