@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -187,11 +188,20 @@ def _reject_params(params: dict, allowed: tuple[str, ...]):
         raise UsageError(f"unknown model parameters {sorted(extra)}; allowed: {list(allowed)}")
 
 
+def _load_rows(path) -> Dataset:
+    """The CSV at ``path``, refused if it holds no data rows: an error, not
+    the warning ``load_csv`` gives library callers for it."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "CSV body is empty", UserWarning)
+        full = load_csv(path)
+    if full.n_rows == 0:
+        raise ParameterError(f"{path} holds no data rows")
+    return full
+
+
 def _load_features(args) -> tuple[Dataset, Dataset]:
     """(feature dataset, full dataset); the target column is excluded from features."""
-    full = load_csv(args.data)
-    if full.n_rows == 0:  # its columns would pass for categorical ones with no levels
-        raise ParameterError(f"{args.data} holds no data rows to analyse")
+    full = _load_rows(args.data)
     if args.target:
         features, _ = full.split_target(args.target)
     else:
@@ -375,9 +385,7 @@ def _cmd_bridge_check(args) -> int:
     try:
         print(f"handshake ok: protocol {model.protocol}, features {list(model.feature_names)}")
         if args.data:
-            full = load_csv(args.data)
-            if full.n_rows == 0:
-                raise ParameterError(f"{args.data} holds no data rows to probe with")
+            full = _load_rows(args.data)
             probe = full.select(model.feature_names).take(
                 range(min(args.rows, full.n_rows))
             )

@@ -74,10 +74,11 @@ class _Parser:
     a float or a feature name pushes a value, a callable in ``_BINARY_STEPS``
     pops two, and any other callable maps the top value."""
 
-    def __init__(self, text: str, variables: set[str]):
+    def __init__(self, text: str, schema: Sequence[FeatureSchema]):
         self.text = text
         self.tokens = _tokenize(text)
-        self.variables = variables
+        self.variables = {f.name for f in schema if f.is_continuous}
+        self.pi_is_a_feature = any(f.name == "pi" for f in schema)
         self.index = 0
         self.program = []
 
@@ -140,6 +141,9 @@ class _Parser:
         elif kind == "name" and self.take("("):
             self.call(value, pos)
         elif kind == "name" and value == "pi":
+            if self.pi_is_a_feature:
+                raise ExpressionError(f"'pi' at position {pos} names both the constant and a "
+                                      "feature", position=pos)
             self.program.append(math.pi)
         elif kind == "name":
             if value not in self.variables:
@@ -181,7 +185,6 @@ class ExpressionModel(PredictionModel):
         self._feature_schema = tuple(schema)
         self.source = source
         self.program = program
-        self.variables = {step for step in program if isinstance(step, str)}
 
     def _grid(self, batch: Dataset, cols: list[int], pinned: np.ndarray) -> np.ndarray:
         """The program run once over the slab: a pinned variable is a (points x
@@ -206,8 +209,7 @@ def parse_expression(text: str, schema: Sequence[FeatureSchema]) -> ExpressionMo
     """Compile formula text against a schema. Variables must name continuous features."""
     if not text.strip():
         raise ExpressionError("empty expression", position=0)
-    continuous = {f.name for f in schema if f.is_continuous}
-    parser = _Parser(text, continuous)
+    parser = _Parser(text, schema)
     try:
         program = parser.parse()
     except RecursionError:

@@ -4,11 +4,12 @@ Every model maps a batch of rows to one float64 prediction per row,
 deterministically and row-independently, which is all the partial
 dependence machinery requires of it. ``predict_grid`` scores the rows with
 one or two features pinned to each of a slab of grid points, the rows of a
-(points x pinned features) array, a categorical value as its level code.
-It checks its arguments once and hands ``_grid`` the pinned columns and a
-float64 copy of the points; ``_grid`` never writes into the points it is
-given. ``_grid`` is every model's one kernel, and ``predict`` is its point
-that pins nothing.
+(points x pinned features) array. Every value is a finite number, or a
+categorical feature's level code. ``predict_grid`` checks that once, so no
+kernel meets NaN, inf or a code outside the level table, and hands ``_grid``
+the pinned columns and a float64 copy of the points; ``_grid`` never writes
+into the points it is given. ``_grid`` is every model's one kernel, and
+``predict`` is its point that pins nothing.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ class PredictionModel:
     def predict_grid(self, batch: Dataset, features: Sequence[str], points) -> np.ndarray:
         """Predictions with ``features`` pinned to each point: one row per point.
 
-        ``points`` holds one row of values per point, one value per named
-        feature (a categorical value as its level code, a whole number in
-        [0, levels)). Row ``g`` equals ``predict`` on ``batch`` with each
-        named column overwritten by the constant ``points[g]`` value, bit
-        for bit. The block is a new array, the caller's to overwrite.
+        ``points`` holds one row per point, one value per named feature: a
+        finite number, or a level code (a whole number in [0, levels)) for a
+        categorical one; any other raises ``ParameterError``. Row ``g`` equals
+        ``predict`` on ``batch`` with the named columns set to ``points[g]``
+        (a batch ``Dataset`` accepts), bit for bit. The block is new, the caller's.
         """
         if len(set(features)) != len(features):
             raise ParameterError(f"grid features must be distinct, got {list(features)}")
@@ -64,9 +65,12 @@ class PredictionModel:
         except ValueError:
             raise ParameterError(f"each grid point must hold one number per pinned feature "
                                  f"{list(features)}") from None
-        for codes, feat in zip(pinned.T, schemas):
+        for values, feat in zip(pinned.T, schemas):
+            if feat.is_continuous and not np.isfinite(values).all():
+                raise ParameterError(f"grid values of continuous feature {feat.name!r} must be "
+                                     f"finite, got {values[~np.isfinite(values)][0]}")
             if not feat.is_continuous and not np.all(
-                    (codes >= 0) & (codes < len(feat.levels)) & (np.floor(codes) == codes)):
+                    (values >= 0) & (values < len(feat.levels)) & (np.floor(values) == values)):
                 raise ParameterError(f"grid values of categorical feature {feat.name!r} must be "
                                      f"level codes 0 to {len(feat.levels) - 1}")
         return self._grid(batch, cols, pinned)
@@ -142,8 +146,8 @@ class KnnModel(PredictionModel):
     pinned terms of a point gives each training row a distance that differs
     from the exact one by rounding only; the training rows within a proven
     margin of the k-th smallest of those are the only ones whose exact
-    distance is computed. A query row with no provable margin (an inf or
-    NaN distance, or one near overflow) keeps every training row.
+    distance is computed. A query row with no provable margin (an inf
+    distance, or one near overflow) keeps every training row.
     """
 
     def __init__(self, k: int, schema: Sequence[FeatureSchema], train: np.ndarray,
@@ -210,13 +214,13 @@ class KnnModel(PredictionModel):
         rounding. Kept rows are rescored exactly, so extra ones change
         nothing.
 
-        Inf and NaN void the bound, so a query row whose A * margin is not
-        at most 2**1000 keeps every training row: its stable sort then runs
-        over all of its exact distances in training-row order, with no
-        padding, as a sort of the whole row does (NaN sorts last). For
-        every other row no sum that the argument uses comes near overflow, every kept
-        row's exact distance is finite, and a row whose ``a`` is inf or NaN
-        (a NaN term, so a NaN distance) is rightly never kept.
+        Inf voids the bound, so a query row whose A * margin is not at most
+        2**1000 keeps every training row: its stable sort then runs over all
+        of its exact distances in training-row order, with no padding, as a
+        sort of the whole row does. Every value is finite, so only a
+        distance that overflows is inf. For every other row no sum that the
+        argument uses comes near overflow, every kept row's exact distance
+        is finite, and a row whose ``a`` is inf is rightly never kept.
         """
         k, train = self.k, self._scaled_train
         n_train, p = train.shape

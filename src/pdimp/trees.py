@@ -129,14 +129,10 @@ class _FlatForest:
         """Children of ``node`` for the compared feature values ``vals``."""
         go_right = vals > self.threshold[node]
         if self.has_categorical:
+            # each code is valid: a row's own, a pinned one, or an unforked cell's 0.0
             crow = self.cat_row[node]
-            is_cat = crow >= 0
-            if is_cat.any():
-                # only categorical splits read a code; others may compare NaN
-                codes = np.where(is_cat, vals, 0.0).astype(np.int64)
-                codes = np.clip(codes, 0, self.cat_masks.shape[1] - 1)
-                cat_left = self.cat_masks[np.maximum(crow, 0), codes]
-                go_right = np.where(is_cat, ~cat_left, go_right)
+            cat = np.flatnonzero(crow >= 0)
+            go_right[cat] = ~self.cat_masks[crow[cat], vals[cat].astype(np.intp)]
         return self.child[node] + go_right
 
 
@@ -162,9 +158,9 @@ class BaggedTreesModel(PredictionModel):
 
         Two points share a cell when every split of the tree on a pinned
         feature sends them the same way: for a threshold feature, when the
-        same number of the tree's thresholds lie below both values (NaN
-        goes left everywhere, like -inf); for a categorical feature split
-        by the tree, when their level codes are equal.
+        same number of the tree's thresholds lie below both values; for a
+        categorical feature split by the tree, when their level codes are
+        equal.
         """
         flat = self._flat
         n_points = len(pinned)
@@ -172,12 +168,9 @@ class BaggedTreesModel(PredictionModel):
         for s, col in enumerate(cols):
             on = np.flatnonzero(flat.internal & (flat.feature == col))
             bounds = np.searchsorted(flat.tree[on], np.arange(len(flat.root) + 1))
-            if self._feature_schema[col].is_continuous:
-                values = np.where(np.isnan(pinned[:, s]), -np.inf, pinned[:, s])
-            else:
-                values = np.clip(pinned[:, s].astype(np.int64), 0, flat.cat_masks.shape[1] - 1)
-            per_col.append((self._feature_schema[col].is_continuous,
-                            flat.threshold[on], bounds, values))
+            continuous = self._feature_schema[col].is_continuous
+            values = pinned[:, s] if continuous else pinned[:, s].astype(np.intp)
+            per_col.append((continuous, flat.threshold[on], bounds, values))
         every = np.arange(n_points)
         for t in range(len(flat.root)):
             code = np.zeros(n_points, dtype=np.int64)

@@ -20,17 +20,12 @@ from pdimp.trees import _FlatForest, _tree_rng
 
 def pin(batch, features, point):
     """``batch`` with each named column overwritten by the matching ``point``
-    value: a float, or a level code for a categorical feature. It is built
-    unchecked, since tests pin NaN."""
+    value: a finite float, or a level code for a categorical feature. It is
+    built by the checked ``Dataset`` constructor, which refuses any other."""
     columns = {name: batch.column(name) for name in batch.feature_names}
     for name, value in zip(features, point):
-        if batch.schema_for(name).is_continuous:
-            column = np.full(batch.n_rows, float(value), dtype=np.float64)
-        else:
-            column = np.full(batch.n_rows, int(value), dtype=np.int64)
-        column.setflags(write=False)
-        columns[name] = column
-    return Dataset._unchecked(batch.schema, columns)
+        columns[name] = np.full(batch.n_rows, value)
+    return Dataset(batch.schema, columns)
 
 
 def _best_split(columns, schema, rows, y, min_leaf):

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import select
 import sys
 import time
 
@@ -244,6 +245,17 @@ time.sleep(60)
                 with pytest.raises(ParameterError, match="level codes 0 to 1"):
                     model.predict_grid(batch, ["g"], [(code,)])
 
+    def test_grid_value_that_is_not_finite_is_refused_before_any_request(self, tmp_path):
+        with spawn_external(_stub(tmp_path, ECHO_X1)) as model:
+            batch = Dataset.from_dict({"x1": [1.0, 2.0], "x2": [3.0, 4.0]})
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ParameterError, match=f"'x1' must be finite, got {value}"):
+                    model.predict_grid(batch, ["x1"], [(0.5,), (value,)])
+                with pytest.raises(ParameterError, match=f"'x2' must be finite, got {value}"):
+                    model.predict_grid(batch, ["x1", "x2"], [(0.5, 1.0), (0.5, value)])
+            # nothing was sent: the next request is answered in step
+            assert model.predict_grid(batch, ["x1"], [(0.25,)]).tolist() == [[0.25, 0.25]]
+
     def test_contract_error_on_wrong_features(self, tmp_path):
         from pdimp import ContractError
         with spawn_external(_stub(tmp_path, CONSTANT_7)) as model:
@@ -281,6 +293,26 @@ for line in sys.stdin:
     for _ in range(n):
         print(repr(float(sys.stdin.readline())))
     print("999.0", flush=True)
+"""
+
+# the same, but the extra line comes after a pause, once the answers are read
+ONE_LINE_TOO_MANY_LATER = """\
+import json, sys, time
+print(json.dumps({"protocol": 1, "features": ["x1"]}), flush=True)
+for line in sys.stdin:
+    n = json.loads(line)["n"]
+    for _ in range(n):
+        print(repr(float(sys.stdin.readline())))
+    sys.stdout.flush()
+    time.sleep(0.3)
+    print("999.0", flush=True)
+"""
+
+CLOSES_ITS_INPUT = """\
+import json, os, time
+os.close(0)
+print(json.dumps({"protocol": 1, "features": ["x1"]}), flush=True)
+time.sleep(60)
 """
 
 
@@ -355,18 +387,30 @@ class TestFailedChild:
                 model.predict(batch)
 
 
-    def test_a_stray_line_before_a_request_is_a_protocol_error(self, tmp_path):
-        with spawn_external(_stub(tmp_path, ONE_LINE_TOO_MANY)) as model:
+    @pytest.mark.parametrize("body", [ONE_LINE_TOO_MANY, ONE_LINE_TOO_MANY_LATER],
+                             ids=["read", "in-the-pipe"])
+    def test_a_stray_line_before_a_request_is_a_protocol_error(self, tmp_path, body):
+        with spawn_external(_stub(tmp_path, body)) as model:
             assert model.predict(Dataset.from_dict({"x1": [1.0, 2.0]})).tolist() == [1.0, 2.0]
             reader, deadline = model._reader, time.monotonic() + 10
-            while not reader.lines and time.monotonic() < deadline:  # a whole line, not a byte
-                if reader.ready(0.01):
-                    reader.read()
-            assert reader.lines  # the extra line is read
+            if body is ONE_LINE_TOO_MANY:
+                while not reader.lines and time.monotonic() < deadline:  # a line, not a byte
+                    if reader.ready(0.01):
+                        reader.read()
+                assert reader.lines  # the extra line is read
+            else:
+                assert select.select([reader.fd], [], [], 10)[0]  # it waits in the pipe
+                assert not reader.lines
             # it must never be read as the first answer to the next request
             with pytest.raises(ProtocolError, match="answers no request: '999.0'"):
                 model.predict(Dataset.from_dict({"x1": [3.0, 4.0]}))
             assert model._process.poll() is not None
+
+    def test_a_child_that_closed_its_input_is_a_protocol_error(self, tmp_path):
+        with spawn_external(_stub(tmp_path, CLOSES_ITS_INPUT)) as model:
+            with pytest.raises(ProtocolError, match="child closed its input"):
+                model.predict(Dataset.from_dict({"x1": [1.0, 2.0]}))
+            assert model._process.returncode is not None  # killed and reaped
 
     def test_close_does_not_wait_for_a_child_writing_into_a_full_pipe(self, tmp_path):
         # 300 KB written once its input closes: past the 64 KiB a pipe holds unread
@@ -583,7 +627,8 @@ class TestProtocol2:
         ("print('999.0')", "'999.0'"),
         ("header = json.dumps({'id': 7})", """'{"id": 7}'"""),
         ("header = rows.pop(0).split(',')[0]", "'1.0'"),  # no id line
-    ], ids=["stray-line", "wrong-id", "missing-id"])
+        ("print('not json')", "'not json'"),
+    ], ids=["stray-line", "wrong-id", "missing-id", "not-json"])
     def test_an_answer_without_its_request_id_is_a_protocol_error(self, tmp_path, fault, got):
         batch = Dataset.from_dict({"x1": [1.0, 1.0], "x2": [0.0, 0.0]})
         body = PROTOCOL_2_ECHO_X1.replace("pass  # FAULT", fault)

@@ -452,7 +452,8 @@ class TestBridgeCheck:
             return spawned[-1]
 
         monkeypatch.setattr(bridge_module, "spawn_external", spawn)
-        with pytest.warns(UserWarning, match="CSV body is empty"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning escapes the command
             assert _run("bridge-check", "--external", _linear_child(tmp_path),
                         "--data", data) == 2
         captured = capsys.readouterr()
@@ -550,6 +551,18 @@ class TestExitCodes:
                     "--expr", "x1^1e400", "--out-dir", out) == 2
         assert "number 1e400 at position 3 is beyond float64" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_pi_in_a_formula_over_a_feature_named_pi_exits_2(self, tmp_path, capsys):
+        # read as the constant, pi would score the column pi 0
+        data = tmp_path / "pi.csv"
+        data.write_text("pi,x2,y\n1,2,3\n2,5,4\n3,1,5\n")
+        out = tmp_path / "out"
+        assert _run("importance", "--data", data, "--target", "y", "--expr", "pi*x2",
+                    "--out-dir", out) == 2
+        assert "'pi' at position 0 names both the constant and a feature" in capsys.readouterr().err
+        assert not out.exists()
+        assert _run("importance", "--data", data, "--target", "y", "--expr", "x2*2",
+                    "--grid", "unique", "--out-dir", out) == 0
 
     @pytest.mark.parametrize("grid", ["quantile:2", "equidistant:2"])
     def test_a_grid_past_float64s_range_exits_2_naming_the_feature(self, tmp_path, capsys,
@@ -991,10 +1004,11 @@ def test_a_csv_with_no_data_rows_exits_2_naming_the_file(tmp_path, capsys, argv,
     data = tmp_path / "empty.csv"
     data.write_text(header + "\n")
     out = tmp_path / "out"
-    with pytest.warns(UserWarning, match="CSV body is empty"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning escapes the command
         assert _run(*argv, "--data", data, *target, "--expr", "x1 + x2", "--out-dir", out) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {data} holds no data rows to analyse\n"
+    assert err == f"error: {data} holds no data rows\n"
     assert not out.exists()
 
 
@@ -1002,10 +1016,11 @@ def test_fit_on_a_csv_with_no_data_rows_exits_2_naming_the_file(tmp_path, capsys
     data = tmp_path / "empty.csv"
     data.write_text("x1,x2,y\n")
     out = tmp_path / "out"
-    with pytest.warns(UserWarning, match="CSV body is empty"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning escapes the command
         assert _run("fit", "--data", data, "--target", "y", "--model", "linear",
                     "--out-dir", out) == 2
-    assert capsys.readouterr().err == f"error: {data} holds no data rows to analyse\n"
+    assert capsys.readouterr().err == f"error: {data} holds no data rows\n"
     assert not out.exists()
 
 

@@ -45,6 +45,7 @@ from pdimp.data import write_csv
 from pdimp.engine import (MAX_GRID_COUNT, _distinct, _quantiles, ordered_mean, pd_values_at,
                           reducer)
 from pdimp.models import PredictionModel, pinned_columns
+from pdimp.simulate import SimulationSpec, generate
 
 
 def _expr(text, dataset):
@@ -239,6 +240,23 @@ class TestPartialDependence:
         grid = build_grid(ds, ["x1"], GridStrategy.unique())
         with pytest.raises(NonFiniteError, match="x1=0"):
             partial_dependence(model, ds, grid)
+
+    @pytest.mark.parametrize("fit", [
+        lambda ds: fit_bagged_trees(ds, "y", n_trees=5, seed=1),
+        lambda ds: fit_knn(ds, "y", k=5),
+        lambda ds: fit_linear(ds, "y"),
+    ], ids=["trees", "knn", "linear"])
+    def test_a_grid_value_that_is_not_finite_is_refused(self, fit):
+        # no kernel may give NaN a meaning of its own and score it
+        ds = generate(SimulationSpec("friedman", 200, 7, 1.0))
+        model, features = fit(ds), ds.drop("y")
+        grid = Grid((GridAxis("x1", "continuous", np.array([0.5, np.nan])),),
+                    GridStrategy.unique())
+        for estimate in (partial_dependence, ice_curves):
+            with pytest.raises(ParameterError, match="'x1' must be finite, got nan"):
+                estimate(model, features, grid)
+        with pytest.raises(ParameterError, match="'x2' must be finite, got -inf"):
+            pd_values_at(model, features, ["x1", "x2"], np.array([[0.5, 0.5], [0.5, -np.inf]]))
 
     @pytest.mark.parametrize("estimate", [partial_dependence, ice_curves])
     def test_overflowing_mean_names_the_grid_point(self, estimate):

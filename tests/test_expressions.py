@@ -59,7 +59,7 @@ class TestEvaluation:
     def test_unreferenced_features_are_still_part_of_the_contract(self):
         model = parse_expression("x1", SCHEMA)
         assert model.feature_names == tuple(f.name for f in SCHEMA)
-        assert model.variables == {"x1"}
+        assert model.program == ("x1",)
 
 
 class TestErrors:
@@ -84,6 +84,15 @@ class TestErrors:
         schema = SCHEMA + (FeatureSchema("g", "categorical", ("u", "v")),)
         with pytest.raises(ExpressionError, match="unknown variable"):
             parse_expression("g + 1", schema)
+
+    @pytest.mark.parametrize("kind, levels", [(CONTINUOUS, None), ("categorical", ("u", "v"))])
+    def test_pi_is_refused_when_a_feature_is_named_pi(self, kind, levels):
+        schema = (FeatureSchema("pi", kind, levels), FeatureSchema("x2", CONTINUOUS))
+        with pytest.raises(ExpressionError, match="'pi' at position 3 names both") as err:
+            parse_expression("x2*pi", schema)
+        assert err.value.position == 3
+        model = parse_expression("x2*2", schema)  # a formula without pi still parses
+        assert model.program[0] == "x2"
 
     def test_unknown_function(self):
         with pytest.raises(ExpressionError, match="unknown function 'tan'"):

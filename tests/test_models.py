@@ -287,10 +287,10 @@ def test_knn_blocks_equal_the_row_loop_bit_for_bit(data):
 
 
 def _grid_values(draw, column, label):
-    """A grid value: a training value (ties), a float, 1e200 (inf distances) or NaN."""
+    """A grid value: a training value (ties), a float or 1e200 (inf distances)."""
     return draw(st.one_of(st.sampled_from(column.tolist()),
                           st.floats(-3, 3),
-                          st.sampled_from([1e200, -1e200, np.nan])), label=label)
+                          st.sampled_from([1e200, -1e200])), label=label)
 
 
 def _knn_grid_values(draw, shape, label):
@@ -392,7 +392,7 @@ def test_knn_rows_without_a_margin_keep_every_training_row():
     query = np.array([[0.3, 0.1], [1e200, 0.4], [0.6, 0.9], [0.1, 0.5]])
     batch = Dataset(schema, {"a": query[:, 0], "b": query[:, 1]})
     assert model.predict(batch).tobytes() == _knn_row_loop(model, batch).tobytes()
-    points = [(0.4,), (1e200,), (np.nan,)]  # inf or NaN distances in every row at the last two
+    points = [(0.4,), (1e200,)]  # inf distances in every row at the last
     block = model.predict_grid(batch, ["b"], points)
     for row, point in zip(block, points):
         assert row.tobytes() == _knn_row_loop(model, pin(batch, ["b"], point)).tobytes()
@@ -473,6 +473,16 @@ def test_predict_grid_rejects_a_value_that_is_no_level_code(kind, code):
         model.predict_grid(batch, ["g"], [(0.0,), (code,)])
     with pytest.raises(ParameterError, match="level codes 0 to 2"):
         model.predict_grid(batch, ["a", "g"], [(0.5, code)])
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_predict_grid_rejects_a_continuous_value_that_is_not_finite(kind, value):
+    model, batch = _model_and_batch(kind, 9, seed=4)
+    with pytest.raises(ParameterError, match=f"'a' must be finite, got {value}"):
+        model.predict_grid(batch, ["a"], [(0.5,), (value,)])
+    with pytest.raises(ParameterError, match=f"'b' must be finite, got {value}"):
+        model.predict_grid(batch, ["a", "b"], [(0.5, 1.0), (0.5, value)])
 
 
 # --- the broadcast kernels: a pinned column is (points x 1) ------------------

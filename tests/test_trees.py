@@ -261,7 +261,7 @@ def test_grid_block_equals_per_point_predict_bit_for_bit(data):
     if data.draw(st.booleans(), label="unique grid"):
         points = build_grid(features, pinned, GridStrategy.unique()).points()
     else:
-        draw_value = {"a": st.floats(-1.5, 1.5) | st.just(np.nan),
+        draw_value = {"a": st.floats(-1.5, 1.5),
                       "b": st.sampled_from([0.0, 0.25, 0.5, 1.0]),
                       "c": st.floats(0, 3), "g": st.integers(0, 2)}
         points = data.draw(st.lists(st.tuples(*(draw_value[f] for f in pinned)),
@@ -346,7 +346,7 @@ def test_deep_forest_mixed_pairs_match_predict_and_the_walk(monkeypatch):
     for pair in (("a", "g"), ("g", "b")):
         col = model.feature_names.index(pair[0] if pair[1] == "g" else pair[1])
         thresholds = np.unique(flat.threshold[flat.internal & (flat.feature == col)])
-        values = [np.nan, -5.0, 7.0, *thresholds[::8]]  # NaN, outside the data, on splits
+        values = [-5.0, 7.0, *thresholds[::8]]  # outside the data, on splits
         points = [(v, code) if pair[1] == "g" else (code, v) for v in values for code in range(4)]
         blocks = []
         for cap in (64, trees_module._GRID_CHUNK_ELEMENTS):  # one tree a block, then several
