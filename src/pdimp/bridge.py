@@ -59,6 +59,9 @@ from .data import Dataset
 from .errors import BridgeError, BridgeTimeoutError, ParameterError, ProtocolError, SpawnError
 from .models import PredictionModel
 
+#: Seconds a stopped child has to exit after its input closes before it is killed.
+_REAP_WAIT_S = 2.0
+
 
 def _poll_ms(seconds: float) -> float:
     """A wait of ``seconds`` as a poll timeout: never negative, which would
@@ -183,16 +186,16 @@ class ExternalModel(PredictionModel):
 
     def _stop(self, kill: bool = False) -> None:
         """Close the child's input and output, reap it (killed at once if
-        ``kill``, else after 2 s), and give the stderr thread 2 s to reach
-        EOF. Closing the output before the wait makes a child that is still
-        writing fail at once instead of blocking on a full pipe."""
+        ``kill``, else after ``_REAP_WAIT_S``), and give the stderr thread 2 s
+        to reach EOF. Closing the output before the wait makes a child that is
+        still writing fail at once instead of blocking on a full pipe."""
         if kill:
             self._process.kill()
         with contextlib.suppress(OSError):  # a child that died unread leaves a broken pipe
             self._process.stdin.close()
         self._process.stdout.close()
         try:
-            self._process.wait(timeout=2)
+            self._process.wait(timeout=_REAP_WAIT_S)
         except subprocess.TimeoutExpired:
             self._process.kill()
             self._process.wait()

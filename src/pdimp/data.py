@@ -6,6 +6,11 @@ float64 values, categorical columns hold int64 indices into a per-feature
 level table. Categorical level order is first appearance in the input.
 Results hand :func:`write_csv` Python floats, ints and labels, and
 ``csv.writer`` writes each float as its ``repr``, the shortest round trip.
+
+:func:`load_csv` parses a body of finite numbers in plain lines a bounded
+chunk of text at a time, so its memory is proportional to the numbers, and
+reads any other input row by row; both reads give the same dataset, warning
+or error.
 """
 
 from __future__ import annotations
@@ -27,6 +32,15 @@ from .errors import CsvError, UnknownFeatureError, ValidationError
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
 _KINDS = (CONTINUOUS, CATEGORICAL)
+
+#: Characters of CSV text parsed at a time on the numeric path of
+#: :func:`load_csv`. Beside the parsed columns, a chunk's text, cells and
+#: separators take under 16 bytes a character. It changes no result.
+_CHUNK_CHARS = 1 << 16
+# what the csv module reads apart from commas and line feeds: quotes, carriage
+# returns, and NUL, which it refuses before Python 3.11
+_NOT_PLAIN = '"\r\0'
+_COMMA, _LINE_FEED = ord(","), ord("\n")
 
 
 @dataclass(frozen=True)
@@ -86,6 +100,10 @@ class Dataset:
                 if not np.all(np.isfinite(col)):
                     raise ValidationError(f"continuous column {feat.name!r} contains NaN/Inf")
             else:
+                raw = np.asarray(raw)
+                if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (np.floor(raw) == raw)):
+                    raise ValidationError(f"categorical column {feat.name!r} has a level index "
+                                          "that is not a whole number")
                 col = np.asarray(raw, dtype=np.int64)
                 if col.ndim != 1:
                     raise ValidationError(f"column {feat.name!r} is not one-dimensional")
@@ -316,22 +334,20 @@ def load_csv(source, declared_schema: Mapping[str, str] | None = None) -> Datase
     ("continuous" or "categorical") for any subset of columns; the rest are
     inferred by cell content. Missing (empty) cells are rejected: the
     estimator this feeds assumes complete rows.
-    """
-    try:
-        if isinstance(source, (str, Path)):
-            with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-                names, rows = _read_rows(fh)
-        elif isinstance(source, bytes):
-            text = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline="")
-            names, rows = _read_rows(text)
-        else:
-            names, rows = _read_rows(source)
-    except UnicodeDecodeError as exc:
-        raise CsvError(f"input is not valid UTF-8: {_bad_byte(source, exc)}") from None
-    except csv.Error as exc:
-        raise CsvError(f"malformed CSV: {exc}") from None
 
+    The input picks one of two reads, which give the same dataset, warning
+    or error. A body of plain lines of finite numbers (no quote, carriage
+    return, NUL, empty cell or line of another width; see
+    :func:`_numeric_columns`), with no column declared categorical, is
+    parsed ``_CHUNK_CHARS`` characters at a time: the load holds at most
+    twice its float64 columns, and the text and cells of one chunk. Any
+    other input is read row by row, holding every cell's text until its
+    column is parsed; one whose body stops being numeric after some chunks
+    is read again from its start.
+    """
     declared = declared_schema or {}
+    numeric = None if CATEGORICAL in declared.values() else _numeric_columns(source)
+    names, rows = numeric or _read_source(source)
     unknown = set(declared) - set(names)
     if unknown:
         raise UnknownFeatureError(f"declared schema names absent columns: {sorted(unknown)}")
@@ -340,12 +356,118 @@ def load_csv(source, declared_schema: Mapping[str, str] | None = None) -> Datase
         if kind is not None and kind not in _KINDS:
             raise ValidationError(f"unknown declared kind {kind!r} for column {name!r}")
 
+    if numeric is not None:  # rows: finite float64 columns, read-only, as Dataset checks
+        return Dataset._unchecked(tuple(FeatureSchema(name, CONTINUOUS) for name in names),
+                                  dict(zip(names, rows)))
     if not rows:
         warnings.warn("CSV body is empty; all columns default to categorical with no levels")
 
     columns = [_column(name, [row[j] for row in rows], declared.get(name))
                for j, name in enumerate(names)]
     return Dataset([feat for feat, _ in columns], {feat.name: values for feat, values in columns})
+
+
+@contextmanager
+def _text_source(source):
+    """``source`` as a text stream: a path opened and bytes wrapped, each
+    decoded as UTF-8 with a byte-order mark dropped, or an open text file."""
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+            yield fh
+    elif isinstance(source, bytes):
+        yield io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline="")
+    else:
+        yield source
+
+
+def _read_source(source) -> tuple[list[str], list[list[str]]]:
+    """Column names and data rows of ``source``, read row by row."""
+    try:
+        with _text_source(source) as fh:
+            return _read_rows(fh)
+    except UnicodeDecodeError as exc:
+        raise CsvError(f"input is not valid UTF-8: {_bad_byte(source, exc)}") from None
+    except csv.Error as exc:
+        raise CsvError(f"malformed CSV: {exc}") from None
+
+
+def _numeric_columns(source) -> tuple[list[str], np.ndarray] | None:
+    """Column names and a read-only (columns x rows) float64 array of a CSV
+    whose body is all finite numbers; None, with an open text file rewound,
+    for any other input.
+
+    The header must end in a line feed and no text may hold a quote,
+    carriage return or NUL, so that commas and line feeds alone separate
+    the cells. The body is read ``_CHUNK_CHARS`` characters at a time,
+    and a chunk's complete lines must each hold as many cells as the
+    header, every one a finite number by ``float()`` and no longer than the
+    ``csv`` module's field limit. A source that is no text stream, or a
+    stream that cannot seek back, gets None.
+    """
+    with _text_source(source) as fh:
+        if not isinstance(fh, io.TextIOBase):  # an iterable of lines, or a binary file
+            return None
+        try:
+            start = fh.tell()
+        except OSError:  # a pipe, say
+            return None
+        try:
+            numeric = _numeric_body(fh)
+        except UnicodeDecodeError:
+            numeric = None
+        if numeric is None:
+            fh.seek(start)
+        return numeric
+
+
+def _numeric_body(fh) -> tuple[list[str], np.ndarray] | None:
+    """What :func:`_numeric_columns` returns, read from ``fh``."""
+    header = fh.readline()
+    if not header.endswith("\n") or any(c in header for c in _NOT_PLAIN):
+        return None
+    cells = header[:-1].split(",")
+    names = [c.strip() for c in cells]
+    if "" in names or len(set(names)) != len(names) or \
+            max(map(len, cells)) > csv.field_size_limit():
+        return None
+    blocks, tail = [], ""
+    while True:
+        chunk = fh.read(_CHUNK_CHARS)
+        if not chunk and not tail:
+            break
+        text = tail + (chunk or "\n")  # the last line may lack its line feed
+        cut = text.rfind("\n") + 1
+        text, tail = text[:cut], text[cut:]
+        if text:
+            block = _numeric_block(text, len(names))
+            if block is None:
+                return None
+            blocks.append(block)
+    if not blocks:
+        return None
+    matrix = np.concatenate(blocks, axis=1)
+    matrix.setflags(write=False)
+    return names, matrix
+
+
+def _numeric_block(text: str, width: int) -> np.ndarray | None:
+    """Lines of ``text``, each ending in a line feed, as a (width x lines)
+    float64 array, or None unless each holds ``width`` finite numbers."""
+    if any(c in text for c in _NOT_PLAIN):
+        return None
+    cells = text[:-1].replace("\n", ",").split(",")
+    try:  # before the separator checks: a column of words fails here, at its first cell
+        values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    except ValueError:
+        return None
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)  # both separators are one byte
+    ends = np.flatnonzero((raw == _COMMA) | (raw == _LINE_FEED))
+    if ends.size % width or np.diff(ends, prepend=-1).max() > csv.field_size_limit() + 1:
+        return None
+    separators = raw[ends].reshape(-1, width)
+    if not ((separators[:, :-1] == _COMMA).all() and (separators[:, -1] == _LINE_FEED).all()):
+        return None
+    return values.reshape(-1, width).T.copy() if np.isfinite(values).all() else None
 
 
 def _bad_byte(source, exc: UnicodeDecodeError) -> str:

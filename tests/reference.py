@@ -8,13 +8,24 @@ level at a time and must give the same node arrays bit for bit.
 ``pin`` builds the batch that one grid point stands for: every row with
 the point's features overwritten. A model's ``predict_grid`` row for that
 point must equal its ``predict`` on this batch bit for bit.
+
+``load_csv_by_rows`` is ``pdimp.data.load_csv`` as it was before bodies of
+numbers were parsed a chunk at a time: every source is read row by row, each
+cell held as text until its column is parsed. ``load_csv`` must give the
+same dataset, warning or error for every input.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import warnings
+from pathlib import Path
+
 import numpy as np
 
-from pdimp.data import Dataset
+from pdimp.data import _KINDS, Dataset, _column
+from pdimp.errors import CsvError, UnknownFeatureError, ValidationError
 from pdimp.trees import _FlatForest, _tree_rng
 
 
@@ -119,3 +130,71 @@ def reference_forest(dataset, target_name, n_trees=100, max_depth=6, min_leaf=5,
         return value, j, split, ((cols, targets, rows[go_left]), (cols, targets, rows[~go_left]))
 
     return _FlatForest(schema, samples(), grow)
+
+
+def load_csv_by_rows(source, declared_schema=None):
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+                names, rows = _read_rows(fh)
+        elif isinstance(source, bytes):
+            text = io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", newline="")
+            names, rows = _read_rows(text)
+        else:
+            names, rows = _read_rows(source)
+    except UnicodeDecodeError as exc:
+        raise CsvError(f"input is not valid UTF-8: {_bad_byte(source, exc)}") from None
+    except csv.Error as exc:
+        raise CsvError(f"malformed CSV: {exc}") from None
+
+    declared = declared_schema or {}
+    unknown = set(declared) - set(names)
+    if unknown:
+        raise UnknownFeatureError(f"declared schema names absent columns: {sorted(unknown)}")
+    for name in names:
+        kind = declared.get(name)
+        if kind is not None and kind not in _KINDS:
+            raise ValidationError(f"unknown declared kind {kind!r} for column {name!r}")
+
+    if not rows:
+        warnings.warn("CSV body is empty; all columns default to categorical with no levels")
+
+    columns = [_column(name, [row[j] for row in rows], declared.get(name))
+               for j, name in enumerate(names)]
+    return Dataset([feat for feat, _ in columns], {feat.name: values for feat, values in columns})
+
+
+def _bad_byte(source, exc):
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as fh:
+            source = fh.read()
+    if isinstance(source, bytes):
+        try:
+            source.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            line = source.count(b"\n", 0, whole.start) + 1
+            return f"line {line}: {whole}"
+    return str(exc)
+
+
+def _read_rows(source):
+    reader = csv.reader(source)
+    try:
+        names = [c.strip() for c in next(reader)]
+    except StopIteration:
+        raise CsvError("input is empty: no header or data rows") from None
+    if len(set(names)) != len(names):
+        raise CsvError("duplicate column names in header")
+    if any(n == "" for n in names):
+        raise CsvError("empty column name in header")
+
+    width = len(names)
+    rows = []
+    for row in reader:
+        if len(row) != width:
+            raise CsvError(
+                f"row {len(rows) + 1} has {len(row)} fields, expected {width}",
+                row=len(rows) + 1,
+            )
+        rows.append(row)
+    return names, rows

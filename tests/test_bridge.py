@@ -5,6 +5,7 @@ import io
 import json
 import os
 import select
+import signal
 import sys
 import time
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import pin
 
+import pdimp.bridge as bridge_module
 import pdimp.engine as engine_module
 from pdimp import (
     BridgeError,
@@ -419,6 +421,14 @@ class TestFailedChild:
         model.close()
         assert time.monotonic() - started < 1.5
         assert model._process.returncode is not None
+
+    def test_close_kills_a_child_that_outlives_its_closed_input(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bridge_module, "_REAP_WAIT_S", 0.2)
+        model = spawn_external(_stub(tmp_path, NEVER_READS))  # sleeps 60 s, reading nothing
+        started = time.monotonic()
+        model.close()
+        assert time.monotonic() - started < 1.5
+        assert model._process.returncode == -signal.SIGKILL
 
     def test_close_after_a_failure_reaps_the_child_and_closes_its_pipes(self, tmp_path):
         model = spawn_external(_stub(tmp_path, SHORT_RESPONSE))

@@ -3,11 +3,17 @@
 import csv
 import io
 import math
+import os
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import load_csv_by_rows
+
+import pdimp.data as data_module
 
 from pdimp import (
     CATEGORICAL,
@@ -196,6 +202,187 @@ def test_parsing_each_cell_once_keeps_the_per_cell_rule(cells):
             assert _load(text, declared_schema=declared).column("a").tobytes() == expected.tobytes()
 
 
+def _outcome(load, source, declared=None):
+    """What a load gives: the schema, each column's dtype, bytes and write
+    flag, and the warnings; or the error's type, message, row and column."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ds = load(source, declared)
+        except Exception as exc:
+            return type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    columns = [ds.column(n) for n in ds.feature_names]
+    return (ds.schema, [(c.dtype, c.tobytes(), c.flags.writeable) for c in columns],
+            [(w.category, str(w.message)) for w in caught])
+
+
+def _same_as_by_rows(tmp_path, data: bytes, declared=None):
+    """The outcome of ``load_csv`` on ``data``, checked equal to the row
+    reader's on ``data`` as a path, as bytes and as an open text file."""
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    expected = _outcome(load_csv_by_rows, data, declared)
+    assert _outcome(load_csv, data, declared) == expected
+    assert _outcome(load_csv, path, declared) == _outcome(load_csv_by_rows, path, declared)
+    with open(path, encoding="utf-8-sig", newline="") as fh, \
+            open(path, encoding="utf-8-sig", newline="") as by_rows:
+        assert _outcome(load_csv, fh, declared) == _outcome(load_csv_by_rows, by_rows, declared)
+    return expected
+
+
+class TestChunkedNumericRead:
+    """A body of numbers is parsed a chunk at a time; chunks of 16 characters
+    split rows and cells, and every input gives what the row reader gives."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(data_module, "_CHUNK_CHARS", 16)
+
+    def test_a_numeric_body_never_reaches_the_row_reader(self, tmp_path, monkeypatch):
+        data = b"a,b\n" + b"".join(b"%d.25,-%de-3\n" % (i, i) for i in range(40))
+        expected = _same_as_by_rows(tmp_path, data)
+        monkeypatch.setattr(data_module, "_read_rows", None)
+        ds = load_csv(data)
+        assert all(f.kind == CONTINUOUS for f in ds.schema)
+        assert ds.column("b").tolist() == [float(f"-{i}e-3") for i in range(40)]
+        assert _outcome(load_csv, data) == expected
+
+    def test_a_word_after_the_first_chunk_makes_its_column_categorical(self, tmp_path):
+        rows = [b"%d,%d" % (i, i) for i in range(40)]
+        rows[30] = b"30,x"
+        (schema, *_) = _same_as_by_rows(tmp_path, b"a,b\n" + b"\n".join(rows) + b"\n")
+        assert [f.kind for f in schema] == [CONTINUOUS, CATEGORICAL]
+        assert schema[1].levels[29:32] == ("29", "x", "31")
+
+    def test_a_bad_byte_after_the_first_chunk_is_placed_as_before(self, tmp_path):
+        head = b"a,b\n" + b"".join(b"%d,%d\n" % (i, i) for i in range(30))
+        (kind, message, *_) = _same_as_by_rows(tmp_path, head + b"1,\xff\n")
+        assert kind is CsvError
+        assert f"line 32: 'utf-8' codec can't decode byte 0xff in position {len(head) + 2}:" \
+            in message
+
+    @pytest.mark.parametrize("data", [
+        b"a,b\r\n1,2\r\n3,4\r\n",
+        b"a,b\n1,2\n3,4",
+        b"\xef\xbb\xbfa,b\n1,2\n3,4\n",
+    ], ids=["crlf", "no-final-newline", "bom"])
+    def test_line_ends_and_a_byte_order_mark(self, tmp_path, data):
+        (schema, columns, caught) = _same_as_by_rows(tmp_path, data)
+        assert [f.name for f in schema] == ["a", "b"] and caught == []
+        assert columns[1][1] == np.array([2.0, 4.0]).tobytes()
+
+    def test_rows_whose_widths_add_up_are_still_ragged(self, tmp_path):
+        outcome = _same_as_by_rows(tmp_path, b"a,b\n1\n2,3,4\n")
+        assert outcome == (CsvError, "row 1 has 1 fields, expected 2", 1, None)
+
+    @pytest.mark.parametrize("data", [b"abcdef,b\n1,2\n", b"a,b\n1,2\n123456,2\n"])
+    def test_a_cell_over_the_csv_field_limit_is_malformed(self, tmp_path, data):
+        limit = csv.field_size_limit(5)
+        try:
+            outcome = _same_as_by_rows(tmp_path, data)
+        finally:
+            csv.field_size_limit(limit)
+        assert outcome[:2] == (CsvError, "malformed CSV: field larger than field limit (5)")
+
+    def test_a_binary_file_a_pipe_and_a_list_of_lines_are_read_as_before(self, tmp_path):
+        path = tmp_path / "input.csv"
+        path.write_bytes(b"a,b\n1,2\n")
+        with open(path, "rb") as fh, open(path, "rb") as by_rows:
+            assert _outcome(load_csv, fh)[:2] == _outcome(load_csv_by_rows, by_rows)[:2] == (
+                CsvError, "malformed CSV: iterator should return strings, not bytes "
+                "(the file should be opened in text mode)")
+        outcomes = []
+        for load in (load_csv, load_csv_by_rows):
+            read, write = os.pipe()
+            os.write(write, b"a,b\n1,2\n")
+            os.close(write)
+            with open(read, encoding="utf-8") as pipe:
+                outcomes.append(_outcome(load, pipe))
+        assert outcomes[0] == outcomes[1]
+        lines = ["a,b\n", "1,2\n"]
+        assert _outcome(load_csv, lines) == _outcome(load_csv_by_rows, lines)
+
+    def test_a_blank_line_in_a_single_column_file(self, tmp_path):
+        outcome = _same_as_by_rows(tmp_path, b"a\n1\n\n2\n")
+        assert outcome == (CsvError, "row 2 has 0 fields, expected 1", 2, None)
+
+    @pytest.mark.parametrize("data", [b'a,b\n"1.5",2\n3,"4"\n', b'"a",b\n1.5,2\n3,4\n'])
+    def test_quoted_numbers_and_names(self, tmp_path, data):
+        (schema, columns, _) = _same_as_by_rows(tmp_path, data)
+        assert [(f.name, f.kind) for f in schema] == [("a", CONTINUOUS), ("b", CONTINUOUS)]
+        assert columns[0][1] == np.array([1.5, 3.0]).tobytes()
+
+    def test_a_carriage_return_ends_a_row(self, tmp_path):
+        outcome = _same_as_by_rows(tmp_path, b"a,b\n1\r,2\n")
+        assert outcome == (CsvError, "row 1 has 1 fields, expected 2", 1, None)
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1_0", " 2", "\u0661\u0662", "-0", "1e-400", "+.5", "5."]),
+)
+
+
+@st.composite
+def _csv_bytes(draw):
+    """CSV bytes, mostly of finite numbers, each with at most a few of the
+    quirks the row reader handles apart: a word, an empty or non-finite cell,
+    quotes, CRLF, blank and ragged lines, a header with no body, a bad header,
+    a byte-order mark and bad UTF-8."""
+    def rarely():
+        return draw(st.integers(0, 9)) == 5  # not 0 or 9, which hypothesis favours
+
+    names = draw(st.lists(st.sampled_from(["a", "b", " c", "\u00e9"]), min_size=1,
+                          max_size=3, unique=True))
+    if rarely():
+        names.append(draw(st.sampled_from(["", names[0]])))
+    cells = [st.one_of(_NUMBERS, _CELLS) if rarely() else _NUMBERS for _ in names]
+    rows = [list(row) for row in draw(st.lists(st.tuples(*cells), max_size=12))]
+    if rows and rarely():
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i][0] = f'"{rows[i][0]}"'
+    if rows and rarely():
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i][:draw(st.integers(0, len(names)))] + draw(st.lists(_NUMBERS,
+                                                                             max_size=1))
+    newline = "\r\n" if rarely() else "\n"
+    lines = [",".join(row) for row in [names] + rows]
+    text = newline.join(lines) + (newline * 2 if rarely() else draw(st.sampled_from([newline, ""])))
+    data = text.encode("utf-8")
+    if rarely():
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_csv_bytes(), chunk=st.integers(1, 40),
+       declared=st.sampled_from([None, {"a": CONTINUOUS}, {"a": CATEGORICAL}]))
+def test_a_chunked_load_gives_what_the_row_reader_gives(tmp_path_factory, data, chunk,
+                                                         declared):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_module, "_CHUNK_CHARS", chunk)
+        _same_as_by_rows(tmp_path_factory.getbasetemp(), data, declared)
+
+
+def test_a_numeric_load_holds_its_columns_twice_and_one_chunk_of_text():
+    rows = 20_000
+    data = b"x,y,z\n" + b"".join(b"%r,%r,%r\n" % (i / 7, -i / 3, i * 1e-9) for i in range(rows))
+    columns = 3 * rows * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ds = load_csv(data)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert ds.n_rows == rows
+    # a chunk's text, cells and separators take under 16 bytes per character;
+    # the row reader holds every cell's text at once, 7 MB here
+    assert peak <= 2 * columns + 16 * data_module._CHUNK_CHARS
+
+
 class TestCsvRoundTrip:
     def test_full_precision_round_trip(self):
         rng = np.random.default_rng(42)
@@ -242,6 +429,17 @@ class TestDatasetValidation:
                 [FeatureSchema("a", CONTINUOUS), FeatureSchema("b", CONTINUOUS)],
                 {"a": np.array([1.0]), "b": np.array([1.0, 2.0])},
             )
+
+    @pytest.mark.parametrize("code", [1.5, np.nan, np.inf])
+    def test_a_level_index_that_is_not_a_whole_number_is_refused(self, code):
+        with pytest.raises(ValidationError, match="'c' has a level index that is not a whole"):
+            Dataset([FeatureSchema("c", CATEGORICAL, ("u", "v", "w"))],
+                    {"c": np.array([code, 0.0])})
+
+    def test_a_whole_float_level_index_is_taken(self):
+        ds = Dataset([FeatureSchema("c", CATEGORICAL, ("u", "v", "w"))],
+                     {"c": np.array([2.0, 0.0])})
+        assert ds.column("c").dtype == np.int64 and ds.column("c").tolist() == [2, 0]
 
     def test_out_of_range_level_index(self):
         with pytest.raises(ValidationError, match="out-of-range"):
