@@ -130,11 +130,13 @@ def _parse_model_params(text: str) -> tuple[str, dict]:
     params = {}
     if sep:
         for item in rest.split(","):
-            key, eq, value = item.partition("=")
+            key, eq, value = map(str.strip, item.partition("="))
             if not eq:
                 raise UsageError(f"bad model parameter {item!r} in {text!r}")
+            if key in params:
+                raise UsageError(f"model parameter {key!r} is given twice in {text!r}")
             try:
-                params[key.strip()] = int(value)
+                params[key] = int(value)
             except ValueError:
                 raise UsageError(f"model parameter {key!r} must be an integer") from None
     return kind, params

@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import product
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,17 +47,31 @@ from .models import PredictionModel
 # results do not depend on it
 _SLAB_ELEMENTS = 1 << 16
 
+# the smallest count of each grid strategy; unique takes none
+_MIN_COUNT = {"unique": None, "quantile": 1, "equidistant": 2}
+
 
 @dataclass(frozen=True)
 class GridStrategy:
     """How evaluation points are chosen for a continuous feature.
 
-    A quantile or equidistant count above ``MAX_GRID_COUNT`` is refused
-    before anything is allocated.
+    The kind and its count (``_MIN_COUNT`` to ``MAX_GRID_COUNT``, none for
+    ``unique``) are checked when the strategy is built, before any grid is.
     """
 
     kind: str
     count: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in _MIN_COUNT:
+            raise ParameterError(f"unknown grid strategy kind {self.kind!r}; "
+                                 f"pick one of {', '.join(_MIN_COUNT)}")
+        low = _MIN_COUNT[self.kind]
+        if low is None:
+            if self.count is not None:
+                raise ParameterError("the unique grid takes no count")
+        elif not (isinstance(self.count, Integral) and low <= self.count <= MAX_GRID_COUNT):
+            raise ParameterError(f"{self.kind} grid needs {low} <= count <= {MAX_GRID_COUNT}")
 
     @classmethod
     def unique(cls) -> "GridStrategy":
@@ -64,29 +79,23 @@ class GridStrategy:
 
     @classmethod
     def quantile(cls, count: int) -> "GridStrategy":
-        if not 1 <= count <= MAX_GRID_COUNT:
-            raise ParameterError(f"quantile grid needs 1 <= count <= {MAX_GRID_COUNT}")
         return cls("quantile", count)
 
     @classmethod
     def equidistant(cls, count: int) -> "GridStrategy":
-        if not 2 <= count <= MAX_GRID_COUNT:
-            raise ParameterError(f"equidistant grid needs 2 <= count <= {MAX_GRID_COUNT}")
         return cls("equidistant", count)
 
     @classmethod
     def parse(cls, text: str) -> "GridStrategy":
         """Parse ``unique``, ``quantile:Q``, or ``equidistant:K``."""
         name, sep, arg = text.partition(":")
-        if name == "unique" and not sep:
-            return cls.unique()
-        if name in ("quantile", "equidistant") and sep:
-            try:
-                count = int(arg)
-            except ValueError:
-                raise ParameterError(f"bad grid strategy count {arg!r}") from None
-            return cls.quantile(count) if name == "quantile" else cls.equidistant(count)
-        raise ParameterError(f"bad grid strategy {text!r}")
+        if name not in _MIN_COUNT or (name == "unique") == bool(sep):  # a count iff it takes one
+            raise ParameterError(f"bad grid strategy {text!r}")
+        try:
+            count = int(arg) if sep else None
+        except ValueError:
+            raise ParameterError(f"bad grid strategy count {arg!r}") from None
+        return cls(name, count)
 
     def __str__(self) -> str:
         return self.kind if self.count is None else f"{self.kind}:{self.count}"

@@ -5,6 +5,11 @@ the predicted outcome. The score is the sample standard deviation of the
 PD values for a continuous feature and the range divided by four for a
 categorical one (an sd estimate for small samples); the median absolute
 deviation is available as a robust alternative.
+
+The flat rule: a spread of equal values is exactly 0.0 under every
+measure, whatever the round-off of their mean or median. :func:`spread`
+is the only code that turns PD values into a score, so the rule holds
+for every score built from them, the interaction statistic's included.
 """
 
 from __future__ import annotations
@@ -23,62 +28,44 @@ from .models import PredictionModel
 SAMPLE_SD, MAD, RANGE_OVER_4 = MEASURES
 
 
-def _finite(measure: str, score) -> float:
-    if not np.isfinite(score):
-        raise NonFiniteError(f"the {measure} of partial dependence values overflows float64")
-    return float(score)
-
-
-def sample_sd(values: np.ndarray) -> float:
-    """Standard deviation with the k-1 denominator; NonFiniteError if it overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(SAMPLE_SD, np.std(values, ddof=1))
-
-
-def _mad(values: np.ndarray) -> float:
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(MAD, np.median(np.abs(values - np.median(values))))
-
-
-def _range_over_4(values: np.ndarray) -> float:
-    with np.errstate(over="ignore"):
-        return _finite(RANGE_OVER_4, values.max() - values.min()) / 4.0
+def _check_measure(measure: str) -> None:
+    if measure not in MEASURES:
+        raise ParameterError(f"unknown flatness measure {measure!r}; pick one of {MEASURES}")
 
 
 def spread(values: np.ndarray, measure: str) -> float:
-    """The ``measure`` of PD values; NonFiniteError when a value or the
-    score is not finite."""
-    if measure not in MEASURES:
-        raise ParameterError(f"unknown flatness measure {measure!r}; pick one of {MEASURES}")
+    """The ``measure`` of PD values, exactly 0.0 for equal ones (the flat
+    rule); NonFiniteError when a value or the score is not finite."""
+    _check_measure(measure)
     if measure in (SAMPLE_SD, MAD) and len(values) < 2:
         raise DegenerateGridError(f"{measure} needs at least 2 grid points")
     if not np.isfinite(values).all():
         raise NonFiniteError("a partial dependence value overflows float64")
     if values.max() == values.min():
-        return 0.0  # a flat PD scores exactly 0.0, whatever the mean's round-off
-    if measure == SAMPLE_SD:
-        return sample_sd(values)
-    if measure == MAD:
-        return _mad(values)
-    return _range_over_4(values)
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if measure == SAMPLE_SD:
+            score = np.std(values, ddof=1)
+        elif measure == MAD:
+            score = np.median(np.abs(values - np.median(values)))
+        else:
+            score = (values.max() - values.min()) / 4.0
+    if not np.isfinite(score):
+        raise NonFiniteError(f"the {measure} of partial dependence values overflows float64")
+    return float(score)
 
 
 def measure_for(kind: str, measure: str) -> str:
     """The flatness measure a feature of ``kind`` is scored by: range/4 for a
     categorical feature, whatever was requested, else ``measure``."""
+    _check_measure(measure)
     return RANGE_OVER_4 if kind == CATEGORICAL else measure
 
 
 def importance_from_pd(pd: PDResult, measure: str = SAMPLE_SD) -> float:
-    """Score a single-feature PD result.
-
-    Categorical features always use range/4, whatever was requested; a
-    perfectly flat PD scores exactly 0 under every measure.
-    """
+    """Score a single-feature PD result by the measure its feature takes."""
     if len(pd.grid.axes) != 1:
         raise ParameterError("importance is defined for single-feature PD results")
-    if measure not in MEASURES:
-        raise ParameterError(f"unknown flatness measure {measure!r}; pick one of {MEASURES}")
     return spread(pd.values, measure_for(pd.grid.axes[0].kind, measure))
 
 
@@ -162,8 +149,7 @@ def importance_all(model: PredictionModel, dataset: Dataset,
     """
     if dataset.n_rows < 2:
         raise ParameterError("importance needs at least 2 training rows")
-    if measure not in MEASURES:
-        raise ParameterError(f"unknown flatness measure {measure!r}; pick one of {MEASURES}")
+    _check_measure(measure)
     reducer(aggregator)  # checked even when no feature has a grid to score
     if grid_strategy is None:
         grid_strategy = GridStrategy.unique()

@@ -3,13 +3,15 @@
 If two features do not interact, the importance of one computed inside
 each slice of the joint partial dependence is the same no matter where
 the other is held: slices only shift vertically. The statistic here is
-the spread of those conditional importances, averaged over both
-directions. Friedman's H-statistic is provided alongside for comparison;
-it contrasts the joint PD with the sum of the marginal PDs at the
-training points. Each training row snaps to its nearest grid point (its
-own level for a categorical feature), so H reads the joint PD from the
-pair's joint table: ``interaction_matrix`` computes that table once and
-uses it for both statistics.
+the sd of those conditional importances, averaged over both directions.
+Both the importances and their sd are :func:`~pdimp.importance.spread`
+scores under its flat rule, so a pair with a feature the model never
+reads scores exactly 0.0. Friedman's H-statistic is provided alongside
+for comparison; it contrasts the joint PD with the sum of the marginal
+PDs at the training points. Each training row snaps to its nearest grid
+point (its own level for a categorical feature), so H reads the joint PD
+from the pair's joint table: ``interaction_matrix`` computes that table
+once and uses it for both statistics.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .data import CATEGORICAL, Dataset
 from .engine import Grid, GridAxis, GridStrategy, build_grid, ordered_mean, pd_values_at
 from .errors import DegenerateGridError, NonFiniteError, ParameterError
-from .importance import SAMPLE_SD, measure_for, sample_sd, spread
+from .importance import SAMPLE_SD, measure_for, spread
 from .models import PredictionModel
 
 
@@ -106,15 +108,6 @@ def _reported_h(h: float | None) -> float | None:
     return None if h is None or math.isnan(h) else h
 
 
-def _directional_spreads(values: np.ndarray, kinds: tuple[str, str]) -> tuple[float, float]:
-    """Spread of conditional importances in each direction of a joint PD table."""
-    k_i, k_j = values.shape
-    measure_i, measure_j = (measure_for(kind, SAMPLE_SD) for kind in kinds)
-    cond_i = np.array([spread(values[:, j], measure_i) for j in range(k_j)])
-    cond_j = np.array([spread(values[i, :], measure_j) for i in range(k_i)])
-    return sample_sd(cond_i), sample_sd(cond_j)
-
-
 def pd_interaction(model: PredictionModel, dataset: Dataset, pair: Sequence[str],
                    grid_strategy: GridStrategy | None = None,
                    workers: int = 1) -> float:
@@ -158,7 +151,9 @@ def _pair_statistics(grid: Grid, table: np.ndarray) -> PairStatistics:
     has no slices to compare and scores 0 with a ``degenerate`` flag."""
     if min(grid.shape) < 2:
         return PairStatistics(grid.features, 0.0, 0.0, 0.0, degenerate=True)
-    s_ab, s_ba = _directional_spreads(table, tuple(axis.kind for axis in grid.axes))
+    measure_a, measure_b = (measure_for(axis.kind, SAMPLE_SD) for axis in grid.axes)
+    s_ab = spread(np.array([spread(column, measure_a) for column in table.T]), SAMPLE_SD)
+    s_ba = spread(np.array([spread(row, measure_b) for row in table]), SAMPLE_SD)
     return PairStatistics(grid.features, (s_ab + s_ba) / 2.0, s_ab, s_ba)
 
 

@@ -509,6 +509,10 @@ class TestExitCodes:
         (["importance", *_TARGET, "--model", "knn:k"], "bad model parameter 'k'"),
         (["importance", *_TARGET, "--model", "knn:k=five"], "must be an integer"),
         (["importance", *_TARGET, "--model", "knn:k=5,depth=2"], "unknown model parameters"),
+        (["fit", *_TARGET, "--model", "knn:k=3,k=7"],
+         "model parameter 'k' is given twice in 'knn:k=3,k=7'"),
+        (["importance", *_TARGET, "--model", "bagged:seed=1, n_trees=5,seed =2"],
+         "model parameter 'seed' is given twice"),
         (["importance", "--model", "linear"], "--target is required"),
         (["pdp", *_TARGET, "--expr", ORACLE, "--features", "x1,x2,x3"], "one name or two"),
         (["interact", *_TARGET, "--expr", ORACLE, "--pairs", "x1-x2"], "bad pair 'x1-x2'"),
@@ -520,7 +524,8 @@ class TestExitCodes:
         (["interact", *_TARGET, "--expr", ORACLE, "--formats", "json, csv,json"],
          "names a format twice"),
     ], ids=["interact-aggregator", "ice-aggregator", "top-0", "top-negative", "workers-0",
-            "param-without-equals", "param-not-integer", "unknown-param", "no-target",
+            "param-without-equals", "param-not-integer", "unknown-param", "param-twice",
+            "param-twice-spaced", "no-target",
             "three-features", "pair-without-colon", "pairs-empty", "formats-comma", "formats-empty",
             "formats-csv-twice", "formats-json-twice"])
     def test_bad_arguments_exit_1_and_write_nothing(self, friedman_csv, tmp_path, capsys,

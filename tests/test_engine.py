@@ -146,6 +146,20 @@ class TestBuildGrid:
             with pytest.raises(ParameterError):
                 GridStrategy.parse(bad)
 
+    @pytest.mark.parametrize("kind,count,message", [
+        ("bogus", None, "unknown grid strategy kind 'bogus'"),
+        ("quantile", 0, "quantile grid needs 1 <= count"),
+        ("equidistant", 1, "equidistant grid needs 2 <= count"),
+        ("equidistant", MAX_GRID_COUNT + 1, f"count <= {MAX_GRID_COUNT}"),
+        ("quantile", None, "quantile grid needs 1 <= count"),
+        ("equidistant", 2.5, "equidistant grid needs 2 <= count"),
+        ("unique", 3, "the unique grid takes no count"),
+    ], ids=["unknown-kind", "quantile-0", "equidistant-1", "past-the-maximum",
+            "missing-count", "fractional-count", "count-for-unique"])
+    def test_direct_construction_checks_kind_and_count(self, kind, count, message):
+        with pytest.raises(ParameterError, match=message):
+            GridStrategy(kind, count)
+
     def test_counts_past_the_maximum_are_refused_before_any_allocation(self):
         assert GridStrategy.parse(f"quantile:{MAX_GRID_COUNT}").count == MAX_GRID_COUNT
         assert GridStrategy.equidistant(MAX_GRID_COUNT).count == MAX_GRID_COUNT

@@ -411,3 +411,40 @@ def test_an_additive_surface_scores_no_interaction(case):
     for pair in report.pairs:
         assert not pair.degenerate
         assert pair.stat_pd <= 1e-13 * (1.0 + scale), pair
+
+
+@st.composite
+def _models_that_ignore_b(draw):
+    """Features x, a categorical g and b, and a model that never reads b:
+    an expression that does not name it, or a forest fitted where b is
+    constant, so that no tree splits on it."""
+    n = draw(st.integers(6, 24), label="rows")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-2, 2, size=n)
+    g = rng.permutation(np.array(["u", "v", "w"])[np.arange(n) % 3])
+    ds = Dataset.from_dict({"x": x, "g": g, "b": rng.uniform(-2, 2, size=n)})
+    if draw(st.booleans(), label="forest"):
+        y = rng.normal(size=n) + np.where(g == "v", 3 * x, -x)
+        fit_on = Dataset.from_dict({"x": x, "g": g, "b": np.zeros(n), "y": y})
+        model = fit_bagged_trees(fit_on, "y", n_trees=4, max_depth=3, min_leaf=1, seed=seed)
+    else:
+        terms = draw(st.lists(_one_feature_term("x"), min_size=1, max_size=4), label="terms")
+        model = _expr(" + ".join(terms), ds)
+    return ds, model
+
+
+@settings(max_examples=60, deadline=None)
+@given(_models_that_ignore_b(),
+       st.sampled_from([GridStrategy.unique(), GridStrategy.quantile(5),
+                        GridStrategy.equidistant(7)]))
+def test_a_pair_with_a_feature_the_model_ignores_scores_exactly_zero(case, strategy):
+    """Every slice of the other feature's importance is the same float, so
+    their sd is a spread of equal values: exactly 0.0, not its round-off.
+    H is not checked: it keeps the round-off of its centring."""
+    ds, model = case
+    report = interaction_matrix(model, ds, [("x", "b"), ("b", "g")], strategy)
+    for pair in report.pairs:
+        assert not pair.degenerate
+        assert (pair.stat_pd, pair.spread_first_given_second,
+                pair.spread_second_given_first) == (0.0, 0.0, 0.0), pair
