@@ -45,8 +45,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _model_flags(parser: _Parser):
     group = parser.add_argument_group("model source (exactly one)")
-    group.add_argument("--model", help="builtin learner: linear | knn:k=10 | "
-                                       "bagged:n_trees=100,max_depth=6,min_leaf=5,seed=1")
+    group.add_argument("--model", help="builtin learner: linear | knn:k=5 | "
+                                       "bagged:n_trees=100,max_depth=6,min_leaf=5,seed=0")
     group.add_argument("--expr", help="closed-form prediction surface, e.g. '1 + 3*x1 - 5*x2'")
     group.add_argument("--external", help="external model command (line protocol child)")
     group.add_argument("--model-file", help="previously saved model JSON")

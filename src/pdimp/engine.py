@@ -10,7 +10,7 @@ naive nested-loop evaluation.
 A grid point is one row of a float64 (points x pinned features) array, a
 categorical value stored as its level code: ``Grid.points`` builds it, and
 the statistics slice their axes' values or the cells they need into it.
-Predictions at grid points come from one place, ``_score_points``, and
+Predictions at grid points come from one place, ``pd_values_at``, and
 one model method, ``predict_grid``, over every model's one kernel,
 ``_grid``. The points go to the model in slabs of consecutive points, each
 slab's points x rows block within a private memory cap, and one call
@@ -18,9 +18,10 @@ reduces each block along its rows before its slab is done; slabs run on
 at most ``workers`` threads. Row g of a block equals ``predict`` with point g
 pinned, so neither the slab size nor the worker count changes a result.
 Only ``ice_curves``, which returns every prediction, holds a rows x points
-matrix. The baseline that ``pdp`` and ``ice`` report, the aggregate
-prediction on the training data, is the grid point that pins nothing,
-scored and checked like any other.
+matrix: it hands that curve matrix to ``pd_values_at``, which copies each
+slab's block into it before reducing the block. The baseline that ``pdp``
+and ``ice`` report, the aggregate prediction on the training data, is the
+grid point that pins nothing, scored and checked like any other.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from itertools import product
-from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,6 +39,7 @@ from .errors import (
     GridStrategyError,
     NonFiniteError,
     ParameterError,
+    is_integer,
 )
 from .limits import MAX_GRID_COUNT
 from .models import PredictionModel
@@ -70,7 +71,7 @@ class GridStrategy:
         if low is None:
             if self.count is not None:
                 raise ParameterError("the unique grid takes no count")
-        elif not (isinstance(self.count, Integral) and low <= self.count <= MAX_GRID_COUNT):
+        elif not (is_integer(self.count) and low <= self.count <= MAX_GRID_COUNT):
             raise ParameterError(f"{self.kind} grid needs {low} <= count <= {MAX_GRID_COUNT}")
 
     @classmethod
@@ -365,27 +366,32 @@ def _check_finite(values: np.ndarray, dataset, features, points, message: str) -
         raise NonFiniteError(message.format(_point_label(features, dataset, points[bad[0]])))
 
 
-def _score_points(model, dataset, features, points, workers, reduce) -> np.ndarray:
-    """The training-set predictions at every grid point, reduced to one
-    value per point, as an array; a dataset with no rows is a ParameterError.
+def pd_values_at(model: PredictionModel, dataset: Dataset, features: Sequence[str],
+                 points: np.ndarray, workers: int = 1, aggregator: str = "mean",
+                 curves: np.ndarray | None = None) -> np.ndarray:
+    """Partial dependence values at grid points, one row of ``points`` each;
+    ``workers`` below 1, or not an int, and a dataset with no rows are
+    ParameterErrors.
 
     Points go to ``model.predict_grid`` in slabs of consecutive points,
     each at most ``_SLAB_ELEMENTS`` points x rows (one point at least), so
     a model that shares work between points shares it within a slab. Each
-    slab's block is checked and reduced, by one ``reduce(start, block)``
-    call (``start`` is its first point), on the thread that scored it, into
-    its own entries of the result; a value that is not finite raises
-    NonFiniteError. The outcome depends on neither the slab size nor ``workers``.
+    slab's block is checked, copied into its columns of ``curves`` (rows x
+    points) if given, and reduced by ``aggregator`` on the thread that
+    scored it, into its own entries of the result; a value that is not
+    finite raises NonFiniteError. The outcome depends on neither the slab
+    size nor ``workers``.
 
     Slabs run on min(``workers``, slabs, CPUs available to the process)
     threads; with one, the calling thread scores them and no pool starts.
     """
+    if not (is_integer(workers) and workers >= 1):
+        raise ParameterError(f"workers must be an integer of at least 1, got {workers!r}")
+    reduce = reducer(aggregator)
     if dataset.n_rows == 0:
         raise ParameterError("cannot average over an empty dataset")
     features = list(features)
-    for name in features:
-        dataset.schema_for(name)
-    size = max(1, _SLAB_ELEMENTS // max(1, dataset.n_rows))
+    size = max(1, _SLAB_ELEMENTS // dataset.n_rows)
     starts = range(0, len(points), size)
     out = np.empty(len(points))
 
@@ -394,7 +400,9 @@ def _score_points(model, dataset, features, points, workers, reduce) -> np.ndarr
         block = model.predict_grid(dataset, features, slab)
         _check_finite(block, dataset, features, slab,
                       "model produced a non-finite prediction at grid point ({})")
-        out[start:start + len(slab)] = reduce(start, block)
+        if curves is not None:
+            curves[:, start:start + len(slab)] = block.T
+        out[start:start + len(slab)] = reduce(block)
         _check_finite(out[start:start + len(slab)], dataset, features, slab,
                       "the partial dependence at grid point ({}) overflows float64")
 
@@ -409,19 +417,6 @@ def _score_points(model, dataset, features, points, workers, reduce) -> np.ndarr
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(score, starts))  # raises the first slab's error, in point order
     return out
-
-
-def pd_values_at(model: PredictionModel, dataset: Dataset, features: Sequence[str],
-                 points: np.ndarray, workers: int = 1,
-                 aggregator: str = "mean") -> np.ndarray:
-    """Partial dependence values at grid points, one row of ``points`` each.
-
-    Each slab's predictions are aggregated, one call per slab, as soon as
-    they are scored; a value that is not finite raises NonFiniteError.
-    """
-    reduce = reducer(aggregator)
-    return _score_points(model, dataset, features, points, workers,
-                         lambda start, block: reduce(block))
 
 
 def _baseline(model, dataset, aggregator) -> float:
@@ -454,10 +449,5 @@ def ice_curves(model: PredictionModel, dataset: Dataset, grid: Grid,
         raise ParameterError("ICE curves are defined for a single feature")
     points = grid.points()
     curves = np.empty((dataset.n_rows, len(points)))
-
-    def keep(start, block):
-        curves[:, start:start + len(block)] = block.T
-        return ordered_mean(block, out=block)
-
-    pd_values = _score_points(model, dataset, grid.features, points, workers, keep)
+    pd_values = pd_values_at(model, dataset, grid.features, points, workers, curves=curves)
     return ICEResult(grid, curves, _baseline(model, dataset, "mean"), pd_values)

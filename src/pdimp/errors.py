@@ -1,4 +1,12 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer test that
+guards the integer parameters."""
+
+from numbers import Integral
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer: a Python or numpy int, never a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class PdimpError(Exception):

@@ -9,9 +9,10 @@ scores under its flat rule, so a pair with a feature the model never
 reads scores exactly 0.0. Friedman's H-statistic is provided alongside
 for comparison; it contrasts the joint PD with the sum of the marginal
 PDs at the training points. Each training row snaps to its nearest grid
-point (its own level for a categorical feature), so H reads the joint PD
-from the pair's joint table: ``interaction_matrix`` computes that table
-once and uses it for both statistics.
+point (its own level for a categorical feature), and one helper reads H's
+joint PD at the rows' cells: from the pair's joint table, which
+``interaction_matrix`` computes once for both statistics, or, in
+``h_statistic``, from only the cells some row falls in.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import CATEGORICAL, Dataset
-from .engine import Grid, GridAxis, GridStrategy, build_grid, ordered_mean, pd_values_at
+from .engine import Grid, GridStrategy, build_grid, ordered_mean, pd_values_at
 from .errors import DegenerateGridError, NonFiniteError, ParameterError
 from .importance import SAMPLE_SD, measure_for, spread
 from .models import PredictionModel
@@ -169,21 +170,29 @@ def _snap_codes(column: np.ndarray, grid_values: np.ndarray) -> np.ndarray:
         return np.where(column - left <= right - column, pos - 1, pos)
 
 
-def _row_codes(dataset: Dataset, axis: GridAxis) -> np.ndarray:
-    """Grid index of each training row's own value: snapped, or its level code."""
-    column = dataset.column(axis.feature)
-    return column if axis.kind == CATEGORICAL else _snap_codes(column, axis.values)
-
-
-def _pd_by_row(model, dataset, axis: GridAxis, workers) -> np.ndarray:
-    """Marginal PD evaluated at each training row's own (snapped) value."""
-    values = pd_values_at(model, dataset, [axis.feature], axis.values[:, None], workers=workers)
-    return values[_row_codes(dataset, axis)]
-
-
-def _row_cells(dataset: Dataset, grid: Grid) -> np.ndarray:
-    """Flat index into the pair's joint table of each training row's grid cell."""
-    return _row_codes(dataset, grid.axes[0]) * grid.shape[1] + _row_codes(dataset, grid.axes[1])
+def _pair_h(model, dataset: Dataset, grid: Grid, marginals: dict[str, np.ndarray],
+            workers: int, table: np.ndarray | None = None) -> float:
+    """Friedman's H of the grid's pair, each row read at its own grid cell
+    (snapped, or its level code). The joint PD is read from the scored joint
+    ``table`` or, without one, scored at only the cells some row falls in;
+    each feature's marginal PD at each row is read from ``marginals``,
+    scored over its axis and stored there first if missing."""
+    codes = [dataset.column(axis.feature) if axis.kind == CATEGORICAL
+             else _snap_codes(dataset.column(axis.feature), axis.values) for axis in grid.axes]
+    cells = codes[0] * grid.shape[1] + codes[1]
+    if table is None:
+        needed, where = np.unique(cells, return_inverse=True)
+        i, j = np.divmod(needed, grid.shape[1])
+        points = np.stack((grid.axes[0].values[i], grid.axes[1].values[j]), axis=1,
+                          dtype=np.float64)
+        joint = pd_values_at(model, dataset, grid.features, points, workers)[where]
+    else:
+        joint = table.reshape(-1)[cells]
+    for axis, code in zip(grid.axes, codes):
+        if axis.feature not in marginals:
+            values = pd_values_at(model, dataset, [axis.feature], axis.values[:, None], workers)
+            marginals[axis.feature] = values[code]
+    return _h(grid.features, joint, *(marginals[f] for f in grid.features))
 
 
 def _h(pair: tuple[str, str], joint: np.ndarray, marginal_a: np.ndarray,
@@ -224,14 +233,7 @@ def h_statistic(model: PredictionModel, dataset: Dataset, pair: Sequence[str],
     if grid_strategy is None:
         grid_strategy = GridStrategy.unique()
     (pair,) = check_pairs(dataset, [pair])
-    grid = build_grid(dataset, pair, grid_strategy)
-    needed, where = np.unique(_row_cells(dataset, grid), return_inverse=True)
-    a, b = grid.axes
-    i, j = np.divmod(needed, grid.shape[1])
-    points = np.stack((a.values[i], b.values[j]), axis=1, dtype=np.float64)
-    values = pd_values_at(model, dataset, grid.features, points, workers=workers)
-    return _h(pair, values[where], *(_pd_by_row(model, dataset, axis, workers)
-                                     for axis in grid.axes))
+    return _pair_h(model, dataset, build_grid(dataset, pair, grid_strategy), {}, workers)
 
 
 def interaction_matrix(model: PredictionModel, dataset: Dataset,
@@ -257,11 +259,7 @@ def interaction_matrix(model: PredictionModel, dataset: Dataset,
         table = pd_values_at(model, dataset, pair, grid.points(), workers).reshape(grid.shape)
         stat = _pair_statistics(grid, table)
         if include_h:
-            for axis in grid.axes:
-                if axis.feature not in marginals:
-                    marginals[axis.feature] = _pd_by_row(model, dataset, axis, workers)
-            joint = table.reshape(-1)[_row_cells(dataset, grid)]
-            stat = replace(stat, stat_h=_h(pair, joint, *(marginals[f] for f in pair)))
+            stat = replace(stat, stat_h=_pair_h(model, dataset, grid, marginals, workers, table))
         results.append(stat)
     ranked = sorted(results, key=lambda s: -s.stat_pd)
     return InteractionReport(tuple(ranked), str(grid_strategy))

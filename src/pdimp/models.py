@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import CATEGORICAL, Dataset, FeatureSchema
-from .errors import ContractError, ParameterError, SingularDesignError
+from .errors import ContractError, ParameterError, SingularDesignError, is_integer
 
 # query x training distances held per block of k-NN query rows, and
 # differences per piece of the candidates' exact distances
@@ -152,6 +152,8 @@ class KnnModel(PredictionModel):
 
     def __init__(self, k: int, schema: Sequence[FeatureSchema], train: np.ndarray,
                  targets: np.ndarray, scales: np.ndarray):
+        if not is_integer(k):
+            raise ParameterError(f"k must be an integer, got {k!r}")
         self._feature_schema = tuple(schema)
         self.k = int(k)
         self.train = np.asarray(train, dtype=np.float64)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CONTINUOUS, Dataset, FeatureSchema
-from .errors import ParameterError
+from .errors import ParameterError, is_integer
 from .limits import MAX_SIMULATION_ROWS
 
 LINEAR = "linear"
@@ -52,6 +52,9 @@ class SimulationSpec:
     def __post_init__(self):
         if self.kind not in (LINEAR, FRIEDMAN):
             raise ParameterError(f"unknown simulation kind {self.kind!r}")
+        for name in ("n", "seed"):
+            if not is_integer(getattr(self, name)):
+                raise ParameterError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 1 <= self.n <= MAX_SIMULATION_ROWS:
             raise ParameterError(f"n must be in [1, {MAX_SIMULATION_ROWS}]")
         if not 0 <= self.seed < 2**64:

@@ -52,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Dataset, FeatureSchema
-from .errors import ParameterError
+from .errors import ParameterError, is_integer
 from .models import PredictionModel
 
 # fitting grows trees together while their sample positions times (features
@@ -479,6 +479,10 @@ def _gain(left_sum, left_cnt, right_cnt, total, base, valid):
 
 def _check_parameters(n_trees: int, max_depth: int, min_leaf: int, seed: int) -> None:
     """Refuse what no fit takes: fitting and loading a model both check here."""
+    for name, value in (("n_trees", n_trees), ("max_depth", max_depth),
+                        ("min_leaf", min_leaf), ("seed", seed)):
+        if not is_integer(value):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
     for name, value, low in (("n_trees", n_trees, 1), ("max_depth", max_depth, 0),
                              ("min_leaf", min_leaf, 1)):
         if value < low:

@@ -665,6 +665,22 @@ class TestExitCodes:
         assert err.startswith("error: seed must be in [0, 2**64), got -5")
         assert "Traceback" not in err and not out.exists()
 
+    def test_a_model_file_scored_on_levels_in_another_order_exits_2_and_writes_nothing(
+            self, tmp_path, capsys):
+        fit_csv, other_csv = tmp_path / "fit.csv", tmp_path / "other.csv"
+        fit_csv.write_text("x,g,y\n1,u,1\n2,v,3\n3,u,2\n4,v,5\n")
+        other_csv.write_text("x,g,y\n1,v,1\n2,u,3\n3,u,2\n4,v,5\n")
+        assert _run("fit", "--data", fit_csv, "--target", "y", "--model", "linear",
+                    "--out-dir", tmp_path / "fit") == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert _run("importance", "--data", other_csv, "--target", "y",
+                    "--model-file", tmp_path / "fit" / "model.json", "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: feature 'g' has level table ['v', 'u'] but the model "
+                              "was built with ['u', 'v']")
+        assert "Traceback" not in err and not out.exists()
+
     @staticmethod
     def _chain_model(depth):
         """A one-tree model file whose tree is a chain of ``depth`` splits."""

@@ -117,6 +117,10 @@ class TestLoadCsv:
         with pytest.raises(UnknownFeatureError):
             _load("a\n1\n", declared_schema={"zzz": CONTINUOUS})
 
+    def test_declared_schema_of_an_unknown_kind_fails(self):
+        with pytest.raises(ValidationError, match="unknown declared kind 'bogus' for column 'a'"):
+            _load("a\n1\n", declared_schema={"a": "bogus"})
+
     def test_row_order_is_preserved(self):
         ds = _load("a\n3\n1\n2\n")
         np.testing.assert_array_equal(ds.column("a"), [3.0, 1.0, 2.0])
@@ -455,6 +459,26 @@ class TestDatasetValidation:
             FeatureSchema("c", CATEGORICAL, ("u", "u"))
         with pytest.raises(ValidationError):
             FeatureSchema("a", CONTINUOUS, ("u",))
+
+    def test_an_unknown_feature_kind_is_refused(self):
+        with pytest.raises(ValidationError, match="unknown feature kind 'ordinal'"):
+            FeatureSchema("a", "ordinal")
+
+    @pytest.mark.parametrize("schema,columns,message", [
+        ([FeatureSchema("a", CONTINUOUS)] * 2, {"a": [1.0]}, "duplicate feature names"),
+        ([FeatureSchema("a", CONTINUOUS)], {"b": [1.0]}, "name different features"),
+        ([FeatureSchema("a", CONTINUOUS)], {"a": [[1.0], [2.0]]}, "'a' is not one-dimensional"),
+        ([FeatureSchema("c", CATEGORICAL, ("u",))], {"c": [[0], [0]]},
+         "'c' is not one-dimensional"),
+    ], ids=["name-twice", "other-names", "2-d-continuous", "2-d-categorical"])
+    def test_a_schema_must_name_each_one_dimensional_column_once(self, schema, columns,
+                                                                 message):
+        with pytest.raises(ValidationError, match=message):
+            Dataset(schema, {name: np.array(values) for name, values in columns.items()})
+
+    def test_a_column_of_an_unknown_name(self):
+        with pytest.raises(UnknownFeatureError, match="no feature named 'zzz'"):
+            Dataset.from_dict({"a": [1.0]}).column("zzz")
 
     def test_columns_are_read_only(self):
         ds = Dataset.from_dict({"a": [1.0, 2.0]})

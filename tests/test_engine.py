@@ -20,6 +20,8 @@ import pdimp
 import pdimp.engine as engine_module
 from pdimp import (
     Dataset,
+    DegenerateGridError,
+    FeatureSchema,
     Grid,
     GridAxis,
     GridStrategy,
@@ -37,6 +39,7 @@ from pdimp import (
     fit_knn,
     fit_linear,
     ice_curves,
+    load_csv,
     parse_expression,
     partial_dependence,
 )
@@ -154,11 +157,35 @@ class TestBuildGrid:
         ("quantile", None, "quantile grid needs 1 <= count"),
         ("equidistant", 2.5, "equidistant grid needs 2 <= count"),
         ("unique", 3, "the unique grid takes no count"),
+        ("quantile", True, "quantile grid needs 1 <= count"),
+        ("equidistant", False, "equidistant grid needs 2 <= count"),
     ], ids=["unknown-kind", "quantile-0", "equidistant-1", "past-the-maximum",
-            "missing-count", "fractional-count", "count-for-unique"])
+            "missing-count", "fractional-count", "count-for-unique", "bool-true", "bool-false"])
     def test_direct_construction_checks_kind_and_count(self, kind, count, message):
         with pytest.raises(ParameterError, match=message):
             GridStrategy(kind, count)
+
+    def test_a_numpy_integer_count_is_taken(self):
+        assert str(GridStrategy.quantile(np.int64(4))) == "quantile:4"
+
+    @pytest.mark.parametrize("columns,features,error,message", [
+        ({"a": [1.0]}, [], ParameterError, "grids cover one or two features"),
+        ({"a": [1.0], "b": [1.0], "c": [1.0]}, ["a", "b", "c"], ParameterError,
+         "grids cover one or two features"),
+        ({"a": []}, ["a"], DegenerateGridError, "feature 'a' has no training values"),
+    ])
+    def test_a_grid_needs_one_or_two_features_with_values(self, columns, features, error,
+                                                          message):
+        ds = Dataset([FeatureSchema(name, "continuous") for name in columns],
+                     {name: np.array(values) for name, values in columns.items()})
+        with pytest.raises(error, match=message):
+            build_grid(ds, features, GridStrategy.unique())
+
+    def test_a_categorical_feature_without_levels_has_no_grid(self):
+        with pytest.warns(UserWarning, match="CSV body is empty"):
+            ds = load_csv(io.StringIO("g\n"))
+        with pytest.raises(DegenerateGridError, match="categorical feature 'g' has no levels"):
+            build_grid(ds, ["g"], GridStrategy.quantile(3))
 
     def test_counts_past_the_maximum_are_refused_before_any_allocation(self):
         assert GridStrategy.parse(f"quantile:{MAX_GRID_COUNT}").count == MAX_GRID_COUNT
@@ -454,6 +481,12 @@ class TestSerialization:
         doc = json.loads((tmp_path / "pd.json").read_text())
         assert doc["points"]["g"] == ["u", "v"]
         assert doc["n_train"] == 2
+
+    def test_an_unknown_format_is_refused(self, tmp_path):
+        ds = Dataset.from_dict({"a": [1.0, 2.0]})
+        pd = partial_dependence(_expr("a", ds), ds, build_grid(ds, ["a"], GridStrategy.unique()))
+        with pytest.raises(ParameterError, match="unsupported output format 'xml'"):
+            emit_plot_data(pd, tmp_path, "pd", formats=("xml",))
 
     def test_ice_long_format(self, tmp_path):
         ds = Dataset.from_dict({"a": [1.0, 2.0], "b": [0.0, 1.0]})

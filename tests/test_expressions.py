@@ -112,6 +112,9 @@ class TestErrors:
         assert err.value.position == 4
         assert _eval_at("1e-400")[0] == 0.0
 
+    def test_trailing_and_leading_spaces_are_skipped(self):
+        assert _eval_at("  x1 + 2  \t ", x1=[1.0])[0] == 3.0
+
     def test_stray_character(self):
         with pytest.raises(ExpressionError) as err:
             parse_expression("1 + $2", SCHEMA)

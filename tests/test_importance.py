@@ -9,6 +9,7 @@ from pdimp import (
     Dataset,
     DegenerateGridError,
     GridStrategy,
+    NonFiniteError,
     ParameterError,
     build_grid,
     importance_all,
@@ -62,6 +63,18 @@ class TestSpreadMeasures:
     def test_unknown_measure(self):
         with pytest.raises(ParameterError):
             importance_from_pd(_pd_of([1.0, 2.0]), "variance")
+
+    @pytest.mark.parametrize("measure", [SAMPLE_SD, MAD, RANGE_OVER_4])
+    def test_a_value_that_is_not_finite_is_refused(self, measure):
+        with pytest.raises(NonFiniteError, match="a partial dependence value overflows"):
+            spread(np.array([1.0, np.inf, 2.0]), measure)
+
+    def test_a_pair_pd_has_no_importance(self):
+        ds = Dataset.from_dict({"a": [1.0, 2.0], "b": [3.0, 4.0]})
+        pd = partial_dependence(parse_expression("a + b", ds.schema), ds,
+                                build_grid(ds, ["a", "b"], GridStrategy.unique()))
+        with pytest.raises(ParameterError, match="single-feature PD results"):
+            importance_from_pd(pd, SAMPLE_SD)
 
     def test_mad_is_robust_where_sd_is_not(self):
         base = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -221,6 +234,13 @@ class TestReportOutput:
         import json
         doc = json.loads((tmp_path / "imp.json").read_text())
         assert [e["name"] for e in doc["features"]] == ["c", "a", "b"]
+
+    def test_score_of_an_unknown_name(self):
+        ds = Dataset.from_dict({"a": [0.0, 1.0, 2.0]})
+        report = importance_all(parse_expression("a", ds.schema), ds)
+        assert report.score_of("a") > 0
+        with pytest.raises(KeyError):
+            report.score_of("zzz")
 
     def test_pd_and_score_agree_with_manual_computation(self):
         rng = np.random.default_rng(9)

@@ -191,6 +191,13 @@ class TestInteractionMatrix:
             (pair.spread_first_given_second + pair.spread_second_given_first) / 2.0, rel=1e-15
         )
 
+    def test_stat_for_takes_either_order_and_refuses_an_unknown_pair(self):
+        ds = Dataset.from_dict({"a": [0.0, 1.0, 2.0], "b": [2.0, 0.0, 1.0], "c": [1.0, 1.0, 0.0]})
+        report = interaction_matrix(_expr("a*b", ds), ds, [("a", "b")])
+        assert report.stat_for("b", "a") is report.pairs[0]
+        with pytest.raises(KeyError):
+            report.stat_for("a", "c")
+
     def test_csv_and_json_output(self, tmp_path):
         rng = np.random.default_rng(10)
         ds = Dataset.from_dict({"a": rng.uniform(size=15), "b": rng.uniform(size=15)})

@@ -144,6 +144,20 @@ class TestLinearPredict:
         with pytest.raises(ParameterError):
             LinearModel(np.inf, {"x1": 1.0}, schema)
 
+    def test_coefficient_names_must_be_the_design_columns(self):
+        schema = (FeatureSchema("x1", "continuous"), FeatureSchema("g", "categorical", ("u", "v")))
+        for coefficients in ({"x1": 1.0}, {"x1": 1.0, "g": 2.0}, {"g=v": 2.0, "x1": 1.0}):
+            with pytest.raises(ParameterError, match=r"do not match design columns \['x1', 'g=v'\]"):
+                LinearModel(0.0, coefficients, schema)
+
+    def test_a_batch_with_another_level_table_is_a_contract_error(self):
+        schema = (FeatureSchema("g", "categorical", ("u", "v")),)
+        model = LinearModel(0.0, {"g=v": 1.0}, schema)
+        batch = Dataset.from_dict({"g": ["v", "u"]})  # levels in first-appearance order
+        with pytest.raises(ContractError, match=r"level table \['v', 'u'\] but the model was "
+                                                r"built with \['u', 'v'\]"):
+            model.predict(batch)
+
 
 class TestKnn:
     def test_k_equals_n_predicts_the_global_mean(self):
@@ -199,6 +213,25 @@ class TestKnn:
             fit_knn(ds, "y", k=0)
         with pytest.raises(ParameterError):
             fit_knn(ds, "y", k=3)
+
+    @pytest.mark.parametrize("k,message", [(0, r"k=0 must be in \[1, 2\]"),
+                                           (3, r"k=3 must be in \[1, 2\]"),
+                                           (2.5, "k must be an integer, got 2.5"),
+                                           (True, "k must be an integer, got True")])
+    def test_a_direct_construction_refuses_a_k_no_fit_takes(self, k, message):
+        schema = (FeatureSchema("a", "continuous"),)
+        with pytest.raises(ParameterError, match=message):
+            models_module.KnnModel(k, schema, [[1.0], [2.0]], [1.0, 2.0], [1.0])
+
+    @pytest.mark.parametrize("k", [2.5, True])
+    def test_fitting_refuses_a_k_that_is_no_integer(self, k):
+        ds = Dataset.from_dict({"a": [1.0, 2.0, 3.0], "y": [1.0, 2.0, 3.0]})
+        with pytest.raises(ParameterError, match="k must be an integer"):
+            fit_knn(ds, "y", k=k)
+
+    def test_a_numpy_integer_k_is_taken(self):
+        ds = Dataset.from_dict({"a": [1.0, 2.0, 3.0], "y": [1.0, 2.0, 3.0]})
+        assert fit_knn(ds, "y", k=np.int64(2)).k == 2
 
     def test_constant_column_gets_unit_scale(self):
         ds = Dataset.from_dict({"a": [1.0, 1.0, 1.0], "b": [0.0, 1.0, 2.0], "y": [1.0, 2.0, 3.0]})

@@ -171,6 +171,10 @@ class TestMalformedDocuments:
         lambda d: d.update(max_depth="6"),
         lambda d: d["trees"].__setitem__(0, [1, 2]),
         lambda d: d["schema"][0].pop("kind"),
+        lambda d: d["schema"][2].update(levels="uvw"),
+        lambda d: d["schema"][2].update(levels=["u", "v", 3]),
+        lambda d: _first_split(d, categorical=True).update(left_levels=[0, 3]),
+        lambda d: _first_split(d, categorical=True).update(left_levels=[True]),
     ])
     def test_other_malformed_tree_documents(self, edit):
         doc = _tree_doc()
@@ -189,6 +193,28 @@ class TestMalformedDocuments:
         with pytest.raises(ParameterError) as fitting:
             fit_bagged_trees(_dataset(n=40), "y", **params)
         assert str(loading.value) == str(fitting.value)
+
+    @pytest.mark.parametrize("key,value", [("max_depth", 2.5), ("min_leaf", 2.5), ("seed", 1.5),
+                                           ("n_trees", True), ("n_trees", 2.5)])
+    def test_fitting_refuses_the_tree_parameters_loading_refuses(self, key, value):
+        doc = _tree_doc()
+        doc[key] = value
+        with pytest.raises(ParameterError, match=key):
+            model_from_json(doc)
+        params = {"n_trees": 3, "max_depth": 3, "min_leaf": 2, "seed": 8, key: value}
+        with pytest.raises(ParameterError, match=f"{key} must be an integer, got {value}"):
+            fit_bagged_trees(_dataset(n=40), "y", **params)
+
+    def test_knn_train_must_be_a_matrix(self):
+        doc = model_to_json(fit_knn(_continuous_only(), "y", k=2))
+        doc["train"] = doc["train"][0]
+        with pytest.raises(ParameterError, match="'train' must be 2-dimensional"):
+            model_from_json(doc)
+
+    @pytest.mark.parametrize("doc", [[], "model", None])
+    def test_a_document_that_is_not_an_object(self, doc):
+        with pytest.raises(ParameterError, match="must be a JSON object"):
+            model_from_json(doc)
 
     def test_knn_arrays_must_agree_with_the_schema(self):
         doc = model_to_json(fit_knn(_continuous_only(), "y", k=2))

@@ -101,6 +101,18 @@ class TestGenerate:
         with pytest.raises(ParameterError):
             SimulationSpec("linear", 10, 0, -1.0)
 
+    @pytest.mark.parametrize("n,seed,message", [(2.5, 0, "n must be an integer, got 2.5"),
+                                                (True, 0, "n must be an integer, got True"),
+                                                (10, 1.5, "seed must be an integer, got 1.5"),
+                                                (10, True, "seed must be an integer, got True")])
+    def test_a_row_count_or_seed_that_is_no_integer_is_refused(self, n, seed, message):
+        with pytest.raises(ParameterError, match=message):
+            SimulationSpec("linear", n, seed, 1.0)
+
+    def test_numpy_integers_are_taken(self):
+        spec = SimulationSpec("linear", np.int64(5), np.uint64(3), 1.0)
+        assert generate(spec) == generate(SimulationSpec("linear", 5, 3, 1.0))
+
 
 class TestTruePdLinear:
     def test_midpoint_values(self):

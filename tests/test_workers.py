@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from pdimp import (
     Dataset,
     GridStrategy,
     LinearModel,
+    ParameterError,
     build_grid,
     fit_bagged_trees,
     fit_knn,
@@ -19,7 +21,7 @@ from pdimp import (
     parse_expression,
     partial_dependence,
 )
-from pdimp.engine import ordered_mean
+from pdimp.engine import ordered_mean, pd_values_at
 
 _VALUES = [-1.5, -0.25, 0.0, 0.5, 1.0, 2.75, 3.0]
 KINDS = ("linear", "expression", "knn", "trees")
@@ -86,3 +88,16 @@ def test_ice_column_means_are_the_pd_bit_for_bit(case, feature, workers):
     pd = partial_dependence(model, features, grid, workers=workers)
     means = np.array([ordered_mean(ice.curves[:, j]) for j in range(len(grid.axes[0]))])
     assert means.tobytes() == pd.values.tobytes() == ice.pd_values.tobytes()
+
+
+@pytest.mark.parametrize("workers", [0, -5, 2.5, True, None])
+def test_a_worker_count_that_is_no_integer_of_at_least_1_is_refused(workers):
+    ds = Dataset.from_dict({"a": [1.0, 2.0]})
+    model = parse_expression("a", ds.schema)
+    with pytest.raises(ParameterError, match=f"workers must be an integer of at least 1, "
+                                             f"got {workers}"):
+        pd_values_at(model, ds, ["a"], np.array([[1.0]]), workers=workers)
+    grid = build_grid(ds, ["a"], GridStrategy.unique())
+    for analysis in (partial_dependence, ice_curves):
+        with pytest.raises(ParameterError, match="workers must be"):
+            analysis(model, ds, grid, workers=workers)
