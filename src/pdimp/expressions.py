@@ -5,11 +5,12 @@ program over feature names as it reads: a number or a feature name pushes
 a value, and each operator or function replaces its operands on the value
 stack with its result. Evaluation runs the program in one loop,
 vectorized over dataset columns, so sums and products of any length
-compile and score. Only nesting (parentheses, unary minus, ``^`` chains)
-recurses in the parser; an expression nested too deeply for Python's
-stack raises ExpressionError. These oracle models make it possible to
-test the estimators against surfaces whose partial dependence is known
-exactly.
+compile and score; a step writes into a block an earlier step made, by the
+rule for work arrays in the ``models`` module docstring. Only nesting
+(parentheses, unary minus, ``^`` chains) recurses in the parser; an
+expression nested too deeply for Python's stack raises ExpressionError.
+These oracle models make it possible to test the estimators against
+surfaces whose partial dependence is known exactly.
 
 Precedence, loosest to tightest: ``+ -``, ``* /``, unary ``-``, ``^``
 (right-associative, so ``2^3^2 == 512`` and ``-2^2 == -4``).
@@ -18,7 +19,6 @@ Precedence, loosest to tightest: ``+ -``, ``* /``, unary ``-``, ``^``
 from __future__ import annotations
 
 import math
-import operator
 import re
 from typing import Sequence
 
@@ -38,9 +38,9 @@ FUNCTIONS = {
 }
 
 _BINARY = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
     "/": np.divide,
     "^": np.power,
 }
@@ -120,7 +120,7 @@ class _Parser:
     def factor(self):
         if self.take("-"):
             self.factor()
-            self.program.append(operator.neg)
+            self.program.append(np.negative)
         else:
             self.power()
 
@@ -188,8 +188,20 @@ class ExpressionModel(PredictionModel):
 
     def _grid(self, batch: Dataset, cols: list[int], pinned: np.ndarray) -> np.ndarray:
         """The program run once over the slab: a pinned variable is a (points x
-        1) column, so every value takes the steps it takes at one point alone."""
+        1) column, so every value takes the steps it takes at one point alone.
+        A step writes into an operand that is a (points x rows) block an
+        earlier step made: no other step reads it, while a column or pin may
+        be read again."""
         columns = pinned_columns(batch, self.feature_names, cols, pinned)
+        inputs = {id(column) for column in columns.values()}
+        shape = (len(pinned), batch.n_rows)
+
+        def owned(value):
+            # numpy loops over a one-element array written in place with
+            # stride 0, which its power loop reads as a repeated exponent
+            return (np.shape(value) == shape and id(value) not in inputs
+                    and math.prod(shape) > 1)
+
         stack = []
         with np.errstate(all="ignore"):
             for step in self.program:
@@ -198,11 +210,22 @@ class ExpressionModel(PredictionModel):
                 elif isinstance(step, str):
                     stack.append(columns[step])
                 elif step in _BINARY_STEPS:
-                    rhs = stack.pop()
-                    stack[-1] = step(stack[-1], rhs)
+                    lhs, rhs = stack[-2], stack.pop()
+                    if step is np.power and isinstance(rhs, np.ndarray):
+                        # numpy's power takes another loop (sqrt for 0.5) for an
+                        # exponent it sees repeat, as a pin or a one-row column;
+                        # at one point every column is full, so both are spread
+                        full = np.broadcast_shapes(np.shape(lhs), rhs.shape)
+                        lhs, rhs = [np.broadcast_to(x, full).copy()
+                                    if isinstance(x, np.ndarray) and x.shape != full else x
+                                    for x in (lhs, rhs)]
+                    out = lhs if owned(lhs) else rhs if owned(rhs) else None
+                    stack[-1] = step(lhs, rhs, out=out)
                 else:
-                    stack[-1] = step(stack[-1])
-        return np.broadcast_to(stack[-1], (len(pinned), batch.n_rows)).copy()
+                    stack[-1] = step(stack[-1], out=stack[-1] if owned(stack[-1]) else None)
+        if owned(stack[-1]):
+            return stack[-1]
+        return np.broadcast_to(stack[-1], shape).copy()
 
 
 def parse_expression(text: str, schema: Sequence[FeatureSchema]) -> ExpressionModel:

@@ -10,6 +10,11 @@ kernel meets NaN, inf or a code outside the level table, and hands ``_grid``
 the pinned columns and a float64 copy of the points; ``_grid`` never writes
 into the points it is given. ``_grid`` is every model's one kernel, and
 ``predict`` is its point that pins nothing.
+
+A kernel allocates each block-sized work array once per ``_grid`` call and
+writes every per-point step into it, so scoring more points of a slab costs
+arithmetic, not fresh memory from the allocator. Each such array stays local
+to the call, since the engine may call ``predict_grid`` from several threads.
 """
 
 from __future__ import annotations
@@ -176,25 +181,30 @@ class KnnModel(PredictionModel):
         query /= self.scales
         pinned = pinned / self.scales[cols]
         train = self._scaled_train
-        rows = max(1, _KNN_BLOCK_ELEMENTS // len(train))
+        rows = max(1, min(batch.n_rows, _KNN_BLOCK_ELEMENTS // len(train)))
         out = np.empty((len(pinned), batch.n_rows))
+        work = np.empty((3, rows, len(train)))
+        mask = np.empty((rows, len(train)), dtype=bool)
         for start in range(0, batch.n_rows, rows):
             block = query[start:start + rows]
-            rest = np.zeros((len(block), len(train)))  # the unpinned features' terms
+            rest, scratch, approx = work[:, :len(block)]
+            rest.fill(0.0)  # the unpinned features' terms
             for f in range(train.shape[1]):
                 if f not in cols:
-                    term = train[:, f] - block[:, f:f + 1]
-                    term *= term
-                    rest += term
+                    np.subtract(train[:, f], block[:, f:f + 1], out=scratch)
+                    scratch *= scratch
+                    rest += scratch
             for g, values in enumerate(pinned):
                 block[:, cols] = values  # query is this call's own copy
-                out[g, start:start + rows] = self._pruned(rest, cols, values, block)
+                out[g, start:start + rows] = self._pruned(
+                    rest, cols, values, block, (scratch, approx, mask[:len(block)]))
         return out
 
-    def _pruned(self, rest, cols, values, block) -> np.ndarray:
+    def _pruned(self, rest, cols, values, block, work) -> np.ndarray:
         """Predictions for the scaled query rows ``block``, whose
         unpinned distance terms sum to ``rest`` and whose ``cols`` hold
-        ``values``.
+        ``values``. ``work`` holds the call's scratch, approximate-distance
+        and keep arrays, each of ``rest``'s shape, which this point overwrites.
 
         Why the margin is safe. For one query row and training row, the
         exact squared distance ``e`` and the approximate one ``a`` (``rest``
@@ -226,12 +236,14 @@ class KnnModel(PredictionModel):
         """
         k, train = self.k, self._scaled_train
         n_train, p = train.shape
+        scratch, approx, keep = work
         term = train[:, cols] - values
         term *= term
-        approx = rest + np.sum(term, axis=1)
-        limit = np.partition(approx, k - 1, axis=1)[:, k - 1:k]
-        limit *= 1.0 + (p + 2) * 2.0**-50
-        keep = approx <= limit
+        np.add(rest, np.sum(term, axis=1), out=approx)
+        np.copyto(scratch, approx)
+        scratch.partition(k - 1, axis=1)
+        limit = scratch[:, k - 1:k] * (1.0 + (p + 2) * 2.0**-50)
+        np.less_equal(approx, limit, out=keep)
         keep[~(limit[:, 0] <= 2.0**1000)] = True  # no margin: every training row
         row, cand = np.divmod(np.flatnonzero(keep), n_train)
         dist = np.empty(len(cand))
@@ -334,8 +346,6 @@ def fit_knn(dataset: Dataset, target_name: str, k: int) -> KnnModel:
             raise ParameterError(
                 f"k-NN supports continuous features only; {feat.name!r} is categorical"
             )
-    if not (1 <= k <= features.n_rows):
-        raise ParameterError(f"k={k} must be in [1, {features.n_rows}]")
     train = np.column_stack([features.column(f.name) for f in features.schema])
     if features.n_rows > 1:
         with np.errstate(over="ignore", invalid="ignore"):

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -60,8 +61,11 @@ class SimulationSpec:
         if not 0 <= self.seed < 2**64:
             raise ParameterError(f"seed must be in [0, 2**64), got {self.seed}")
         for name in ("sigma", "beta0", "beta1", "beta2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ParameterError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if self.sigma < 0:
             raise ParameterError("sigma must be nonnegative")
 

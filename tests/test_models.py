@@ -1,5 +1,10 @@
 """Linear and k-NN learners plus the shared prediction contract."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,7 +228,7 @@ class TestKnn:
         with pytest.raises(ParameterError, match=message):
             models_module.KnnModel(k, schema, [[1.0], [2.0]], [1.0, 2.0], [1.0])
 
-    @pytest.mark.parametrize("k", [2.5, True])
+    @pytest.mark.parametrize("k", [2.5, True, "2"])
     def test_fitting_refuses_a_k_that_is_no_integer(self, k):
         ds = Dataset.from_dict({"a": [1.0, 2.0, 3.0], "y": [1.0, 2.0, 3.0]})
         with pytest.raises(ParameterError, match="k must be an integer"):
@@ -412,6 +417,39 @@ def test_knn_blocks_equal_the_row_loop_on_friedman_data():
     assert model.predict(batch).tobytes() == _knn_row_loop(model, batch).tobytes()
 
 
+_FAULT_COUNT = """
+import resource
+import numpy as np
+from pdimp import fit_knn
+from pdimp.simulate import SimulationSpec, generate
+
+ds = generate(SimulationSpec("friedman", 180, 7, 1.0))
+model = fit_knn(ds, "y", k=10)
+batch = ds.drop("y")
+points = np.quantile(batch.column("x1"), np.linspace(0, 1, 40))[:, None]
+
+def faults(count):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    model.predict_grid(batch, ["x1"], points[:count])
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+faults(4), faults(40)  # warm
+print(min(faults(4) for _ in range(3)), min(faults(40) for _ in range(3)))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor faults")
+def test_knn_grid_allocates_its_work_arrays_once_per_call():
+    # a fresh (rows x training rows) array per grid point makes the C heap
+    # shrink and regrow, paid as page faults at every point. A new
+    # interpreter is measured: this one's heap has grown past such arrays.
+    env = {**os.environ, "PYTHONPATH": str(Path(models_module.__file__).parents[1])}
+    counts = subprocess.run([sys.executable, "-c", _FAULT_COUNT], env=env, check=True,
+                            capture_output=True, text=True, timeout=60).stdout
+    few, many = map(int, counts.split())
+    assert many <= few + 64, f"40 points took {many} minor faults, 4 points {few}"
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_knn_rows_without_a_margin_keep_every_training_row():
     # at unit scale the query row at a=1e200 is at a finite distance from the
@@ -521,10 +559,13 @@ def test_predict_grid_rejects_a_continuous_value_that_is_not_finite(kind, value)
 # --- the broadcast kernels: a pinned column is (points x 1) ------------------
 
 # each function, ^ with a pinned base and a pinned exponent, /, unary minus,
-# a formula that reads no pinned variable, and a constant one
+# a formula that reads no pinned variable, and a constant one; constant-only
+# subexpressions; one column or one constant alone; a pinned variable read
+# again after a step on it
 _FORMULAS = [f"{name}(a) + {name}(b * c)" for name in FUNCTIONS] + [
     "a ^ b", "b ^ a", "c ^ a ^ b", "a / b - c / a", "-a * -(b - c)", "-a ^ 2",
-    "sqrt(c) + 2", "3 * 2 ^ -1", "a * b * c / (a + b + c)"]
+    "sqrt(c) + 2", "3 * 2 ^ -1", "a * b * c / (a + b + c)",
+    "(2 + pi) * sin(0.5) - c ^ -(3 - 1)", "a", "c", "2", "-a * b - a / b + exp(-a) * a"]
 _EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-300, -1e300, 710.0, np.pi]
 
 
@@ -547,6 +588,21 @@ def test_expression_grid_equals_predict_at_each_pinned_point_bit_for_bit(formula
     for pinned in (["a"], ["b"], ["a", "b"], ["b", "c"]):
         points = [p[:len(pinned)] for p in zip(_EDGE_VALUES, _EDGE_VALUES[::-1])]
         _assert_grid_equals_pinned_predict(model, batch, pinned, points)
+
+
+@pytest.mark.parametrize("formula", _FORMULAS)
+def test_expression_grid_of_one_row_or_one_point_equals_predict_bit_for_bit(formula):
+    # over one row the block is (points x 1), the shape of a pinned column
+    # that a later step may read again; over one row or at one point, a
+    # column or a pin repeats along numpy's loop
+    points = list(zip(_EDGE_VALUES, _EDGE_VALUES[::-1]))
+    for batch in [_formula_batch(_EDGE_VALUES * 3)] + [
+            Dataset.from_dict({name: [value] for name in "abc"}) for value in _EDGE_VALUES]:
+        model = parse_expression(formula, batch.schema)
+        for pinned in (["a"], ["a", "b"]):
+            at = [p[:len(pinned)] for p in points]
+            for slab in [at, *([point] for point in at)]:
+                _assert_grid_equals_pinned_predict(model, batch, pinned, slab)
 
 
 _LEAVES = st.sampled_from(["a", "b", "c", "2", "0.5", "pi"])

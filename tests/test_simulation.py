@@ -109,6 +109,12 @@ class TestGenerate:
         with pytest.raises(ParameterError, match=message):
             SimulationSpec("linear", n, seed, 1.0)
 
+    @pytest.mark.parametrize("name", ["sigma", "beta0", "beta1", "beta2"])
+    @pytest.mark.parametrize("value", [True, False, "1"])
+    def test_a_noise_level_or_coefficient_that_is_no_number_is_refused(self, name, value):
+        with pytest.raises(ParameterError, match=f"{name} must be a number, got {value!r}"):
+            SimulationSpec("linear", 10, 0, **{"sigma": 1.0, name: value})
+
     def test_numpy_integers_are_taken(self):
         spec = SimulationSpec("linear", np.int64(5), np.uint64(3), 1.0)
         assert generate(spec) == generate(SimulationSpec("linear", 5, 3, 1.0))
