@@ -47,7 +47,9 @@ def _model_flags(parser: _Parser):
     group = parser.add_argument_group("model source (exactly one)")
     group.add_argument("--model", help="builtin learner: linear | knn:k=5 | "
                                        "bagged:n_trees=100,max_depth=6,min_leaf=5,seed=0")
-    group.add_argument("--expr", help="closed-form prediction surface, e.g. '1 + 3*x1 - 5*x2'")
+    group.add_argument("--expr", help="closed-form prediction surface, e.g. '1 + 3*x1 - 5*x2'; "
+                       "the last bits of exp, log and ^ depend on the host's SIMD code, "
+                       "except ^ with a constant exponent of 2, 0.5 or -1")
     group.add_argument("--external", help="external model command (line protocol child)")
     group.add_argument("--model-file", help="previously saved model JSON")
     parser.add_argument("--timeout", type=float, default=30.0,

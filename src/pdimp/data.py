@@ -339,11 +339,11 @@ def load_csv(source, declared_schema: Mapping[str, str] | None = None) -> Datase
     or error. A body of plain lines of finite numbers (no quote, carriage
     return, NUL, empty cell or line of another width; see
     :func:`_numeric_columns`), with no column declared categorical, is
-    parsed ``_CHUNK_CHARS`` characters at a time: the load holds at most
-    twice its float64 columns, and the text and cells of one chunk. Any
-    other input is read row by row, holding every cell's text until its
-    column is parsed; one whose body stops being numeric after some chunks
-    is read again from its start.
+    parsed ``_CHUNK_CHARS`` characters at a time into float64 columns
+    allocated once its lines are counted: the load holds the columns, and
+    the text and cells of one chunk. Any other input is read row by row,
+    holding every cell's text until its column is parsed; one whose body
+    stops being numeric after some chunks is read again from its start.
     """
     declared = declared_schema or {}
     numeric = None if CATEGORICAL in declared.values() else _numeric_columns(source)
@@ -398,10 +398,10 @@ def _numeric_columns(source) -> tuple[list[str], np.ndarray] | None:
 
     The header must end in a line feed and no text may hold a quote,
     carriage return or NUL, so that commas and line feeds alone separate
-    the cells. The body is read ``_CHUNK_CHARS`` characters at a time,
-    and a chunk's complete lines must each hold as many cells as the
-    header, every one a finite number by ``float()`` and no longer than the
-    ``csv`` module's field limit. A source that is no text stream, or a
+    the cells. The body's lines are counted, then it is read
+    ``_CHUNK_CHARS`` characters at a time, and a chunk's complete lines
+    must each hold as many cells as the header, every one a finite number
+    by ``float()`` and no longer than the ``csv`` module's field limit. A source that is no text stream, or a
     stream that cannot seek back, gets None.
     """
     with _text_source(source) as fh:
@@ -412,7 +412,7 @@ def _numeric_columns(source) -> tuple[list[str], np.ndarray] | None:
         except OSError:  # a pipe, say
             return None
         try:
-            numeric = _numeric_body(fh)
+            numeric = _numeric_body(fh, source)
         except UnicodeDecodeError:
             numeric = None
         if numeric is None:
@@ -420,8 +420,9 @@ def _numeric_columns(source) -> tuple[list[str], np.ndarray] | None:
         return numeric
 
 
-def _numeric_body(fh) -> tuple[list[str], np.ndarray] | None:
-    """What :func:`_numeric_columns` returns, read from ``fh``."""
+def _numeric_body(fh, source) -> tuple[list[str], np.ndarray] | None:
+    """What :func:`_numeric_columns` returns, read from ``fh``, which reads
+    ``source``."""
     header = fh.readline()
     if not header.endswith("\n") or any(c in header for c in _NOT_PLAIN):
         return None
@@ -430,7 +431,13 @@ def _numeric_body(fh) -> tuple[list[str], np.ndarray] | None:
     if "" in names or len(set(names)) != len(names) or \
             max(map(len, cells)) > csv.field_size_limit():
         return None
-    blocks, tail = [], ""
+    # the lines are counted first, so that each chunk's numbers go straight
+    # into the one array that holds them all
+    lines = _body_lines(fh, source)
+    if not lines:
+        return None
+    matrix = np.empty((len(names), lines))
+    done, tail = 0, ""
     while True:
         chunk = fh.read(_CHUNK_CHARS)
         if not chunk and not tail:
@@ -439,20 +446,41 @@ def _numeric_body(fh) -> tuple[list[str], np.ndarray] | None:
         cut = text.rfind("\n") + 1
         text, tail = text[:cut], text[cut:]
         if text:
-            block = _numeric_block(text, len(names))
-            if block is None:
+            done = _numeric_block(text, matrix, done)
+            if done is None:
                 return None
-            blocks.append(block)
-    if not blocks:
+    if done != lines:  # the stream changed between the two reads
         return None
-    matrix = np.concatenate(blocks, axis=1)
     matrix.setflags(write=False)
     return names, matrix
 
 
-def _numeric_block(text: str, width: int) -> np.ndarray | None:
-    """Lines of ``text``, each ending in a line feed, as a (width x lines)
-    float64 array, or None unless each holds ``width`` finite numbers."""
+def _body_lines(fh, source) -> int:
+    """The count of lines after the header, a last one without a line feed
+    included: line feeds (one byte each in UTF-8) counted in the raw bytes
+    of a path or bytes ``source``, else in the rest of ``fh``, which is left
+    where it was."""
+    if isinstance(source, (str, Path, bytes)):
+        with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as raw:
+            feeds, last = -1, b"\n"  # the header ends in the first line feed
+            while chunk := raw.read(_CHUNK_CHARS):
+                feeds += chunk.count(b"\n")
+                last = chunk[-1:]
+        return feeds + (last != b"\n")
+    body, feeds, last = fh.tell(), 0, "\n"
+    while chunk := fh.read(_CHUNK_CHARS):
+        feeds += chunk.count("\n")
+        last = chunk[-1]
+    fh.seek(body)
+    return feeds + (last != "\n")
+
+
+def _numeric_block(text: str, matrix: np.ndarray, done: int) -> int | None:
+    """Write the lines of ``text``, each ending in a line feed, into the
+    columns of ``matrix`` (width x lines) from ``done`` on; the count of
+    lines written so far, or None unless each line holds ``width`` finite
+    numbers and fits."""
+    width = matrix.shape[0]
     if any(c in text for c in _NOT_PLAIN):
         return None
     cells = text[:-1].replace("\n", ",").split(",")
@@ -467,7 +495,11 @@ def _numeric_block(text: str, width: int) -> np.ndarray | None:
     separators = raw[ends].reshape(-1, width)
     if not ((separators[:, :-1] == _COMMA).all() and (separators[:, -1] == _LINE_FEED).all()):
         return None
-    return values.reshape(-1, width).T.copy() if np.isfinite(values).all() else None
+    values = values.reshape(-1, width)
+    if not np.isfinite(values).all() or done + len(values) > matrix.shape[1]:
+        return None
+    matrix[:, done:done + len(values)] = values.T
+    return done + len(values)
 
 
 def _bad_byte(source, exc: UnicodeDecodeError) -> str:

@@ -14,6 +14,13 @@ surfaces whose partial dependence is known exactly.
 
 Precedence, loosest to tightest: ``+ -``, ``* /``, unary ``-``, ``^``
 (right-associative, so ``2^3^2 == 512`` and ``-2^2 == -4``).
+
+The last bits of ``exp``, ``log`` and ``^`` depend on the host: numpy runs
+them with code chosen for the CPU's SIMD level, which can round otherwise
+than the code another CPU gets. The exception is a constant exponent of 2,
+0.5 or -1, which numpy computes as a square, a square root or a
+reciprocal, each correctly rounded; the same exponent in a column takes
+the general path.
 """
 
 from __future__ import annotations

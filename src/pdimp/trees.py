@@ -37,8 +37,14 @@ pinned split; each cell descends through the pinned splits only, following
 both children elsewhere. A (cell, row) pair meets at one leaf, and its
 value is that leaf's. The result equals ``predict`` point by point, bit for
 bit; ``predict`` is the case of no pinned feature, one cell per tree, and so
-is a lone point, written into the rows. Each block of trees is folded over
-all rows at once, holding per row the leaves it reaches via the pinned splits.
+is a lone point, written into the rows.
+
+The kernel works in blocks of consecutive trees, by one rule: the points'
+cells are labelled for as many trees at once as keep trees x points within
+``_GRID_CHUNK_ELEMENTS``, and those trees are folded in blocks, each over
+all rows at once, while the block's cells x max(rows, leaves) stay within
+it (one tree at least). A fold holds per row the leaves the row reaches via
+the pinned splits. No result depends on the blocks.
 
 A forest has one form, ``_FlatForest``: every node of every tree in shared
 arrays, each tree's nodes in level order. Fitting lays its levels straight
@@ -61,10 +67,13 @@ from .models import PredictionModel
 # only, the trees do not depend on it
 _FIT_BLOCK_ELEMENTS = 1 << 18
 
-# the grid kernel folds consecutive trees together, over all rows, while
-# their cells x max(rows, leaves) stay within this many elements (one tree
-# at least); a memory cap only, results do not depend on it
-_GRID_CHUNK_ELEMENTS = 16384
+# the grid kernel's block cap in elements, by the rule in the module
+# docstring. Larger blocks make fewer numpy calls per tree, and the kernel's
+# peak memory, not its speed, bounds the cap: a command scoring three
+# 121-point pair tables and H over 200 rows with a 100-tree, depth-6 forest
+# peaked at 34.8-35.0 MB max RSS at this cap, 35.9 MB at 49 152 and 37.1 MB at
+# 65 536, where its tables ran 7-10% faster (2-vCPU x86-64, numpy 2.4.6)
+_GRID_CHUNK_ELEMENTS = 32768
 
 
 class _FlatForest:
@@ -76,6 +85,8 @@ class _FlatForest:
     comparison bit replaces separate left/right lookups. Leaves point at
     themselves with a +inf threshold, making extra traversal steps a no-op;
     a categorical split has a NaN threshold and a row of ``cat_masks``.
+    Node numbers are ``intp``, so the descent's node arrays are too: numpy
+    gathers through an int32 index array at about half the speed.
     """
 
     def __init__(self, schema: Sequence[FeatureSchema], starts, visit):
@@ -106,19 +117,19 @@ class _FlatForest:
                 level = following
             depth.append(depth_t)
         total = len(value)
-        self.root = np.array(root, dtype=np.int32)
-        self.end = np.array(root[1:] + [total], dtype=np.int32)
+        self.root = np.array(root, dtype=np.intp)
+        self.end = np.array(root[1:] + [total], dtype=np.intp)
         self.leaves = (self.end - self.root + 1) // 2  # every split has two children
         self.tree = np.repeat(np.arange(len(root)), self.end - self.root)
         self.depth = np.array(depth)
         feature = np.array(feature)
         self.internal = feature >= 0
-        self.child = np.array(child, dtype=np.int32)
+        self.child = np.array(child, dtype=np.intp)
         self.value = np.array(value, dtype=np.float64)
         self.feature = np.maximum(feature, 0).astype(np.int32)
         self.threshold = np.array(threshold, dtype=np.float64)
         n_levels = max((len(f.levels) for f in schema if not f.is_continuous), default=1)
-        self.cat_row = np.full(total, -1, dtype=np.int32)
+        self.cat_row = np.full(total, -1, dtype=np.intp)
         self.cat_row[[i for i, _ in cat]] = np.arange(len(cat))
         self.cat_masks = np.zeros((max(len(cat), 1), max(n_levels, 1)), dtype=bool)
         for r, (_, mask) in enumerate(cat):
@@ -153,44 +164,55 @@ class BaggedTreesModel(PredictionModel):
         self.seed = seed
         self._flat = forest
 
-    def _tree_cells(self, cols: list[int], pinned: np.ndarray):
-        """Per tree, in order: (cell of each point, one point of each cell).
+    def _tree_cells(self, cols: list[int], pinned: np.ndarray, lo: int, hi: int):
+        """The points' split cells in trees ``lo`` up to ``hi``: (cell, first, member).
 
-        Two points share a cell when every split of the tree on a pinned
-        feature sends them the same way: for a threshold feature, when the
-        same number of the tree's thresholds lie below both values; for a
+        Two points share a cell of a tree when every split of the tree on a
+        pinned feature sends them the same way: for a threshold feature, when
+        the same number of the tree's thresholds lie below both values; for a
         categorical feature split by the tree, when their level codes are
-        equal.
+        equal. These sides make one code per tree and point, and one sort of
+        the (tree, code) keys numbers the distinct codes, tree by tree in
+        code order: ``cell`` (trees x points) holds each point's number, tree
+        ``lo + i`` has the numbers ``first[i]`` up to ``first[i + 1]``, and
+        ``member`` holds one point of each cell.
         """
         flat = self._flat
-        n_points = len(pinned)
-        per_col = []
+        slots = slice(flat.root[lo], flat.end[hi - 1])
+        tree = flat.tree[slots] - lo
+        code = np.zeros((hi - lo, len(pinned)), dtype=np.int64)
+        radix = np.ones(hi - lo, dtype=np.int64)
         for s, col in enumerate(cols):
-            on = np.flatnonzero(flat.internal & (flat.feature == col))
-            bounds = np.searchsorted(flat.tree[on], np.arange(len(flat.root) + 1))
-            continuous = self._feature_schema[col].is_continuous
-            values = pinned[:, s] if continuous else pinned[:, s].astype(np.intp)
-            per_col.append((continuous, flat.threshold[on], bounds, values))
-        every = np.arange(n_points)
-        for t in range(len(flat.root)):
-            code = np.zeros(n_points, dtype=np.int64)
-            radix = 1
-            for continuous, thresholds, bounds, values in per_col:
-                lo, hi = bounds[t], bounds[t + 1]
-                if lo == hi:
-                    continue
-                if continuous:
-                    side = np.searchsorted(np.sort(thresholds[lo:hi]), values)
-                    width = hi - lo + 1
-                else:
-                    side, width = values, flat.cat_masks.shape[1]
-                code = code * width + side
-                radix *= width
-            present = np.bincount(code, minlength=radix) > 0
-            cell = np.cumsum(present) - 1
-            member = np.empty(radix, dtype=np.intp)
-            member[code] = every  # any member will do: a cell's points share every leaf
-            yield cell[code], member[present]
+            on = np.flatnonzero(flat.internal[slots] & (flat.feature[slots] == col))
+            splits = np.bincount(tree[on], minlength=hi - lo)
+            if self._feature_schema[col].is_continuous:
+                # rank thresholds and points by the count of all thresholds
+                # below them: a search of the sorted (tree, rank) keys then
+                # counts each tree's thresholds below each point
+                thresholds = flat.threshold[slots][on]
+                ranked = np.sort(thresholds)
+                keys = np.sort(tree[on] * (len(on) + 1) + np.searchsorted(ranked, thresholds))
+                base = np.arange(hi - lo)[:, None] * (len(on) + 1)
+                side = (np.searchsorted(keys, base + np.searchsorted(ranked, pinned[:, s]))
+                        - np.searchsorted(keys, base))
+                width = splits + 1
+            else:
+                side = (splits > 0)[:, None] * pinned[:, s].astype(np.intp)
+                width = np.where(splits > 0, flat.cat_masks.shape[1], 1)
+            code = code * width[:, None] + side
+            radix *= width
+        # one argsort numbers the codes: np.unique would import numpy.ma on
+        # its first call, about 12 ms and 1 MB of a command
+        stride = int(radix.max())
+        keys = (code + np.arange(hi - lo)[:, None] * stride).ravel()
+        order = np.argsort(keys)
+        keys = keys[order]
+        new = np.diff(keys, prepend=-1) != 0  # every key is at least 0
+        cell = np.empty(code.shape, dtype=np.intp)
+        cell.ravel()[order] = np.cumsum(new) - 1
+        first = np.searchsorted(keys[new], np.arange(hi - lo + 1) * stride)
+        # any member will do: a cell's points share every leaf
+        return cell, first, order[new] % len(pinned)
 
     def _grid(self, batch: Dataset, cols: list[int], pinned: np.ndarray) -> np.ndarray:
         """Predictions with the columns ``cols`` set to each row of ``pinned``:
@@ -204,9 +226,10 @@ class BaggedTreesModel(PredictionModel):
         one leaf, as in ``predict``. Leaf values are summed tree by tree
         from +0.0, then divided by the tree count: the order of
         ``np.mean(values, axis=0)`` over a (trees x rows) block. Besides the
-        returned block, the copy of the rows, one gather of the block's size
-        and the points' per-tree labels, temporaries stay within a small
-        multiple of a fold's entries and of its trees' cells x max(rows, leaves).
+        returned block, the copy of the rows and one gather of the block's
+        size, temporaries stay within a small multiple of a fold's entries,
+        of its trees' cells x max(rows, leaves), and of the cap or the
+        points, whichever is more, for the labels.
         """
         matrix = np.vstack([batch.column(f.name) for f in self._feature_schema], dtype=np.float64)
         if len(pinned) == 1:  # a lone point is written into the rows: nothing forks
@@ -214,31 +237,44 @@ class BaggedTreesModel(PredictionModel):
             cols = []
         flat, n = self._flat, batch.n_rows
         out = np.zeros((len(pinned), n))
+        if not len(pinned):
+            return out
         # per node: 0 a split the rows follow by value, 1 a pinned split, 2 a leaf
         kind = np.where(flat.internal, 0, 2)
         for col in cols:
             kind[flat.internal & (flat.feature == col)] = 1
         for block in self._tree_blocks(cols, pinned, n):
-            self._fold_block(matrix, cols, pinned, kind, block, out)
+            self._fold_block(matrix, cols, pinned, kind, *block, out)
         out /= len(flat.root)
         return out
 
     def _tree_blocks(self, cols: list[int], pinned: np.ndarray, n: int):
-        """Consecutive trees' cells, grouped while the sum of cells times
-        max(rows, leaves) stays within the cap (one tree at least)."""
-        block, weight = [], 0
-        for t, (cell, member) in enumerate(self._tree_cells(cols, pinned)):
-            size = len(member) * max(n, int(self._flat.leaves[t]))
-            if block and weight + size > _GRID_CHUNK_ELEMENTS:
-                yield block
-                block, weight = [], 0
-            block.append((t, cell, member))
-            weight += size
-        yield block
+        """Blocks of consecutive trees, by the rule in the module docstring,
+        as (first tree, end tree, each tree's table row of each point, each
+        tree's count of table rows, one point of each table row): a block's
+        table has a row per cell of its trees, in tree order."""
+        n_trees = len(self._flat.root)
+        group = max(1, _GRID_CHUNK_ELEMENTS // len(pinned))
+        for lo in range(0, n_trees, group):
+            hi = min(lo + group, n_trees)
+            cell, first, member = self._tree_cells(cols, pinned, lo, hi)
+            sizes = np.diff(first) * np.maximum(n, self._flat.leaves[lo:hi])
+            bounds, weight = [0], 0
+            for t, size in enumerate(sizes.tolist()):
+                if t > bounds[-1] and weight + size > _GRID_CHUNK_ELEMENTS:
+                    bounds.append(t)
+                    weight = 0
+                weight += size
+            bounds.append(hi - lo)
+            for a, b in zip(bounds, bounds[1:]):
+                yield (lo + a, lo + b, cell[a:b] - first[a], np.diff(first[a:b + 1]),
+                       member[first[a]:first[b]])
 
-    def _fold_block(self, matrix, cols, pinned, kind, block, out) -> None:
-        """Add a block of consecutive trees' leaf values to ``out``, for the
-        rows of ``matrix`` at once.
+    def _fold_block(self, matrix, cols, pinned, kind, lo, hi, rows, cells, member,
+                    out) -> None:
+        """Add the leaf values of trees ``lo`` up to ``hi`` to ``out``, for the
+        rows of ``matrix`` at once; ``rows``, ``cells`` and ``member`` are as
+        ``_tree_blocks`` gives them.
 
         Rows and cells descend the block's trees together, one level a
         step. A row follows its own value, except at a pinned split, where
@@ -249,26 +285,22 @@ class BaggedTreesModel(PredictionModel):
         rows are then gathered to its points in one ``take``.
         """
         flat, n = self._flat, matrix.shape[1]
-        trees = [t for t, _, _ in block]
-        sizes = [len(member) for _, _, member in block]
-        first = np.cumsum([0] + sizes)
-        roots = flat.root[trees]
+        roots = flat.root[lo:hi]
         # owners 0..n-1 are the rows, n and up the cells that descend. With no
         # pinned feature nothing forks, and a tree's one cell, which does not
         # descend, meets each row at the row's own leaf: the rows are read in place.
-        descending = sizes if cols else [0] * len(block)
         columns = matrix
         if cols:
-            columns = np.zeros((matrix.shape[0], n + sum(descending)))
+            columns = np.zeros((matrix.shape[0], n + len(member)))
             columns[:, :n] = matrix
-            columns[cols, n:] = pinned[np.concatenate([member for _, _, member in block])].T
+            columns[cols, n:] = pinned[member].T
         values = columns.ravel()
         offset = flat.feature.astype(np.intp) * columns.shape[1]
-        node = np.concatenate([np.repeat(roots, n), np.repeat(roots, descending)])
-        owner = np.concatenate([np.tile(np.arange(n, dtype=np.int32), len(trees)),
+        node = np.concatenate([np.repeat(roots, n), np.repeat(roots, cells if cols else 0)])
+        owner = np.concatenate([np.tile(np.arange(n, dtype=np.int32), hi - lo),
                                 np.arange(n, columns.shape[1], dtype=np.int32)])
         ended = []
-        for level in range(int(flat.depth[trees].max())):
+        for level in range(int(flat.depth[lo:hi].max())):
             if level % 8 == 7:  # in a deep tree, stop stepping the entries at a leaf
                 done = ~flat.internal[node]
                 ended.append((node[done], owner[done]))
@@ -283,13 +315,13 @@ class BaggedTreesModel(PredictionModel):
             node = nxt
         node = np.concatenate([node] + [leaf for leaf, _ in ended])
         owner = np.concatenate([owner] + [whose for _, whose in ended])
-        table = np.empty((first[-1], n))
+        table = np.empty((len(member), n))
         if not cols:
-            table[flat.tree[node] - trees[0], owner] = flat.value[node]
+            table[flat.tree[node] - lo, owner] = flat.value[node]
         else:
-            self._join(node, owner, n, roots[0], flat.end[trees[-1]], table)
-        for (_, point_cell, _), base in zip(block, first):
-            out += np.take(table, point_cell + base, axis=0)
+            self._join(node, owner, n, roots[0], flat.end[hi - 1], table)
+        for point_rows in rows:  # tree by tree
+            out += np.take(table, point_rows, axis=0)
 
     def _join(self, node, owner, n, lo, hi, table) -> None:
         """Write each (cell, row) pair's leaf value into ``table``.

@@ -5,6 +5,11 @@ each node sorting every feature's values afresh with a stable argsort and
 scanning every cut. ``pdimp.trees.fit_bagged_trees`` grows the same trees a
 level at a time and must give the same node arrays bit for bit.
 
+``tree_cells_by_tree`` labels the split cells of grid points one tree at a
+time, a dozen numpy calls per tree; ``BaggedTreesModel._tree_cells``, which
+labels many trees in one set of array calls, must number the cells the
+same way.
+
 ``pin`` builds the batch that one grid point stands for: every row with
 the point's features overwritten. A model's ``predict_grid`` row for that
 point must equal its ``predict`` on this batch bit for bit.
@@ -37,6 +42,46 @@ def pin(batch, features, point):
     for name, value in zip(features, point):
         columns[name] = np.full(batch.n_rows, value)
     return Dataset(batch.schema, columns)
+
+
+def tree_cells_by_tree(model, cols, pinned):
+    """Per tree, in order: (cell of each point, one point of each cell).
+
+    A point's code in a tree packs, pinned feature by pinned feature, its
+    side of the tree's splits on that feature: the count of the tree's
+    thresholds below it, or its level code if the tree splits the
+    categorical feature at all. Cells are the distinct codes, numbered in
+    code order.
+    """
+    flat = model._flat
+    n_points = len(pinned)
+    per_col = []
+    for s, col in enumerate(cols):
+        on = np.flatnonzero(flat.internal & (flat.feature == col))
+        bounds = np.searchsorted(flat.tree[on], np.arange(len(flat.root) + 1))
+        continuous = model._feature_schema[col].is_continuous
+        values = pinned[:, s] if continuous else pinned[:, s].astype(np.intp)
+        per_col.append((continuous, flat.threshold[on], bounds, values))
+    every = np.arange(n_points)
+    for t in range(len(flat.root)):
+        code = np.zeros(n_points, dtype=np.int64)
+        radix = 1
+        for continuous, thresholds, bounds, values in per_col:
+            lo, hi = bounds[t], bounds[t + 1]
+            if lo == hi:
+                continue
+            if continuous:
+                side = np.searchsorted(np.sort(thresholds[lo:hi]), values)
+                width = hi - lo + 1
+            else:
+                side, width = values, flat.cat_masks.shape[1]
+            code = code * width + side
+            radix *= width
+        present = np.bincount(code, minlength=radix) > 0
+        cell = np.cumsum(present) - 1
+        member = np.empty(radix, dtype=np.intp)
+        member[code] = every
+        yield cell[code], member[present]
 
 
 def _best_split(columns, schema, rows, y, min_leaf):

@@ -370,21 +370,27 @@ def test_a_chunked_load_gives_what_the_row_reader_gives(tmp_path_factory, data, 
         _same_as_by_rows(tmp_path_factory.getbasetemp(), data, declared)
 
 
-def test_a_numeric_load_holds_its_columns_twice_and_one_chunk_of_text():
-    rows = 20_000
+@pytest.mark.parametrize("stream", [False, True], ids=["bytes", "text stream"])
+def test_a_numeric_load_holds_its_columns_once_and_one_chunk_of_text(stream):
+    rows = 60_000
     data = b"x,y,z\n" + b"".join(b"%r,%r,%r\n" % (i / 7, -i / 3, i * 1e-9) for i in range(rows))
+    source = io.StringIO(data.decode()) if stream else data
     columns = 3 * rows * 8
+    # a chunk's text, cells and separators take under 16 bytes per character
+    chunk_work = 16 * data_module._CHUNK_CHARS
+    assert chunk_work < columns  # so that holding the columns twice would fail
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        ds = load_csv(data)
+        ds = load_csv(source)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert ds.n_rows == rows
-    # a chunk's text, cells and separators take under 16 bytes per character;
-    # the row reader holds every cell's text at once, 7 MB here
-    assert peak <= 2 * columns + 16 * data_module._CHUNK_CHARS
+    # the lines are counted before the columns are allocated, and each
+    # chunk's numbers are written into them; the row reader holds every
+    # cell's text at once, 21 MB here
+    assert peak <= columns + chunk_work
 
 
 class TestCsvRoundTrip:

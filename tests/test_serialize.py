@@ -1,5 +1,7 @@
 """JSON round trips for every model kind."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,6 +229,78 @@ class TestMalformedDocuments:
         path.write_text("{not json")
         with pytest.raises(ParameterError, match="not a JSON model"):
             load_model(path)
+
+
+def _nodes(doc):
+    """Every node of every tree of ``doc``, in one fixed order."""
+    stack, nodes = list(doc["trees"]), []
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if "feature" in node:
+            stack += [node["left"], node["right"]]
+    return nodes
+
+
+_TREE_MUTATIONS = ["int", "bool", "string", "huge int", "NaN", "Infinity", "no child",
+                   "feature out of range", "threshold on categorical", "mask on continuous"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_mutated_tree_document_loads_the_same_forest_or_is_refused(data):
+    # the forest has threshold and level-mask splits; an int that equals a
+    # float is the one mutation that must load, and to the same arrays
+    reference, mutated = _tree_doc(), _tree_doc()
+    pairs = list(zip(_nodes(reference), _nodes(mutated)))
+    splits = [pair for pair in pairs if "feature" in pair[1]]
+    continuous = [pair for pair in splits if "threshold" in pair[1]]
+    categorical = [pair for pair in splits if "left_levels" in pair[1]]
+    assert continuous and categorical
+    kind = data.draw(st.sampled_from(_TREE_MUTATIONS), label="mutation")
+    if kind in ("int", "bool", "string", "huge int", "NaN", "Infinity"):
+        old, node = data.draw(st.sampled_from(pairs), label="node")
+        keys = ["value"] + [key for key in ("feature", "threshold") if key in node]
+        key = data.draw(st.sampled_from(keys), label="key")
+        if kind == "int":
+            if key == "feature":
+                node[key] = old[key] = data.draw(st.sampled_from([0, 1]), label="feature")
+                if "left_levels" in node:  # a continuous feature takes a threshold
+                    for doc in (old, node):
+                        del doc["left_levels"], doc["n_levels"]
+                        doc["threshold"] = 0.5
+            else:
+                node[key] = data.draw(st.integers(-10**15, 10**15), label="int")
+                old[key] = float(node[key])
+        else:
+            node[key] = {"bool": data.draw(st.booleans(), label="bool"), "string": "0.5",
+                         "huge int": 10**400, "NaN": float("nan"),
+                         "Infinity": data.draw(st.sampled_from([1, -1])) * float("inf")}[kind]
+    elif kind == "no child":
+        del data.draw(st.sampled_from(splits), label="split")[1][
+            data.draw(st.sampled_from(["left", "right"]), label="child")]
+    elif kind == "feature out of range":
+        data.draw(st.sampled_from(splits), label="split")[1]["feature"] = data.draw(
+            st.sampled_from([-2, -1, 3, 2**70]), label="feature")
+    elif kind == "threshold on categorical":
+        node = data.draw(st.sampled_from(splits), label="split")[1]
+        node["feature"], node["threshold"] = 2, node.get("threshold", 0.5)
+    else:
+        node = data.draw(st.sampled_from(continuous + categorical), label="split")[1]
+        node["feature"], node["left_levels"], node["n_levels"] = data.draw(
+            st.sampled_from([0, 1]), label="feature"), [0], 3
+    # through JSON text, so NaN and Infinity arrive as the literals a file holds
+    mutated = json.loads(json.dumps(mutated))
+    if kind != "int":
+        with pytest.raises(ParameterError):
+            model_from_json(mutated)
+        return
+    want, got = model_from_json(reference)._flat, model_from_json(mutated)._flat
+    assert vars(got).keys() == vars(want).keys()
+    for name, array in vars(want).items():
+        again = getattr(got, name)
+        assert np.asarray(again).dtype == np.asarray(array).dtype, name
+        assert np.array_equal(again, array, equal_nan=True), name
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import pin
+from reference import pin, tree_cells_by_tree
 
 import pdimp.trees as trees_module
 from pdimp import (
@@ -305,6 +305,83 @@ def _cell_signature(root, col, value):
     return tuple(sides)
 
 
+def _cells_by_tree(model, cols, pinned, n):
+    """Per tree, in order: (cell of each point, one point of each cell), as
+    the blocks of ``_tree_blocks`` hold them; the blocks must cover the
+    trees in order."""
+    end = 0
+    for lo, hi, rows, cells, member in model._tree_blocks(cols, pinned, n):
+        assert lo == end < hi
+        end = hi
+        for point_rows, start, count in zip(rows, np.cumsum(cells) - cells, cells):
+            yield point_rows - start, member[start:start + count]
+    assert end == len(model._flat.root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_all_tree_cell_labels_match_the_per_tree_loop(data):
+    n = data.draw(st.integers(2, 12), label="rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    ds = Dataset(
+        (FeatureSchema("a", "continuous"), FeatureSchema("b", "continuous"),
+         FeatureSchema("c", "continuous"), FeatureSchema("g", "categorical", ("u", "v", "w")),
+         FeatureSchema("y", "continuous")),
+        {
+            "a": rng.uniform(-1, 1, size=n),
+            "b": rng.integers(0, 3, size=n) * 0.5,  # ties
+            "c": np.full(n, 2.0),  # never split: no tree has a cell boundary on it
+            "g": rng.integers(0, 3, size=n),
+            "y": rng.normal(size=n),
+        },
+    )
+    model = fit_bagged_trees(
+        ds, "y", n_trees=data.draw(st.integers(1, 12), label="trees"),
+        max_depth=data.draw(st.integers(0, 4), label="depth"), min_leaf=1,
+        seed=data.draw(st.integers(0, 1000), label="fit seed"),
+    )
+    flat = model._flat
+    pinned = data.draw(st.lists(st.sampled_from("abcg"), min_size=1, max_size=2, unique=True),
+                       label="pinned")
+    cols = [model.feature_names.index(name) for name in pinned]
+    draw_value = {}
+    for name, col in zip(pinned, cols):
+        if name == "g":
+            draw_value[name] = st.integers(0, 2)
+        else:  # on a threshold, between them, or outside the data
+            on = flat.threshold[flat.internal & (flat.feature == col)].tolist()
+            draw_value[name] = st.sampled_from(on + [-1e200, -3.0, 0.0, 0.5, 4.0, 1e200]) \
+                | st.floats(-1.5, 1.5)
+    # few distinct points, drawn again and again: repeated points share a cell
+    pool = data.draw(st.lists(st.tuples(*(draw_value[name] for name in pinned)),
+                              min_size=1, max_size=6), label="distinct points")
+    points = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=20), label="points")
+    pinned_values = np.array(points, dtype=np.float64)
+    saved = trees_module._GRID_CHUNK_ELEMENTS
+    trees_module._GRID_CHUNK_ELEMENTS = data.draw(st.sampled_from([1, 7, 64, saved]),
+                                                  label="chunk elements")
+    try:
+        cells = list(_cells_by_tree(model, cols, pinned_values, n))
+    finally:
+        trees_module._GRID_CHUNK_ELEMENTS = saved
+    expected = list(tree_cells_by_tree(model, cols, pinned_values))
+    assert len(cells) == len(expected) == len(flat.root)
+    for (cell, member), (want_cell, want_member) in zip(cells, expected):
+        assert np.array_equal(cell, want_cell)  # numbered alike, in code order
+        assert len(member) == len(want_member)  # one descent per distinct code
+        assert np.array_equal(cell[member], np.arange(len(member)))  # each in its own cell
+
+
+def test_no_points_or_no_rows_give_an_empty_block():
+    rng = np.random.default_rng(41)
+    ds = Dataset.from_dict({"a": rng.uniform(size=30), "g": ["u", "v"] * 15,
+                            "y": rng.uniform(size=30)})
+    model = fit_bagged_trees(ds, "y", n_trees=3, max_depth=2, min_leaf=2, seed=1)
+    features = ds.drop("y")
+    assert model.predict_grid(features, ["a"], np.empty((0, 1))).shape == (0, 30)
+    assert model.predict_grid(features.take([]), ["a", "g"], [(0.5, 1), (0.2, 0)]).shape == (2, 0)
+
+
 @pytest.mark.parametrize("rows", [3, 400])
 def test_each_split_cell_is_descended_once_over_the_whole_grid(rows):
     rng = np.random.default_rng(37)
@@ -313,7 +390,7 @@ def test_each_split_cell_is_descended_once_over_the_whole_grid(rows):
     model = fit_bagged_trees(ds, "y", n_trees=5, max_depth=4, min_leaf=2, seed=3)
     points = [(v,) for v in np.linspace(-0.1, 1.1, 3000)]
     pinned = np.array(points)
-    cells = list(model._tree_cells([0], pinned))
+    cells = list(_cells_by_tree(model, [0], pinned, rows))
     for root, (cell, member) in zip(model_to_json(model)["trees"], cells):
         signatures = [_cell_signature(root, 0, p[0]) for p in points]
         assert len(member) == len(set(signatures))  # one descent per distinct cell
@@ -383,7 +460,7 @@ def test_a_tree_over_the_cap_folds_all_rows_at_once_within_a_few_blocks_of_memor
     model = fit_bagged_trees(ds, "y", n_trees=6, max_depth=6, min_leaf=5, seed=3)
     features = ds.drop("y")
     points = build_grid(features, ["x1", "x2"], GridStrategy.quantile(10)).points()
-    cells = [len(member) for _, member in model._tree_cells([0, 1], points)]
+    cells = [len(member) for _, member in _cells_by_tree(model, [0, 1], points, 1000)]
     assert min(cells) * features.n_rows > trees_module._GRID_CHUNK_ELEMENTS
     tracemalloc.start()
     try:
