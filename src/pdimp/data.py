@@ -398,11 +398,12 @@ def _numeric_columns(source) -> tuple[list[str], np.ndarray] | None:
 
     The header must end in a line feed and no text may hold a quote,
     carriage return or NUL, so that commas and line feeds alone separate
-    the cells. The body's lines are counted, then it is read
-    ``_CHUNK_CHARS`` characters at a time, and a chunk's complete lines
-    must each hold as many cells as the header, every one a finite number
-    by ``float()`` and no longer than the ``csv`` module's field limit. A source that is no text stream, or a
-    stream that cannot seek back, gets None.
+    the cells. The body's lines and characters are counted, then it is
+    read ``_CHUNK_CHARS`` characters at a time, and a chunk's complete
+    lines must each hold as many cells as the header, every one a finite
+    number by ``float()`` and no longer than the ``csv`` module's field
+    limit. A source that is no text stream, or a stream that cannot seek
+    back, gets None.
     """
     with _text_source(source) as fh:
         if not isinstance(fh, io.TextIOBase):  # an iterable of lines, or a binary file
@@ -412,7 +413,7 @@ def _numeric_columns(source) -> tuple[list[str], np.ndarray] | None:
         except OSError:  # a pipe, say
             return None
         try:
-            numeric = _numeric_body(fh, source)
+            numeric = _numeric_body(fh)
         except UnicodeDecodeError:
             numeric = None
         if numeric is None:
@@ -420,9 +421,8 @@ def _numeric_columns(source) -> tuple[list[str], np.ndarray] | None:
         return numeric
 
 
-def _numeric_body(fh, source) -> tuple[list[str], np.ndarray] | None:
-    """What :func:`_numeric_columns` returns, read from ``fh``, which reads
-    ``source``."""
+def _numeric_body(fh) -> tuple[list[str], np.ndarray] | None:
+    """What :func:`_numeric_columns` returns, read from ``fh``."""
     header = fh.readline()
     if not header.endswith("\n") or any(c in header for c in _NOT_PLAIN):
         return None
@@ -432,9 +432,11 @@ def _numeric_body(fh, source) -> tuple[list[str], np.ndarray] | None:
             max(map(len, cells)) > csv.field_size_limit():
         return None
     # the lines are counted first, so that each chunk's numbers go straight
-    # into the one array that holds them all
-    lines = _body_lines(fh, source)
-    if not lines:
+    # into the one array that holds them all. Each cell takes a character and
+    # a separator at least, so a body too short for its lines and the
+    # header's width is no numeric body, and nothing is allocated for it.
+    lines, chars = _body_size(fh)
+    if not lines or 2 * len(names) * lines > chars + 1:
         return None
     matrix = np.empty((len(names), lines))
     done, tail = 0, ""
@@ -455,24 +457,16 @@ def _numeric_body(fh, source) -> tuple[list[str], np.ndarray] | None:
     return names, matrix
 
 
-def _body_lines(fh, source) -> int:
-    """The count of lines after the header, a last one without a line feed
-    included: line feeds (one byte each in UTF-8) counted in the raw bytes
-    of a path or bytes ``source``, else in the rest of ``fh``, which is left
-    where it was."""
-    if isinstance(source, (str, Path, bytes)):
-        with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as raw:
-            feeds, last = -1, b"\n"  # the header ends in the first line feed
-            while chunk := raw.read(_CHUNK_CHARS):
-                feeds += chunk.count(b"\n")
-                last = chunk[-1:]
-        return feeds + (last != b"\n")
-    body, feeds, last = fh.tell(), 0, "\n"
+def _body_size(fh) -> tuple[int, int]:
+    """The count of lines in the rest of ``fh``, a last one without a line
+    feed included, and of their characters; ``fh`` is left where it was."""
+    body, feeds, chars, last = fh.tell(), 0, 0, "\n"
     while chunk := fh.read(_CHUNK_CHARS):
         feeds += chunk.count("\n")
+        chars += len(chunk)
         last = chunk[-1]
     fh.seek(body)
-    return feeds + (last != "\n")
+    return feeds + (last != "\n"), chars
 
 
 def _numeric_block(text: str, matrix: np.ndarray, done: int) -> int | None:

@@ -107,18 +107,6 @@ def _tree_node(doc, schema):
     """A tree node's (value, feature, split, children) for ``_FlatForest``,
     checked against ``schema``: a threshold splits a continuous feature, a
     level mask over the full level table splits a categorical one."""
-    # the shapes a saved forest holds, checked inline: a leaf, or a threshold
-    # split of a continuous feature, with finite floats and object children;
-    # anything else takes the checks below, which name what is wrong
-    if type(doc) is dict and type(value := doc.get("value")) is float and math.isfinite(value):
-        if "feature" not in doc:
-            return value, -1, None, ()
-        j, threshold = doc["feature"], doc.get("threshold")
-        left, right = doc.get("left"), doc.get("right")
-        if (type(j) is int and 0 <= j < len(schema) and schema[j].is_continuous
-                and type(threshold) is float and math.isfinite(threshold)
-                and "left_levels" not in doc and type(left) is dict and type(right) is dict):
-            return value, j, threshold, (left, right)
     where = "tree node"
     if not isinstance(doc, dict):
         raise ParameterError(f"{where} must be a JSON object, got {doc!r}")

@@ -393,6 +393,21 @@ def test_a_numeric_load_holds_its_columns_once_and_one_chunk_of_text(stream):
     assert peak <= columns + chunk_work
 
 
+def test_a_wide_header_over_short_lines_is_ragged_before_any_columns_are_allocated():
+    names = 20_000
+    data = b",".join(b"c%d" % i for i in range(names)) + b"\n" + b"1\n" * 2_000
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(CsvError, match=f"row 1 has 1 fields, expected {names}"):
+            load_csv(data)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # columns for every line would take 320 MB
+    assert peak < 8 * names * 2_000 // 20
+
+
 class TestCsvRoundTrip:
     def test_full_precision_round_trip(self):
         rng = np.random.default_rng(42)
